@@ -9,8 +9,11 @@ has finished.  The runner cycles through the workload's op mix in whole
 cycles until ``--seconds`` have passed, checks every op's output, and prints
 a table of metrics followed, as the last line, by one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0`` reports the
-end-to-end metrics; ``--trace 1`` reports the per-layer metrics of a traced
-run.  See README.md in this directory for the workloads and metrics.
+end-to-end metrics, with every time in reference seconds: wall time scaled
+by a calibration kernel timed next to it, so that the shared host's changes
+of speed cancel (hostspeed.py).  The table prints the wall-clock figures
+beside them.  ``--trace 1`` reports the per-layer metrics of a traced run,
+in wall time.  See README.md in this directory for the workloads and metrics.
 
 The launcher pins OpenBLAS to one thread and leaves PACBAYES_THREADS unset
 (the library default, 1); both settings are printed with the provenance.
@@ -32,7 +35,7 @@ import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -40,6 +43,10 @@ WORK = ROOT / ".perfbench_work"
 REFERENCE = Path(__file__).resolve().parent / "reference_seed0.json"
 DEFAULT_SEED = 0
 SETUP_REPS = 3
+#: Kernel runs per calibration mark around a set-up (its median is the sample).
+SETUP_KERNEL_RUNS = 5
+TIME_UNITS = {"ops_per_s": "1/s", "latency_ms_p50": "ms", "latency_ms_p90": "ms",
+              "trials_per_s": "1/s", "cpu_s_per_op": "s", "setup_s": "s"}
 WORKLOAD_NAMES = ("cli_roundtrip", "mc_lab", "wide_class")
 TRIAL_UNITS = ("trial", "rep")
 
@@ -54,21 +61,23 @@ def pin_environment() -> dict:
 
 @dataclass
 class Loop:
-    """What one closed-loop pass measured; ``ops`` and ``latency`` hold one entry per op run."""
+    """What one closed-loop pass measured.
+
+    ``ops``, ``latency`` (wall s), ``cpu`` (CPU s) and ``scale`` (reference
+    seconds per wall second, see hostspeed.py) hold one entry per op run.
+    """
 
     ops: list
     latency: list
-    wall: float
-    cpu: float
-    child_cpu: float
+    cpu: list
+    scale: list
     minor_faults: int
 
     @classmethod
     def merge(cls, loops: list) -> "Loop":
-        return cls([op for loop in loops for op in loop.ops],
-                   [t for loop in loops for t in loop.latency],
-                   *(sum(getattr(loop, f) for loop in loops)
-                     for f in ("wall", "cpu", "child_cpu", "minor_faults")))
+        return cls(*([x for loop in loops for x in getattr(loop, f)]
+                     for f in ("ops", "latency", "cpu", "scale")),
+                   sum(loop.minor_faults for loop in loops))
 
 
 class Checker:
@@ -113,20 +122,29 @@ def match_reference(summary: dict, want) -> None:
         raise CheckFailed(f"counts {summary.get('counts')} differ from {want.get('counts')}")
 
 
-def run_loop(workload, seconds: float, checker: Checker, tracer=None, ops_by_id=None) -> Loop:
+def children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_loop(workload, seconds: float, checker: Checker, tracer=None, ops_by_id=None,
+             clock=None, child_cpu: bool = False) -> Loop:
     """Cycle through the mix in whole cycles until ``seconds`` have passed.
 
     With a tracer, each op runs inside an op span whose id indexes
-    ``ops_by_id``.
+    ``ops_by_id``.  With a ``HostClock``, the calibration kernel runs before
+    each op and after the last, untimed.  ``child_cpu`` times the CPU of
+    child processes instead of this one's.
     """
-    ran, latency = [], []
-    self0 = resource.getrusage(resource.RUSAGE_SELF)
-    child0 = resource.getrusage(resource.RUSAGE_CHILDREN)
-    start = perf_counter()
-    deadline = start + seconds
+    ran, latency, cpu = [], [], []
+    cpu_now = children_cpu_s if child_cpu else process_time
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    deadline = perf_counter() + seconds
     while True:
         for op in workload.ops:
-            t0 = perf_counter()
+            if clock is not None:
+                clock.mark()
+            c0, t0 = cpu_now(), perf_counter()
             try:
                 if tracer is None:
                     result = op.call()
@@ -137,72 +155,112 @@ def run_loop(workload, seconds: float, checker: Checker, tracer=None, ops_by_id=
             except Exception as exc:
                 result, error = None, exc
             latency.append(perf_counter() - t0)
+            cpu.append(cpu_now() - c0)
             ran.append(op)
             checker(workload.name, op, result, error)
         if perf_counter() >= deadline:
             break
-    wall = perf_counter() - start
-    self1 = resource.getrusage(resource.RUSAGE_SELF)
-    child1 = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return Loop(ran, latency, wall,
-                cpu=self1.ru_utime + self1.ru_stime - self0.ru_utime - self0.ru_stime,
-                child_cpu=child1.ru_utime + child1.ru_stime - child0.ru_utime - child0.ru_stime,
-                minor_faults=self1.ru_minflt - self0.ru_minflt)
+    if clock is not None:
+        clock.mark()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
+    scale = clock.scales() if clock is not None else [1.0] * len(ran)
+    return Loop(ran, latency, cpu, scale, faults)
 
 
-def set_up(name: str, seed: int, in_process: bool, reps: int):
-    """Import, input generation and warm-up, ``reps`` times; returns (workload, median s).
+def set_up(name: str, seed: int, in_process: bool, reps: int, calibrate: bool = False):
+    """Import, input generation and warm-up, ``reps`` times.
 
-    Import is timed in a fresh interpreter, since this one has imported the
-    package already.  Warm-up runs every op of the mix once; for the CLI
-    workload it runs one process, which is all a fresh process can reuse.
+    Returns the workload and, per set-up, (wall s, reference s).  Import is
+    timed in a fresh interpreter, since this one has imported the package
+    already.  Warm-up runs every op of the mix once; for the CLI workload it
+    runs one process, which is all a fresh process can reuse.  With
+    ``calibrate``, the calibration kernel runs between the steps, untimed,
+    and each step's time is scaled like an op's (see hostspeed.py).
     """
     import probes
     import workloads
+    from hostspeed import HostClock
+
+    def warm_up(op):
+        try:
+            op.call()
+        except Exception:  # the loop runs the op again and counts the failure
+            pass
 
     times = []
     for _ in range(reps):
-        import_s = probes.fresh_import_s(SRC)
-        start = perf_counter()
-        wl = workloads.build(name, seed, WORK / name, SRC, in_process)
-        warm = wl.ops[:1] if name == "cli_roundtrip" and not in_process else wl.ops
-        for op in warm:
-            try:
-                op.call()
-            except Exception:  # the loop runs the op again and counts the failure
-                pass
-        times.append(import_s + perf_counter() - start)
-    return wl, statistics.median(times)
+        clock = HostClock()
+        steps = []
+
+        def step(fn, returns_seconds=False):
+            if calibrate:
+                clock.mark(SETUP_KERNEL_RUNS)
+            start = perf_counter()
+            result = fn()
+            steps.append(result if returns_seconds else perf_counter() - start)
+            return result
+
+        step(lambda: probes.fresh_import_s(SRC), returns_seconds=True)
+        wl = step(lambda: workloads.build(name, seed, WORK / name, SRC, in_process))
+        for op in wl.ops[:1] if name == "cli_roundtrip" and not in_process else wl.ops:
+            step(lambda: warm_up(op))
+        if calibrate:
+            clock.mark(SETUP_KERNEL_RUNS)
+        scale = clock.scales() if calibrate else [1.0] * len(steps)
+        times.append((sum(steps), sum(t * k for t, k in zip(steps, scale))))
+    return wl, times
 
 
-def end_to_end(loop: Loop, cycle: int, setup_s: float, cli_processes: bool) -> tuple[dict, dict]:
-    """The untraced metrics, and the samples behind each.
+def timing_metrics(loop: Loop, scale: list, setup: list) -> dict:
+    """The end-to-end time metrics, with each op's times multiplied by its ``scale``.
 
-    The latency percentiles are taken over the ``cycle`` ops of each whole
-    cycle and averaged over the cycles.  A cycle lasts seconds, so it mostly
-    sees one host speed; a percentile over the whole run instead jumps
-    between the fast and slow spells of a shared host (see README.md, Noise).
+    The latency percentiles are taken over the ops of the mix, each op
+    represented by its median latency in the run.  ``setup`` holds the
+    seconds of each set-up, in the same time.
+    """
+    lat = [t * k for t, k in zip(loop.latency, scale)]
+    trial = [(op.units, t) for op, t in zip(loop.ops, lat) if op.unit in TRIAL_UNITS]
+    by_op: dict = {}
+    for op, t in zip(loop.ops, lat):
+        by_op.setdefault(op.name, []).append(t)
+    typical = [statistics.median(v) for v in by_op.values()]
+    return {
+        "ops_per_s": len(lat) / sum(lat),
+        "latency_ms_p50": statistics.median(typical) * 1e3,
+        "latency_ms_p90": statistics.quantiles(typical, n=10, method="inclusive")[8] * 1e3,
+        "trials_per_s": sum(u for u, _ in trial) / sum(t for _, t in trial),
+        "cpu_s_per_op": sum(c * k for c, k in zip(loop.cpu, scale)) / len(lat),
+        "setup_s": statistics.median(setup),
+    }
+
+
+def end_to_end(loop: Loop, setup: list, cli_processes: bool) -> tuple[dict, dict, dict]:
+    """The untraced metrics in reference time, the same in wall time, and their samples.
+
+    Reference time (see hostspeed.py) cancels the host's changes of speed;
+    the wall-clock figures are printed beside it for reading, not reported.
     """
     n = len(loop.latency)
-    cycles = [sorted(loop.latency[i:i + cycle]) for i in range(0, n, cycle)]
-    trial = [(op.units, t) for op, t in zip(loop.ops, loop.latency) if op.unit in TRIAL_UNITS]
     usage = resource.getrusage(resource.RUSAGE_CHILDREN if cli_processes else resource.RUSAGE_SELF)
-    metrics = {
-        "ops_per_s": (n / sum(loop.latency), "1/s"),
-        "latency_ms_p50": (statistics.fmean(statistics.median(c) for c in cycles) * 1e3, "ms"),
-        "latency_ms_p90": (statistics.fmean(
-            statistics.quantiles(c, n=10, method="inclusive")[8] for c in cycles) * 1e3, "ms"),
-        "trials_per_s": (sum(u for u, _ in trial) / sum(t for _, t in trial), "1/s"),
-        "cpu_s_per_op": ((loop.child_cpu if cli_processes else loop.cpu) / n, "s"),
-        "setup_s": (setup_s, "s"),
-        "peak_rss_mb": (usage.ru_maxrss / 1024.0, "MB"),
-    }
+    reference = timing_metrics(loop, loop.scale, [ref for _, ref in setup])
+    wall = timing_metrics(loop, [1.0] * n, [w for w, _ in setup])
+    metrics = {name: (value, TIME_UNITS[name]) for name, value in reference.items()}
+    metrics["peak_rss_mb"] = (usage.ru_maxrss / 1024.0, "MB")
+    trial_ops = sum(op.unit in TRIAL_UNITS for op in loop.ops)
+    mix = len({op.name for op in loop.ops})
     samples = {name: f"{n} ops" for name in metrics}
-    samples.update(latency_ms_p50=f"{len(cycles)} cycles x {cycle} ops",
-                   latency_ms_p90=f"{len(cycles)} cycles x {cycle} ops",
-                   trials_per_s=f"{len(trial)} ops", setup_s=f"median of {SETUP_REPS}",
+    samples.update(latency_ms_p50=f"{mix} op medians of {n // mix}",
+                   latency_ms_p90=f"{mix} op medians of {n // mix}",
+                   trials_per_s=f"{trial_ops} ops", setup_s=f"median of {len(setup)}",
                    peak_rss_mb="")
-    return metrics, samples
+    return metrics, wall, samples
+
+
+def save_loop(loop: Loop, clock, path: Path) -> None:
+    """Write each op's name, wall and CPU seconds and scale, and the kernel samples."""
+    path.write_text(json.dumps({
+        "ops": [op.name for op in loop.ops], "latency_s": loop.latency, "cpu_s": loop.cpu,
+        "scale": loop.scale, "kernel_s": clock.samples}))
 
 
 class FallbackCounter(logging.Handler):
@@ -255,7 +313,7 @@ def traced(args, seen_env: dict, checker: Checker):
         "cli.import_ms": (statistics.median(
             probes.fresh_import_s(SRC, "pacbayes.cli") for _ in range(3)) * 1e3, "ms"),
         "cli.main_ms": (statistics.median(cli_main.latency) * 1e3, "ms"),
-        "process.cpu_util": (plain.cpu / plain.wall, "ratio"),
+        "process.cpu_util": (sum(plain.cpu) / sum(plain.latency), "ratio"),
         "process.minor_faults_per_op": (plain.minor_faults / len(plain.latency), "1/op"),
         "util.run_trials.threads2_speedup": (probes.threads2_speedup(others["mc_lab"].ops), "ratio"),
     }
@@ -315,6 +373,7 @@ def main(argv=None) -> int:
         print(f"perfbench: imported pacbayes from {pacbayes.__file__}, not {SRC}", file=sys.stderr)
         return 2
     import probes
+    from hostspeed import HostClock
 
     shutil.rmtree(WORK / args.workload, ignore_errors=True)
     reference = None
@@ -324,12 +383,14 @@ def main(argv=None) -> int:
 
     if args.trace:
         metrics, wl = traced(args, seen_env, checker)
-        samples = {}
+        wall, samples = {}, {}
     else:
-        wl, setup_s = set_up(args.workload, args.seed, False, SETUP_REPS)
-        loop = run_loop(wl, args.seconds, checker)
-        metrics, samples = end_to_end(loop, len(wl.ops), setup_s,
-                                      args.workload == "cli_roundtrip")
+        cli_processes = args.workload == "cli_roundtrip"
+        wl, setup = set_up(args.workload, args.seed, False, SETUP_REPS, calibrate=True)
+        clock = HostClock()
+        loop = run_loop(wl, args.seconds, checker, clock=clock, child_cpu=cli_processes)
+        metrics, wall, samples = end_to_end(loop, setup, cli_processes)
+        save_loop(loop, clock, WORK / args.workload / "loop.json")
     if args.write_reference:
         doc = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
         doc[args.workload] = checker.summaries[args.workload]
@@ -349,9 +410,10 @@ def main(argv=None) -> int:
         print(f"perfbench: non-finite metrics {bad}", file=sys.stderr)
         return 1
     failed = len(checker.failures)
-    print(f"# {'metric':58s} {'value':>16s} {'unit':8s} samples")
+    print(f"# {'metric':58s} {'reference':>16s} {'unit':8s} {'wall-clock':>16s} samples")
     for key, (value, unit) in metrics.items():
-        print(f"# {key:58s} {value:16.6f} {unit:8s} {samples.get(key, '')}")
+        wall_text = f"{wall[key]:16.6f}" if key in wall else " " * 16
+        print(f"# {key:58s} {value:16.6f} {unit:8s} {wall_text} {samples.get(key, '')}")
     print(f"# {'failed_frac':58s} {failed / max(1, checker.attempted):16.6f} {'ratio':8s} "
           f"{checker.attempted}")
     print(json.dumps({
