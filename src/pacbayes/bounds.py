@@ -10,22 +10,28 @@ Conventions
 -----------
 * All logs are natural.
 * kl-form bounds (Seeger, Tolstikhin-Seldin, Thiemann, Catoni-Phi) are
-  stated for losses in [0, 1]; callers with range-C losses pass risk/C and
-  rescale the certificate value by C.
+  stated for losses in [0, 1]; the catalog table evaluates them at risk/C
+  and rescales the certificate by C.
 * ``terms`` always sums exactly to ``value``; intermediate quantities that
   do not sum (budgets, Phi arguments) live in ``details``.
+
+:data:`BOUND_TABLE` maps every catalog id to its required inputs, loss
+scale, lambda policy and evaluator; the CLI's certify and compare and the
+violation harness all dispatch through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .divergences import (
     DiscreteDistribution,
+    _bisect_last_true,
+    chi2_discrete,
     gibbs_reweight,
     kl_discrete,
     kl_inverse_upper,
@@ -51,25 +57,11 @@ __all__ = [
     "bound_chi_square",
     "bound_truncated",
     "bound_localized_empirical",
+    "BoundData",
+    "CatalogEntry",
+    "BOUND_TABLE",
     "BOUND_IDS",
 ]
-
-#: Catalog identifiers accepted by the CLI and the violation harness.
-BOUND_IDS = (
-    "union_finite",
-    "catoni_linear",
-    "lambda_grid",
-    "mcallester",
-    "seeger",
-    "tolstikhin_seldin",
-    "thiemann",
-    "catoni_phi",
-    "germain_generic",
-    "subgaussian",
-    "chi_square",
-    "truncated",
-    "localized_empirical",
-)
 
 
 @dataclass(frozen=True)
@@ -409,14 +401,7 @@ def bound_germain_generic(
     if D(p, 1.0) <= budget:
         value = 1.0
     else:
-        lo, hi = p, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if D(p, mid) <= budget:
-                lo = mid
-            else:
-                hi = mid
-        value = lo
+        value = _bisect_last_true(lambda q: D(p, q) <= budget, p, 1.0, tol)
     return _certificate(
         "germain_generic",
         value,
@@ -567,3 +552,185 @@ def bound_localized_empirical(
         },
         details={"xi": xi, "kl_localized": kl_local, "denominator": denom},
     )
+
+
+# ---------------------------------------------------------------------------
+# The catalog table
+# ---------------------------------------------------------------------------
+# Evaluators look the bound_* functions up as module globals at call time, so
+# a replaced module attribute (as a tracer installs) reaches every caller.
+
+#: lambda range of the localized empirical bound validated by the violation
+#: harness on the desk-scale reference tasks (see tests); compare only
+#: exposes the bound inside this range, at this localization strength.
+LOCALIZED_LAMBDA_RANGE = (1.0, 15.0)
+LOCALIZED_XI_DEFAULT = 0.5
+
+
+@dataclass(eq=False)
+class BoundData:
+    """The task-level inputs of a catalog bound, named as in a task file.
+
+    ``emp_risk`` is the per-hypothesis risk vector (None when a task only
+    gives log_M); ``xi`` is the localization strength of localized_empirical.
+    """
+
+    emp_risk: Optional[np.ndarray]
+    n: int
+    eps: float
+    C: float = 1.0
+    prior: Optional[DiscreteDistribution] = None
+    kappa: Optional[float] = None
+    losses: Optional[np.ndarray] = None
+    log_M: Optional[float] = None
+    xi: float = 0.0
+    _truncated: dict = field(default_factory=dict, init=False, repr=False)
+
+    def truncated_risks(self, lam: float) -> np.ndarray:
+        """Per-hypothesis truncated empirical risks at lam, computed once per lam."""
+        if lam not in self._truncated:
+            self._truncated[lam] = np.array(
+                [truncated_empirical_risk(column, self.n, lam) for column in self.losses.T])
+        return self._truncated[lam]
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One row of the catalog table.
+
+    requires     BoundData fields the bound cannot do without ("a or b" if
+                 either will do), and "posterior" for a bound evaluated per
+                 posterior rho from E_rho[r] and KL(rho || pi)
+    scale        "range": losses in [0, C], evaluated as given; "kl": stated
+                 for [0, 1], evaluated at risk/C and rescaled by C; "unit":
+                 stated for [0, 1], evaluated as given; "moment": no loss
+                 range, only kappa (vacuous is judged against C)
+    evaluate     evaluate(inp, data, rho, lam), inp the posterior's
+                 BoundInput on that scale (None without one, or for "unit")
+    lam_kind     "none"; "free" (any lambda in range, callers without one
+                 use the closed-form pick); "fixed" (lam_default unless one
+                 is given); "grid" (searches lambda_grid_geometric(n) itself
+                 and pays log(card) in its certificate)
+    lam_upper    lambdas lie in (0, lam_upper); tail_free: also n/lam >= C
+    search       search(n, m, eps, C) lists the lambdas compare tries, paying
+                 log(card) by splitting eps; [] keeps the bound out
+    """
+
+    bound_id: str
+    requires: tuple
+    scale: str
+    evaluate: Callable
+    lam_kind: str = "none"
+    lam_default: Optional[float] = None
+    lam_upper: Optional[float] = None
+    tail_free: bool = False
+    search: Callable = lambda n, m, eps, C: [None]
+
+    def missing(self, data: BoundData, rho=None) -> list:
+        """The required inputs that data and rho do not provide."""
+        def given(name):
+            return (rho if name == "posterior" else getattr(data, name)) is not None
+        return [r for r in self.requires if not any(map(given, r.split(" or ")))]
+
+    def certify(self, data: BoundData, rho=None, emp=None, kl=None, lam=None) -> Certificate:
+        """The certificate for posterior rho, whose E_rho[r] and KL are emp and kl.
+
+        lam is ignored without a lambda policy; None selects lam_default."""
+        missing = self.missing(data, rho)
+        if missing:
+            raise ValueError(f"{self.bound_id} needs {' and '.join(missing)}")
+        if self.lam_kind in ("none", "grid"):
+            lam = None
+        else:
+            lam = self.lam_default if lam is None else lam
+            if lam is None:
+                raise ValueError(f"{self.bound_id} needs a lambda")
+            upper = self.lam_upper
+            if not (lam > 0 and (upper is None or lam < upper)):
+                raise ValueError(f"lambda {lam!r} must lie in (0, {upper or math.inf:g})")
+            if self.tail_free and data.n / lam < data.C:
+                raise ValueError("n/lambda < C needs the truncation tail term; supply a "
+                                 "lambda with n/lambda >= C so the tail vanishes")
+        inp = None
+        if "posterior" in self.requires and self.scale != "unit":
+            scale_C = {"range": data.C, "kl": 1.0, "moment": math.inf}[self.scale]
+            risk = emp / data.C if self.scale == "kl" else emp
+            inp = BoundInput(risk, kl, data.n, data.eps, scale_C)
+        cert = self.evaluate(inp, data, rho, lam)
+        if self.scale == "kl" and data.C != 1.0:
+            return replace(cert, value=cert.value * data.C,
+                           terms={k: v * data.C for k, v in cert.terms.items()},
+                           vacuous=cert.value * data.C >= data.C,
+                           details={**cert.details, "rescaled_by": data.C})
+        if self.scale == "moment":
+            return replace(cert, vacuous=bool(cert.value >= data.C))
+        return cert
+
+
+def _union(inp, d, rho, lam):
+    r_min = 0.0 if d.emp_risk is None else float(d.emp_risk.min())
+    if d.log_M is not None:
+        return bound_union_finite(r_min, d.n, d.eps, d.C, log_M=d.log_M)
+    return bound_union_finite(r_min, d.n, d.eps, d.C, M=d.emp_risk.size)
+
+
+def _lambda_grid(inp, d, rho, lam):
+    from . import posteriors  # posteriors builds on this module
+
+    rt = posteriors.RiskTable(d.emp_risk, d.n, d.C)
+    return posteriors.minimize_bound_grid(d.prior, rt, lambda_grid_geometric(d.n), d.eps)[1]
+
+
+def _germain(inp, d, rho, lam):
+    raise ValueError("germain_generic takes a bivariate convex function handle; "
+                     "use pacbayes.bounds.bound_germain_generic from Python")
+
+
+def _geometric(n, m, eps, C):
+    return [float(g) for g in lambda_grid_geometric(n)]
+
+
+#: The catalog, keyed by bound id; compare lists tied bounds in this order.
+BOUND_TABLE = {entry.bound_id: entry for entry in (
+    CatalogEntry("union_finite", ("emp_risk or log_M",), "range", _union),
+    # lambda_grid is this bound searched over lambda, so compare leaves it out
+    CatalogEntry("catoni_linear", ("posterior",), "range",
+                 lambda inp, d, rho, lam: bound_catoni_linear(inp, lam),
+                 lam_kind="free", search=lambda n, m, eps, C: []),
+    CatalogEntry("lambda_grid", ("emp_risk", "prior"), "range", _lambda_grid, lam_kind="grid"),
+    CatalogEntry("mcallester", ("posterior",), "range",
+                 lambda inp, d, rho, lam: bound_mcallester_maurer(inp)),
+    CatalogEntry("seeger", ("posterior",), "kl",
+                 lambda inp, d, rho, lam: bound_seeger_maurer(inp)),
+    CatalogEntry("tolstikhin_seldin", ("posterior",), "kl",
+                 lambda inp, d, rho, lam: bound_tolstikhin_seldin(inp)),
+    CatalogEntry("thiemann", ("posterior",), "kl",
+                 lambda inp, d, rho, lam: bound_thiemann(inp, lam),
+                 lam_kind="fixed", lam_default=1.0, lam_upper=2.0,
+                 search=lambda n, m, eps, C: [float(g) for g in np.linspace(0.1, 1.9, 19)]),
+    CatalogEntry("catoni_phi", ("posterior",), "kl",
+                 lambda inp, d, rho, lam: bound_catoni_phi(inp, lam),
+                 lam_kind="free", search=_geometric),
+    CatalogEntry("germain_generic", ("posterior",), "unit", _germain,
+                 search=lambda n, m, eps, C: []),
+    CatalogEntry("subgaussian", ("posterior",), "range",
+                 lambda inp, d, rho, lam: bound_subgaussian(inp, lam),
+                 lam_kind="free", search=_geometric),
+    CatalogEntry("chi_square", ("posterior", "prior", "kappa"), "moment",
+                 lambda inp, d, rho, lam: bound_chi_square(
+                     replace(inp, chi2=chi2_discrete(rho, d.prior), kappa=d.kappa))),
+    CatalogEntry("truncated", ("posterior", "losses"), "range",
+                 lambda inp, d, rho, lam: bound_truncated(
+                     inp, lam, float(np.dot(rho.weights, d.truncated_risks(lam))), 0.0),
+                 lam_kind="free", tail_free=True,
+                 search=lambda n, m, eps, C: [g for g in _geometric(n, m, eps, C) if n / g >= C]),
+    CatalogEntry("localized_empirical", ("posterior", "prior"), "unit",
+                 lambda inp, d, rho, lam: bound_localized_empirical(
+                     d.emp_risk, rho, d.prior, d.n, d.eps, lam, d.xi),
+                 lam_kind="free", search=lambda n, m, eps, C: [min(
+                     max(math.log(m / eps), LOCALIZED_LAMBDA_RANGE[0]),
+                     LOCALIZED_LAMBDA_RANGE[1])]),
+)}
+
+#: Catalog identifiers accepted by the CLI and the violation harness.
+BOUND_IDS = tuple(BOUND_TABLE)

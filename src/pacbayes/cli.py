@@ -24,33 +24,24 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import bounds
-from .bounds import BoundInput, Certificate
-from .divergences import DiscreteDistribution, chi2_discrete, kl_discrete
+from .bounds import Certificate
+from .divergences import DiscreteDistribution, kl_discrete
 from .oracle_lab import (
     make_synthetic_task,
     rate_experiment,
     validate_geometric_grid,
     violation_experiment,
 )
-from .posteriors import RiskTable, gibbs_posterior, minimize_bound_grid
+from .posteriors import RiskTable, gibbs_posterior
 
 SCHEMA_VERSION = 1
-
-#: kl-form bounds are stated on the 0-1 loss scale; for range-C losses the
-#: CLI passes risk/C and rescales the certificate by C.
-KL_FORM_BOUNDS = frozenset({"seeger", "tolstikhin_seldin", "thiemann", "catoni_phi"})
-
-#: lambda range for the localized empirical bound validated by the
-#: violation harness on the desk-scale reference tasks (see tests); the
-#: compare command only exposes the bound inside this range.
-LOCALIZED_LAMBDA_RANGE = (1.0, 15.0)
-LOCALIZED_XI_DEFAULT = 0.5
 
 
 class SchemaError(Exception):
@@ -207,8 +198,6 @@ def _prior_distribution(task: dict) -> DiscreteDistribution:
 def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
     """Build (rho, lam) from the --posterior and --lambda flags."""
     emp = task["emp_risk"]
-    if emp is None:
-        raise SemanticError("certification needs the emp_risk field")
     m = emp.size
 
     def closed_form_lam(kl_value: float) -> float:
@@ -221,9 +210,7 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
             # complexity log M, independent of the data
             lam = closed_form_lam(math.log(m))
         else:
-            lam = float(lam_flag)
-        if not (lam > 0):
-            raise SchemaError("--lambda", "must be positive")
+            lam = lam_flag
         return gibbs_posterior(pi, emp, lam), lam
     if spec.startswith("dirac:"):
         try:
@@ -232,10 +219,7 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
             raise SchemaError("--posterior", "dirac index must be an integer")
         _require(0 <= k < m, "--posterior", f"dirac index out of range [0, {m})")
         rho = DiscreteDistribution.dirac(m, k)
-        kl = _kl_against_prior(task, rho)
-        lam = closed_form_lam(kl) if lam_flag in (None, "closed_form") else float(lam_flag)
-        return rho, lam
-    if spec.startswith("weights:"):
+    elif spec.startswith("weights:"):
         path = spec.split(":", 1)[1]
         try:
             with open(path) as fh:
@@ -249,10 +233,11 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
         _require(bool(np.all(w >= 0)) and w.sum() > 0, "--posterior",
                  "weights must be nonnegative with positive sum")
         rho = DiscreteDistribution(w / w.sum())
-        kl = _kl_against_prior(task, rho)
-        lam = closed_form_lam(kl) if lam_flag in (None, "closed_form") else float(lam_flag)
-        return rho, lam
-    raise SchemaError("--posterior", f"unknown posterior spec {spec!r}")
+    else:
+        raise SchemaError("--posterior", f"unknown posterior spec {spec!r}")
+    kl = _kl_against_prior(task, rho)
+    lam = closed_form_lam(kl) if lam_flag in (None, "closed_form") else lam_flag
+    return rho, lam
 
 
 def _kl_against_prior(task: dict, rho: DiscreteDistribution) -> float:
@@ -265,98 +250,24 @@ def _kl_against_prior(task: dict, rho: DiscreteDistribution) -> float:
     return float(np.sum(rho.weights[mask] * (np.log(rho.weights[mask]) - logp)))
 
 
-def _rescaled_kl_form(bound_id: str, emp: float, kl: float, n: int, eps: float,
-                      C: float, lam: Optional[float]) -> Certificate:
-    """Evaluate a kl-form bound on the 0-1 scale and rescale by C."""
-    inp = BoundInput(emp_risk=emp / C, kl=kl, n=n, eps=eps, C=1.0)
-    if bound_id == "seeger":
-        cert = bounds.bound_seeger_maurer(inp)
-    elif bound_id == "tolstikhin_seldin":
-        cert = bounds.bound_tolstikhin_seldin(inp)
-    elif bound_id == "thiemann":
-        cert = bounds.bound_thiemann(inp, 1.0 if lam is None else lam)
-    elif bound_id == "catoni_phi":
-        cert = bounds.bound_catoni_phi(inp, lam)
-    else:  # pragma: no cover - guarded by caller
-        raise SemanticError(f"{bound_id} is not a kl-form bound")
-    if C == 1.0:
-        return cert
-    return Certificate(
-        bound_id=cert.bound_id,
-        value=cert.value * C,
-        lam=cert.lam,
-        terms={k: v * C for k, v in cert.terms.items()},
-        vacuous=cert.value * C >= C,
-        details={**cert.details, "rescaled_by": C},
-    )
-
-
 def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Certificate:
-    """Library dispatch for cmd_certify; a thin adapter, no arithmetic here."""
-    n, eps, C = task["n"], task["eps"], task["C"]
-    emp_vec = task["emp_risk"]
-    if bound_id == "union_finite":
-        r_min = float(emp_vec.min()) if emp_vec is not None else 0.0
-        if task["log_M"] is not None:
-            return bounds.bound_union_finite(r_min, n, eps, C, log_M=task["log_M"])
-        if emp_vec is None:
-            raise SemanticError("union_finite needs emp_risk or log_M")
-        return bounds.bound_union_finite(r_min, n, eps, C, M=emp_vec.size)
-    if emp_vec is None:
-        raise SemanticError(f"{bound_id} needs the emp_risk field")
-    emp = float(np.dot(rho.weights, emp_vec))
-    kl = _kl_against_prior(task, rho)
-    if bound_id in KL_FORM_BOUNDS:
-        if bound_id == "catoni_phi" and lam is None:
-            raise SemanticError("catoni_phi needs --lambda")
-        return _rescaled_kl_form(bound_id, emp, kl, n, eps, C, lam)
-    inp = BoundInput(emp_risk=emp, kl=kl, n=n, eps=eps, C=C,
-                     chi2=None, kappa=task["kappa"])
-    if bound_id == "catoni_linear":
-        return bounds.bound_catoni_linear(inp, lam)
-    if bound_id == "mcallester":
-        return bounds.bound_mcallester_maurer(inp)
-    if bound_id == "subgaussian":
-        return bounds.bound_subgaussian(inp, lam)
-    if bound_id == "lambda_grid":
-        pi = _prior_distribution(task)
-        rt = task["risk_table"]
-        _, cert = minimize_bound_grid(pi, rt, bounds.lambda_grid_geometric(n), eps)
-        return cert
-    if bound_id == "chi_square":
-        if task["kappa"] is None:
-            raise SemanticError("chi_square needs the kappa field")
-        pi = _prior_distribution(task)
-        inp = BoundInput(emp_risk=emp, kl=kl, n=n, eps=eps, C=C,
-                         chi2=chi2_discrete(rho, pi), kappa=task["kappa"])
-        return bounds.bound_chi_square(inp)
-    if bound_id == "truncated":
-        rt = task["risk_table"]
-        if rt is None or rt.losses is None:
-            raise SemanticError("truncated needs the per-example losses matrix")
-        if lam is None:
-            raise SemanticError("truncated needs --lambda")
-        if n / lam < C:
-            raise SemanticError(
-                "truncated with n/lambda < C needs the tail term; supply a "
-                "lambda with n/lambda >= C so the tail vanishes"
-            )
-        trunc = np.array([
-            bounds.truncated_empirical_risk(rt.losses[:, j], n, lam)
-            for j in range(rt.m)
-        ])
-        return bounds.bound_truncated(inp, lam, float(np.dot(rho.weights, trunc)), 0.0)
-    if bound_id == "localized_empirical":
-        pi = _prior_distribution(task)
-        if lam is None:
-            raise SemanticError("localized_empirical needs --lambda")
-        return bounds.bound_localized_empirical(emp_vec, rho, pi, n, eps, lam, xi)
-    if bound_id == "germain_generic":
-        raise SemanticError(
-            "germain_generic takes a bivariate convex function handle; "
-            "use pacbayes.bounds.bound_germain_generic from Python"
-        )
-    raise SemanticError(f"unknown bound id {bound_id!r}")
+    """Evaluate one catalog bound for posterior rho (None for bounds that take none)."""
+    entry = _catalog_entry(bound_id)
+    emp = kl = None
+    if "posterior" in entry.requires and rho is not None:
+        emp = float(np.dot(rho.weights, task["emp_risk"]))
+        kl = _kl_against_prior(task, rho)
+    rt = task.get("risk_table")
+    data = bounds.BoundData(
+        task["emp_risk"], task["n"], task["eps"], task["C"],
+        prior=_prior_distribution(task) if "prior" in entry.requires else None,
+        kappa=task["kappa"], losses=None if rt is None else rt.losses,
+        log_M=task["log_M"], xi=xi,
+    )
+    try:
+        return entry.certify(data, rho, emp, kl, lam)
+    except ValueError as exc:
+        raise SemanticError(str(exc))
 
 
 def certificate_json(cert: Certificate) -> dict:
@@ -384,14 +295,23 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
     print(text)
 
 
+def _catalog_entry(bound_id: str) -> bounds.CatalogEntry:
+    if bound_id not in bounds.BOUND_TABLE:
+        raise SemanticError(f"unknown bound id {bound_id!r}")
+    return bounds.BOUND_TABLE[bound_id]
+
+
 def cmd_certify(args) -> int:
     task = load_task_file(args.task_file)
-    if args.bound == "union_finite":
-        rho, lam = None, None
-        if task["emp_risk"] is not None and task["log_prior"] is not None:
-            rho, lam = _resolve_posterior(task, args.posterior, getattr(args, "lam", None))
-    else:
-        rho, lam = _resolve_posterior(task, args.posterior, getattr(args, "lam", None))
+    entry = _catalog_entry(args.bound)
+    if isinstance(args.lam, float) and entry.lam_upper is not None:
+        _require(args.lam < entry.lam_upper, "--lambda",
+                 f"must lie in (0, {entry.lam_upper:g}) for {args.bound}")
+    rho, lam = None, None
+    if task["emp_risk"] is not None and task["log_prior"] is not None:
+        rho, lam = _resolve_posterior(task, args.posterior, args.lam)
+    if args.lam is None and entry.lam_default is not None:
+        lam = entry.lam_default
     cert = evaluate_bound(task, args.bound, rho, lam, xi=args.xi)
     doc = certificate_json(cert)
     _emit_json(doc, args.out)
@@ -407,11 +327,11 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     """Every applicable bound at its best in-catalog configuration.
 
     Candidate posteriors are the Gibbs family on the geometric lambda grid
-    plus the Dirac mass at the empirical minimizer.  Bounds that hold
-    uniformly over rho are minimized over the candidates outright; bounds
-    stated for a fixed lambda pay the log(card) union price over their
-    lambda grid.  The localized empirical bound only enters at its
-    harness-validated lambda range.
+    plus the Dirac mass at the empirical minimizer; candidates with infinite
+    KL are skipped.  Each bound is minimized over the candidates and over
+    the lambdas its catalog policy searches, paying the log(card) union
+    price over those lambdas by splitting eps; the localized empirical
+    bound only enters at its harness-validated lambda range.
     """
     if eps is not None:
         task = {**task, "eps": eps}
@@ -421,98 +341,27 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
         raise SemanticError("compare needs the emp_risk field")
     pi = _prior_distribution(task)
     m = emp_vec.size
-    grid = bounds.lambda_grid_geometric(n)
-    candidates = [gibbs_posterior(pi, emp_vec, g) for g in grid]
+    candidates = [gibbs_posterior(pi, emp_vec, g) for g in bounds.lambda_grid_geometric(n)]
     candidates.append(DiscreteDistribution.dirac(m, int(np.argmin(emp_vec))))
-    stats = [
-        (float(np.dot(r.weights, emp_vec)), kl_discrete(r, pi)) for r in candidates
-    ]
+    stats = [(rho, float(np.dot(rho.weights, emp_vec)), kl_discrete(rho, pi))
+             for rho in candidates]
+    stats = [s for s in stats if not math.isinf(s[2])]
+    rt = task["risk_table"]
+    data = bounds.BoundData(emp_vec, n, eps, C, prior=pi, kappa=task["kappa"],
+                            losses=None if rt is None else rt.losses, log_M=task["log_M"],
+                            xi=bounds.LOCALIZED_XI_DEFAULT)
 
     results = []
-
-    def best_over_candidates(fn):
-        certs = []
-        for emp, kl in stats:
-            if math.isinf(kl):
-                continue
-            certs.append(fn(emp, kl))
-        return min(certs, key=lambda c: c.value)
-
-    results.append(
-        bounds.bound_union_finite(float(emp_vec.min()), n, eps, C, M=m)
-        if task["log_M"] is None
-        else bounds.bound_union_finite(float(emp_vec.min()), n, eps, C, log_M=task["log_M"])
-    )
-
-    rt = task["risk_table"]
-    _, grid_cert = minimize_bound_grid(pi, rt, grid, eps)
-    results.append(grid_cert)
-
-    results.append(best_over_candidates(
-        lambda emp, kl: bounds.bound_mcallester_maurer(BoundInput(emp, kl, n, eps, C))))
-    results.append(best_over_candidates(
-        lambda emp, kl: _rescaled_kl_form("seeger", emp, kl, n, eps, C, None)))
-    results.append(best_over_candidates(
-        lambda emp, kl: _rescaled_kl_form("tolstikhin_seldin", emp, kl, n, eps, C, None)))
-
-    # fixed-lambda families: union price log(card) over their own grid
-    thiemann_grid = np.linspace(0.1, 1.9, 19)
-    eps_th = eps / thiemann_grid.size
-    results.append(min(
-        (best_over_candidates(
-            lambda emp, kl, l=l: _rescaled_kl_form("thiemann", emp, kl, n, eps_th, C, float(l)))
-         for l in thiemann_grid),
-        key=lambda c: c.value,
-    ))
-    eps_phi = eps / grid.size
-    results.append(min(
-        (best_over_candidates(
-            lambda emp, kl, l=l: _rescaled_kl_form("catoni_phi", emp, kl, n, eps_phi, C, float(l)))
-         for l in grid),
-        key=lambda c: c.value,
-    ))
-    results.append(min(
-        (best_over_candidates(
-            lambda emp, kl, l=l: bounds.bound_subgaussian(
-                BoundInput(emp, kl, n, eps_phi, C), float(l)))
-         for l in grid),
-        key=lambda c: c.value,
-    ))
-
-    if task["kappa"] is not None:
-        def chi_fn(rho):
-            emp = float(np.dot(rho.weights, emp_vec))
-            return bounds.bound_chi_square(BoundInput(
-                emp, 0.0, n, eps, C, chi2=chi2_discrete(rho, pi), kappa=task["kappa"]))
-        results.append(min((chi_fn(r) for r in candidates), key=lambda c: c.value))
-
-    if rt is not None and rt.losses is not None:
-        trunc_grid = [g for g in grid if n / g >= C]
-        if trunc_grid:
-            eps_tr = eps / len(trunc_grid)
-            trunc_cols = {
-                g: np.array([
-                    bounds.truncated_empirical_risk(rt.losses[:, j], n, g) for j in range(m)
-                ])
-                for g in trunc_grid
-            }
-            certs = []
-            for g in trunc_grid:
-                for rho, (emp, kl) in zip(candidates, stats):
-                    if math.isinf(kl):
-                        continue
-                    tr = float(np.dot(rho.weights, trunc_cols[g]))
-                    certs.append(bounds.bound_truncated(
-                        BoundInput(emp, kl, n, eps_tr, C), g, tr, 0.0))
-            results.append(min(certs, key=lambda c: c.value))
-
-    lam_loc = min(max(math.log(m / eps), LOCALIZED_LAMBDA_RANGE[0]), LOCALIZED_LAMBDA_RANGE[1])
-    loc_certs = [
-        bounds.bound_localized_empirical(emp_vec, rho, pi, n, eps, lam_loc, LOCALIZED_XI_DEFAULT)
-        for rho in candidates
-    ]
-    results.append(min(loc_certs, key=lambda c: c.value))
-
+    for entry in bounds.BOUND_TABLE.values():
+        lams = entry.search(n, m, eps, C)
+        if not lams or entry.missing(data, candidates[0]):
+            continue
+        priced = replace(data, eps=eps / len(lams))
+        posts = stats if "posterior" in entry.requires else [(None, None, None)]
+        results.append(min(
+            (entry.certify(priced, rho, emp, kl, lam) for lam in lams for rho, emp, kl in posts),
+            key=lambda c: c.value,
+        ))
     results.sort(key=lambda c: c.value)
     return results
 
@@ -577,8 +426,6 @@ def cmd_violate(args) -> int:
     if args.trials < 1:
         raise SchemaError("--trials", "must be >= 1")
     task = _build_task(task_doc)
-    if args.bound not in bounds.BOUND_IDS:
-        raise SemanticError(f"unknown bound id {args.bound!r}")
     eps = args.eps if args.eps is not None else task_doc["eps"]
     try:
         report = violation_experiment(
@@ -696,15 +543,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+#: Numeric flags with the range each must lie in: attribute -> (flag, test, range).
+_FLAG_RANGES = {
+    "lam": ("--lambda", lambda v: 0 < v < math.inf, "(0, inf)"),
+    "eps": ("--eps", lambda v: 0 < v < 1, "(0, 1)"),
+    "xi": ("--xi", lambda v: 0 <= v < 1, "[0, 1)"),
+}
+
+
+def _check_flags(args) -> None:
+    """Parse --lambda and range-check the numeric flags before any work."""
     if getattr(args, "lam", None) not in (None, "closed_form"):
         try:
             args.lam = float(args.lam)
         except ValueError:
-            parser.error(f"--lambda must be a float or 'closed_form', got {args.lam!r}")
+            raise SchemaError("--lambda", f"must be a number or 'closed_form', got {args.lam!r}")
+    for attr, (flag, ok, interval) in _FLAG_RANGES.items():
+        value = getattr(args, attr, None)
+        _require(not isinstance(value, float) or ok(value), flag,
+                 f"must lie in {interval}, got {value!r}")
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -151,10 +151,17 @@ def kl_inverse_upper(q: float, b: float, tol: float = 1e-9) -> float:
         return q if q < 1.0 else 1.0
     if kl_bernoulli(q, 1.0) <= b:  # only possible when q == 1, kept for safety
         return 1.0
-    lo, hi = q, 1.0
+    return _bisect_last_true(lambda p: kl_bernoulli(q, p) <= b, q, 1.0, tol)
+
+
+def _bisect_last_true(ok, lo: float, hi: float, tol: float) -> float:
+    """Bisect [lo, hi] to within tol for the last point where ok holds.
+
+    ok holds at lo and is monotone (true, then false); the lower end of the
+    final bracket is returned, so ok holds at the result."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if kl_bernoulli(q, mid) <= b:
+        if ok(mid):
             lo = mid
         else:
             hi = mid

@@ -13,6 +13,7 @@ or parallel, capped by PACBAYES_THREADS) never changes a report.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,15 +23,14 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import bounds
-from .bounds import BoundInput, bernstein_g
+from .bounds import bernstein_g
 from .divergences import (
     DiscreteDistribution,
-    chi2_discrete,
     gibbs_reweight,
     kl_discrete,
     _safe_log,
 )
-from .posteriors import gibbs_posterior
+from .posteriors import RiskTable, gibbs_posterior, minimize_bound_grid
 from ._util import child_rng, run_trials
 
 __all__ = [
@@ -359,21 +359,27 @@ def estimate_bernstein_constant(
 # ---------------------------------------------------------------------------
 
 
-def _rho_family(pi: DiscreteDistribution, R: np.ndarray, extra_betas=()):
-    """Gibbs reweightings of pi by the true risk, plus all Dirac masses.
+def _rho_family_inf(pi: DiscreteDistribution, R: np.ndarray, extra_betas, objective,
+                    against: Optional[DiscreteDistribution] = None) -> float:
+    """inf of objective(E_rho[R], KL(rho || against)), against defaulting to pi.
 
-    The Gibbs family {pi_{-beta R}} contains the exact minimizer of
-    E_rho[R] + c KL(rho||pi) for every c > 0, so an infimum over this
-    family (with the matching beta included) is exact, not a heuristic.
+    rho ranges over the Gibbs reweightings pi_{-beta R} and the Dirac masses
+    on pi's support, skipping infinite KL.  The Gibbs family contains the
+    exact minimizer of E_rho[R] + c KL(rho||pi) for every c > 0, so with the
+    matching beta among ``extra_betas`` the infimum is exact, not a heuristic.
     """
+    against = pi if against is None else against
     betas = np.concatenate(
         [np.array([0.0]), np.geomspace(1e-6, 1e8, 141), np.asarray(extra_betas, dtype=float)]
     )
-    for beta in betas:
-        yield gibbs_reweight(pi, -beta * R)
-    for j in range(pi.size):
-        if pi.weights[j] > 0:
-            yield DiscreteDistribution.dirac(pi.size, j)
+    gibbs = (gibbs_reweight(pi, -beta * R) for beta in betas)
+    diracs = (DiscreteDistribution.dirac(pi.size, j) for j in range(pi.size) if pi.weights[j] > 0)
+    best = math.inf
+    for rho in itertools.chain(gibbs, diracs):
+        kl = kl_discrete(rho, against)
+        if not math.isinf(kl):
+            best = min(best, objective(float(np.dot(rho.weights, R)), kl))
+    return best
 
 
 def oracle_bound_rhs(
@@ -400,14 +406,10 @@ def oracle_bound_rhs(
         if K is None:
             K = estimate_bernstein_constant(task).K
         scale = max(2.0 * K, C)
-        lam_star = n / scale
-        best = math.inf
-        for rho in _rho_family(pi, R, extra_betas=(lam_star,)):
-            kl = kl_discrete(rho, pi)
-            if math.isinf(kl):
-                continue
-            excess = max(float(np.dot(rho.weights, R)) - task.risk_star, 0.0)
-            best = min(best, excess + scale * kl / n)
+        best = _rho_family_inf(
+            pi, R, (n / scale,),
+            lambda risk, kl: max(risk - task.risk_star, 0.0) + scale * kl / n,
+        )
         return 2.0 * best
     if lam is None or not (lam > 0):
         raise ValueError("lam must be positive for this variant")
@@ -423,14 +425,9 @@ def oracle_bound_rhs(
         beta_opt = lam / 2.0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    best = math.inf
-    for rho in _rho_family(pi, R, extra_betas=(beta_opt,)):
-        kl = kl_discrete(rho, pi)
-        if math.isinf(kl):
-            continue
-        val = float(np.dot(rho.weights, R)) + const + kl_coef * kl + kl_shift
-        best = min(best, val)
-    return best
+    return _rho_family_inf(
+        pi, R, (beta_opt,), lambda risk, kl: risk + const + kl_coef * kl + kl_shift
+    )
 
 
 def _golden_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> tuple[float, float]:
@@ -536,13 +533,11 @@ def localized_oracle_rhs(
     lam = n / scale
     beta = lam / 4.0
     local_prior = gibbs_reweight(pi, -beta * R)
-    best = math.inf
-    for rho in _rho_family(pi, R, extra_betas=(beta, lam)):
-        kl = kl_discrete(rho, local_prior)
-        if math.isinf(kl):
-            continue
-        excess = max(float(np.dot(rho.weights, R)) - task.risk_star, 0.0)
-        best = min(best, 3.0 * excess + 4.0 * scale * kl / n)
+    best = _rho_family_inf(
+        pi, R, (beta, lam),
+        lambda risk, kl: 3.0 * max(risk - task.risk_star, 0.0) + 4.0 * scale * kl / n,
+        against=local_prior,
+    )
 
     gaps = task.gaps
     kl_star = kl_discrete(DiscreteDistribution.dirac(task.m, task.theta_star), local_prior)
@@ -646,26 +641,25 @@ def violation_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if bound_id == "chi_square" and not isinstance(task, HeavyTailTask):
-        if getattr(task, "kappa", None) is None:
-            raise ValueError("chi_square bound needs a task with a variance bound kappa")
     pi = pi or DiscreteDistribution.uniform(task.m)
     C = task.C if math.isfinite(task.C) else 1.0
     R = task.true_risk
+    # the oracle right-hand side is a lab-only case outside the catalog
+    oracle = bound_id == "oracle_probability"
+    entry = None if oracle else bounds.BOUND_TABLE.get(bound_id)
+    if entry is None and not oracle:
+        raise ValueError(f"unknown bound id {bound_id!r}")
+    kind = "free" if oracle else entry.lam_kind
     lam_value = None
-    if bound_id in ("catoni_linear", "catoni_phi", "subgaussian", "localized_empirical") or (
-        posterior_rule == "gibbs" and bound_id != "lambda_grid"
-    ):
+    if kind == "free" or (posterior_rule == "gibbs" and kind != "grid"):
         lam_value = _resolve_lambda(lam, task.m, n, eps, C)
-    if bound_id == "thiemann":
-        lam_thiemann = 1.0 if lam in (None, "closed_form") else float(lam)
-    oracle_value = None
-    if bound_id == "oracle_probability":
-        lam_value = _resolve_lambda(lam, task.m, n, eps, C)
-        oracle_value = oracle_bound_rhs(
-            task, pi, lam_value, "probability", n=n, eps=eps
-        )
-    if bound_id == "lambda_grid":
+    # free-lambda bounds run at the posterior's lambda; a fixed-lambda bound
+    # runs at its catalog default unless a number is given
+    lam_bound = lam_value if kind == "free" else (
+        None if lam in (None, "closed_form") else float(lam))
+    if oracle:
+        oracle_value = oracle_bound_rhs(task, pi, lam_value, "probability", n=n, eps=eps)
+    if kind == "grid":
         grid = (
             bounds.lambda_grid_geometric(n)
             if grid_kind == "geometric"
@@ -675,52 +669,18 @@ def violation_experiment(
     def one_trial(t: int):
         rng = child_rng(seed, t)
         r = task.sample_emp_risk(n, rng)
-        if bound_id == "lambda_grid":
-            entries = []
-            rhos = []
-            for g in grid:
-                rho_g = gibbs_posterior(pi, r, g)
-                rhos.append(rho_g)
-                entries.append((float(g), float(np.dot(rho_g.weights, r)), kl_discrete(rho_g, pi)))
-            cert = bounds.bound_lambda_grid(entries, n, eps, C)
-            rho = rhos[next(i for i, e in enumerate(entries) if e[0] == cert.lam)]
+        if kind == "grid":
+            rho, cert = minimize_bound_grid(pi, RiskTable(r, n, C), grid, eps)
             value = cert.value
         else:
             rho = _build_posterior(posterior_rule, pi, r, lam_value, fixed_rho)
-            emp = float(np.dot(rho.weights, r))
-            kl = kl_discrete(rho, pi)
-            if bound_id == "union_finite":
-                value = bounds.bound_union_finite(float(r.min()), n, eps, C, M=task.m).value
-            elif bound_id == "catoni_linear":
-                value = bounds.bound_catoni_linear(
-                    BoundInput(emp, kl, n, eps, C), lam_value
-                ).value
-            elif bound_id == "mcallester":
-                value = bounds.bound_mcallester_maurer(BoundInput(emp, kl, n, eps, C)).value
-            elif bound_id == "seeger":
-                value = bounds.bound_seeger_maurer(BoundInput(emp, kl, n, eps, C)).value
-            elif bound_id == "tolstikhin_seldin":
-                value = bounds.bound_tolstikhin_seldin(BoundInput(emp, kl, n, eps, C)).value
-            elif bound_id == "thiemann":
-                value = bounds.bound_thiemann(BoundInput(emp, kl, n, eps, C), lam_thiemann).value
-            elif bound_id == "catoni_phi":
-                value = bounds.bound_catoni_phi(BoundInput(emp, kl, n, eps, C), lam_value).value
-            elif bound_id == "subgaussian":
-                value = bounds.bound_subgaussian(BoundInput(emp, kl, n, eps, C), lam_value).value
-            elif bound_id == "chi_square":
-                inp = BoundInput(
-                    emp, kl, n, eps, C=math.inf,
-                    chi2=chi2_discrete(rho, pi), kappa=task.kappa,
-                )
-                value = bounds.bound_chi_square(inp).value
-            elif bound_id == "localized_empirical":
-                value = bounds.bound_localized_empirical(
-                    r, rho, pi, n, eps, lam_value, xi
-                ).value
-            elif bound_id == "oracle_probability":
+            if oracle:
                 value = oracle_value
             else:
-                raise ValueError(f"unknown bound id {bound_id!r}")
+                data = bounds.BoundData(r, n, eps, C, prior=pi, xi=xi,
+                                        kappa=getattr(task, "kappa", None))
+                emp, kl = float(np.dot(rho.weights, r)), kl_discrete(rho, pi)
+                value = entry.certify(data, rho, emp, kl, lam_bound).value
         true = float(np.dot(rho.weights, R))
         corrupted = corruption * value
         return {

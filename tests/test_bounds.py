@@ -3,11 +3,15 @@ independent oracles), the cross-bound identities, and the shared structural
 invariants (monotonicity, term decomposition, vacuous flag)."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pacbayes.bounds import (
+    BOUND_IDS,
+    BOUND_TABLE,
     BoundInput,
     bernstein_g,
     bound_catoni_linear,
@@ -525,3 +529,20 @@ class TestSharedInvariants:
     def test_vacuous_flag(self):
         assert bound_union_finite(0.9, 10, 0.05, 1.0, M=1000).vacuous
         assert not bound_union_finite(0.1, 100000, 0.05, 1.0, M=2).vacuous
+
+
+class TestCatalogTable:
+    def test_readme_table_matches_the_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 4 and cells[0].startswith("`"):
+                rows[cells[0].strip("`")] = cells[1:]
+        assert list(rows) == list(BOUND_IDS)
+        for bound_id, (requires, policy, scale) in rows.items():
+            entry = BOUND_TABLE[bound_id]
+            assert requires == ", ".join(entry.requires), bound_id
+            # the lambda-policy and loss-scale cells open with the table's keyword
+            assert re.match(r"\w+", policy).group() == entry.lam_kind, bound_id
+            assert re.match(r"\w+", scale).group() == entry.scale, bound_id

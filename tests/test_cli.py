@@ -12,6 +12,7 @@ from pacbayes import cli
 from pacbayes.bounds import (
     BoundInput,
     bound_seeger_maurer,
+    bound_thiemann,
     bound_union_finite,
     select_lambda_closed_form,
 )
@@ -216,6 +217,52 @@ class TestCertify:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["details"]["xi"] == 0.5
+
+
+    def test_thiemann_default_lambda(self, small_instance, tmp_path):
+        # with no --lambda, thiemann runs at its catalog default 1.0 (the
+        # value violate uses), not at the closed-form pick outside (0, 2)
+        out = tmp_path / "cert.json"
+        rc = cli.main(["certify", small_instance, "--bound", "thiemann", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["lambda"] == 1.0
+        emp = np.linspace(0.26, 0.8, 100)
+        rho = gibbs_posterior(DiscreteDistribution.uniform(100), emp,
+                              select_lambda_closed_form(math.log(100), 1000, 0.05))
+        kl = float(np.sum(rho.weights * np.log(rho.weights * 100)))
+        lib = bound_thiemann(BoundInput(float(rho.weights @ emp), kl, 1000, 0.05), 1.0)
+        assert doc["value"] == pytest.approx(lib.value, rel=1e-12)
+
+        explicit = tmp_path / "explicit.json"
+        for argv, path in (([], out), (["--lambda", "1.0"], explicit)):
+            assert cli.main(["certify", small_instance, "--bound", "thiemann",
+                             "--posterior", "dirac:0", "--out", str(path), *argv]) == 0
+        assert out.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("fixture, argv, field", [
+    ("small_instance", ["certify", "--bound", "catoni_linear", "--posterior", "dirac:0",
+                        "--lambda", "nan"], "--lambda"),
+    ("small_instance", ["certify", "--bound", "catoni_linear", "--posterior", "dirac:0",
+                        "--lambda", "-1"], "--lambda"),
+    ("small_instance", ["certify", "--bound", "thiemann", "--lambda", "5"], "--lambda"),
+    ("small_instance", ["certify", "--bound", "localized_empirical", "--lambda", "5",
+                        "--xi", "1.5"], "--xi"),
+    ("small_instance", ["compare", "--eps", "1.5"], "--eps"),
+    ("generative_instance", ["violate", "--bound", "seeger", "--trials", "5",
+                             "--eps", "nan"], "--eps"),
+    ("generative_instance", ["rates", "--n-grid", "100,200,400,800,1600", "--reps", "5",
+                             "--eps", "1.5", "--rule", "slow"], "--eps"),
+], ids=["lambda_nan", "lambda_negative", "thiemann_lambda_5", "xi_1.5", "compare_eps_1.5",
+        "violate_eps_nan", "rates_eps_1.5"])
+def test_out_of_range_flag_exit_2(fixture, argv, field, request, capsys):
+    command, *flags = argv
+    rc = cli.main([command, request.getfixturevalue(fixture), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"field '{field}'" in err
+    assert "Traceback" not in err
 
 
 class TestCompare:
