@@ -1,9 +1,6 @@
-"""Shared helpers: deterministic RNG derivation and thread-capped trial loops."""
+"""Shared helper: deterministic RNG derivation for seeded experiments."""
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -11,25 +8,7 @@ import numpy as np
 def child_rng(seed: int, *key: int) -> np.random.Generator:
     """A generator derived deterministically from (seed, key).
 
-    Streams with distinct keys are independent, so experiments can run
-    their trials in any order (or in parallel) and still be bit-identical.
+    Streams with distinct keys are independent, so each trial's draws
+    depend only on its own key, never on the trials run before it.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def n_threads() -> int:
-    """Worker cap for experiment trial loops, from PACBAYES_THREADS (default 1)."""
-    raw = os.environ.get("PACBAYES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_trials(trials: int, fn):
-    """Evaluate fn(0..trials-1), possibly in parallel, reducing in index order."""
-    workers = n_threads()
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(trials)))

@@ -11,8 +11,7 @@ machine-readable reports:
 
 Exit codes: 0 success, 2 schema violation (malformed file or flags, with a
 field diagnostic), 3 semantic mismatch (e.g. a bound whose required inputs
-are absent).  All randomness flows from --seed; the experiment thread cap
-is the PACBAYES_THREADS environment variable.  Certificates are JSON with
+are absent).  All randomness flows from --seed.  Certificates are JSON with
 full-precision floats (17 significant digits round-trip); experiments are
 CSV with one row per trial plus '#'-prefixed summary lines.
 """
@@ -28,11 +27,10 @@ from dataclasses import replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import bounds
 from .bounds import Certificate
-from .divergences import DiscreteDistribution, kl_discrete
+from .divergences import DiscreteDistribution, _logsumexp, kl_discrete
 from .oracle_lab import (
     make_synthetic_task,
     rate_experiment,
@@ -127,7 +125,7 @@ def load_task_file(path: str) -> dict:
         with np.errstate(divide="ignore"):
             out["log_prior"] = np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
     elif log_prior_mass is not None:
-        out["log_prior"] = log_prior_mass - logsumexp(log_prior_mass)
+        out["log_prior"] = log_prior_mass - _logsumexp(log_prior_mass)
     else:
         out["log_prior"] = None
 
@@ -304,9 +302,6 @@ def _catalog_entry(bound_id: str) -> bounds.CatalogEntry:
 def cmd_certify(args) -> int:
     task = load_task_file(args.task_file)
     entry = _catalog_entry(args.bound)
-    if isinstance(args.lam, float) and entry.lam_upper is not None:
-        _require(args.lam < entry.lam_upper, "--lambda",
-                 f"must lie in (0, {entry.lam_upper:g}) for {args.bound}")
     rho, lam = None, None
     if task["emp_risk"] is not None and task["log_prior"] is not None:
         rho, lam = _resolve_posterior(task, args.posterior, args.lam)
@@ -423,8 +418,6 @@ def _write_csv(rows, summary_lines, out: Optional[str]) -> None:
 
 def cmd_violate(args) -> int:
     task_doc = load_task_file(args.task_file)
-    if args.trials < 1:
-        raise SchemaError("--trials", "must be >= 1")
     task = _build_task(task_doc)
     eps = args.eps if args.eps is not None else task_doc["eps"]
     try:
@@ -548,6 +541,9 @@ _FLAG_RANGES = {
     "lam": ("--lambda", lambda v: 0 < v < math.inf, "(0, inf)"),
     "eps": ("--eps", lambda v: 0 < v < 1, "(0, 1)"),
     "xi": ("--xi", lambda v: 0 <= v < 1, "[0, 1)"),
+    "trials": ("--trials", lambda v: v >= 1, "[1, inf)"),
+    "reps": ("--reps", lambda v: v >= 1, "[1, inf)"),
+    "corruption": ("--corruption", lambda v: 0 < v < math.inf, "(0, inf)"),
 }
 
 
@@ -560,8 +556,12 @@ def _check_flags(args) -> None:
             raise SchemaError("--lambda", f"must be a number or 'closed_form', got {args.lam!r}")
     for attr, (flag, ok, interval) in _FLAG_RANGES.items():
         value = getattr(args, attr, None)
-        _require(not isinstance(value, float) or ok(value), flag,
+        _require(not isinstance(value, (int, float)) or ok(value), flag,
                  f"must lie in {interval}, got {value!r}")
+    entry = bounds.BOUND_TABLE.get(getattr(args, "bound", None))
+    if isinstance(getattr(args, "lam", None), float) and entry and entry.lam_upper is not None:
+        _require(args.lam < entry.lam_upper, "--lambda",
+                 f"must lie in (0, {entry.lam_upper:g}) for {args.bound}")
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "DiscreteDistribution",
@@ -180,6 +179,31 @@ def _safe_log(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) of a 1-D vector, shifted by its maximum.
+
+    The entries equal to the maximum are counted apart from the rest, as in
+    scipy.special.logsumexp (Blanchard, Higham & Higham 2021), so results
+    match it to the bit; a non-finite result falls back to the direct sum.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max()
+        at_top = a == top
+        count = np.float64(np.count_nonzero(at_top))
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        out = np.log1p(rest / count) + np.log(count) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
+def _log_gibbs(logpi: np.ndarray, h) -> np.ndarray:
+    """Normalized log weights of the Gibbs measure pi_h, from log pi and h."""
+    logw = logpi + h
+    return logw - _logsumexp(logw)
+
+
 def kl_discrete(rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:
     """KL(rho || pi) = sum_theta rho(theta) log(rho(theta)/pi(theta)).
 
@@ -245,9 +269,7 @@ def gibbs_reweight(pi: DiscreteDistribution, h) -> DiscreteDistribution:
         raise ValueError("h must match the support size")
     if not np.all(np.isfinite(h)):
         raise ValueError("h must be finite")
-    logw = _safe_log(pi.weights) + h
-    logw -= logsumexp(logw)
-    w = np.exp(logw)
+    w = np.exp(_log_gibbs(_safe_log(pi.weights), h))
     return DiscreteDistribution(w / w.sum())
 
 
@@ -267,6 +289,6 @@ def dv_gap(h, rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:
     kl = kl_discrete(rho, pi)
     if math.isinf(kl):
         return math.inf
-    lhs = float(logsumexp(_safe_log(pi.weights) + h))
+    lhs = _logsumexp(_safe_log(pi.weights) + h)
     rhs = float(np.dot(rho.weights, h)) - kl
     return lhs - rhs

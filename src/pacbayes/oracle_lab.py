@@ -7,8 +7,7 @@ the probability statements behind every empirical bound, convergence-rate
 measurement, and direct checks of the exponential-moment inequalities.
 
 Every experiment derives per-trial RNG streams deterministically from
-(seed, trial index), so runs are bit-reproducible and trial order (serial
-or parallel, capped by PACBAYES_THREADS) never changes a report.
+(seed, trial index), so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import bounds
 from .bounds import bernstein_g
@@ -28,10 +26,12 @@ from .divergences import (
     DiscreteDistribution,
     gibbs_reweight,
     kl_discrete,
+    _log_gibbs,
+    _logsumexp,
     _safe_log,
 )
 from .posteriors import RiskTable, gibbs_posterior, minimize_bound_grid
-from ._util import child_rng, run_trials
+from ._util import child_rng
 
 __all__ = [
     "SyntheticTask",
@@ -469,9 +469,7 @@ def pi_dimension(
     logpi = _safe_log(pi.weights)
 
     def objective(beta: float) -> float:
-        logw = logpi - beta * gaps
-        logw = logw - logsumexp(logw)
-        return beta * float(np.dot(np.exp(logw), gaps))
+        return beta * float(np.dot(np.exp(_log_gibbs(logpi, -beta * gaps)), gaps))
 
     beta_g, val_g = _golden_max(objective, 1e-6, 1e8)
     grid = np.geomspace(1e-6, 1e8, 1000)
@@ -642,13 +640,18 @@ def violation_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pi = pi or DiscreteDistribution.uniform(task.m)
-    C = task.C if math.isfinite(task.C) else 1.0
     R = task.true_risk
     # the oracle right-hand side is a lab-only case outside the catalog
     oracle = bound_id == "oracle_probability"
     entry = None if oracle else bounds.BOUND_TABLE.get(bound_id)
     if entry is None and not oracle:
         raise ValueError(f"unknown bound id {bound_id!r}")
+    if not math.isfinite(task.C) and (oracle or entry.scale != "moment"):
+        raise ValueError(f"{bound_id} needs a bounded loss range; the {task.kind} task's "
+                         "losses are unbounded (only moment bounds such as chi_square apply)")
+    # moment bounds on unbounded losses: C = 1 only sets the posterior's
+    # closed-form lambda and the vacuity threshold
+    C = task.C if math.isfinite(task.C) else 1.0
     kind = "free" if oracle else entry.lam_kind
     lam_value = None
     if kind == "free" or (posterior_rule == "gibbs" and kind != "grid"):
@@ -666,9 +669,9 @@ def violation_experiment(
             else bounds.lambda_grid_arithmetic(n)
         )
 
-    def one_trial(t: int):
-        rng = child_rng(seed, t)
-        r = task.sample_emp_risk(n, rng)
+    rows = []
+    for t in range(trials):
+        r = task.sample_emp_risk(n, child_rng(seed, t))
         if kind == "grid":
             rho, cert = minimize_bound_grid(pi, RiskTable(r, n, C), grid, eps)
             value = cert.value
@@ -683,15 +686,13 @@ def violation_experiment(
                 value = entry.certify(data, rho, emp, kl, lam_bound).value
         true = float(np.dot(rho.weights, R))
         corrupted = corruption * value
-        return {
+        rows.append({
             "n": n,
             "seed": seed,
             "excess_risk": true - task.risk_star,
             "bound_value": corrupted,
             "violated": bool(true > corrupted),
-        }
-
-    rows = run_trials(trials, one_trial)
+        })
     violations = sum(row["violated"] for row in rows)
     rate = violations / trials
     return ExperimentReport(
@@ -753,20 +754,16 @@ def rate_experiment(
             else bounds.select_lambda_closed_form(math.log(task.m), n, eps, C)
         )
 
-        def one_rep(rep: int, i=i, n=n, lam=lam):
-            rng = child_rng(seed, i, rep)
-            r = task.sample_emp_risk(n, rng)
-            logw = logpi - lam * r
-            logw = logw - logsumexp(logw)
-            if log_gaps is None:
-                return -math.inf
-            return float(logsumexp(logw[others] + log_gaps))
-
-        log_excess = run_trials(reps, one_rep)
+        log_excess = []
+        for rep in range(reps):
+            r = task.sample_emp_risk(n, child_rng(seed, i, rep))
+            logw = _log_gibbs(logpi, -lam * r)
+            log_excess.append(-math.inf if log_gaps is None
+                              else _logsumexp(logw[others] + log_gaps))
         if all(math.isinf(v) for v in log_excess):
             log_mean = -math.inf
         else:
-            log_mean = float(logsumexp(log_excess) - math.log(reps))
+            log_mean = _logsumexp(log_excess) - math.log(reps)
         log_means.append(log_mean)
         rows.append(
             {

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import bounds
 from .bounds import BoundInput, Certificate
@@ -400,7 +399,8 @@ class GaussianQuadraticTask:
         beta = (1.0 - mu) / sd
         phi_a = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi)
         phi_b = math.exp(-0.5 * beta * beta) / math.sqrt(2.0 * math.pi)
-        p_in = float(ndtr(beta) - ndtr(alpha))
+        # Phi(x) = erfc(-x / sqrt 2) / 2
+        p_in = 0.5 * (math.erfc(-beta / math.sqrt(2.0)) - math.erfc(-alpha / math.sqrt(2.0)))
         ez2_in = p_in + alpha * phi_a - beta * phi_b
         ew2_in = mu * mu * p_in + 2.0 * mu * sd * (phi_a - phi_b) + var * ez2_in
         return ew2_in + (1.0 - p_in)

@@ -254,8 +254,16 @@ class TestCertify:
                              "--eps", "nan"], "--eps"),
     ("generative_instance", ["rates", "--n-grid", "100,200,400,800,1600", "--reps", "5",
                              "--eps", "1.5", "--rule", "slow"], "--eps"),
+    ("generative_instance", ["rates", "--n-grid", "100,200,400,800,1600", "--reps", "0"],
+     "--reps"),
+    ("generative_instance", ["violate", "--bound", "seeger", "--trials", "0"], "--trials"),
+    ("generative_instance", ["violate", "--bound", "seeger", "--trials", "5",
+                             "--corruption", "nan"], "--corruption"),
+    ("generative_instance", ["violate", "--bound", "thiemann", "--trials", "5",
+                             "--lambda", "5"], "--lambda"),
 ], ids=["lambda_nan", "lambda_negative", "thiemann_lambda_5", "xi_1.5", "compare_eps_1.5",
-        "violate_eps_nan", "rates_eps_1.5"])
+        "violate_eps_nan", "rates_eps_1.5", "rates_reps_0", "violate_trials_0",
+        "violate_corruption_nan", "violate_thiemann_lambda_5"])
 def test_out_of_range_flag_exit_2(fixture, argv, field, request, capsys):
     command, *flags = argv
     rc = cli.main([command, request.getfixturevalue(fixture), *flags])
@@ -353,6 +361,16 @@ class TestViolate:
             "violate", generative_instance, "--bound", "wat", "--trials", "5",
         ])
         assert rc == 3
+
+    def test_heavy_tail_bounded_loss_bound_exit_3(self, tmp_path, capsys):
+        path = write_json(tmp_path / "heavy.json", {
+            "schema": 1, "n": 300, "eps": 0.1, "C": 1.0,
+            "task": {"kind": "heavy_tail", "means": [0.5, 0.6, 0.7], "sds": 0.5},
+        })
+        rc = cli.main(["violate", path, "--bound", "seeger", "--trials", "5"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "seeger" in err and "heavy_tail" in err
 
     def test_missing_task_spec_exit_3(self, small_instance):
         rc = cli.main([

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -182,6 +183,36 @@ def test_output_is_byte_identical(case_id, fixture_dir, golden):
 
 def test_golden_file_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs golden cases in a fresh interpreter where any import of scipy fails.
+WITHOUT_SCIPY = """
+import json, sys, tempfile
+from pathlib import Path
+sys.modules["scipy"] = None
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import test_cli_golden as g
+with tempfile.TemporaryDirectory() as tmp:
+    g.write_fixtures(Path(tmp))
+    print(json.dumps({case: g.run_case(Path(tmp), case) for case in sys.argv[3:]}))
+"""
+
+
+def test_import_leaves_scipy_unloaded():
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import pacbayes; " \
+           "print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_runs_without_scipy(golden):
+    cases = ["certify.full.seeger.gibbs", "violate.seeger", "rates.fast"]
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(SRC), str(Path(__file__).parent), *cases],
+        capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {case: golden[case] for case in cases}
 
 
 def record() -> None:

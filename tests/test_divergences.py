@@ -20,7 +20,9 @@ from pacbayes.divergences import (
     kl_gaussian_diag,
     kl_inverse_upper,
     kl_uniform_ball,
+    _logsumexp,
 )
+from scipy.special import logsumexp
 
 from oracles import grid_kl_inverse, kl_gaussian_quadrature
 
@@ -289,3 +291,54 @@ class TestDvGap:
         h = np.array([1e6, -1e6, 0.0])
         rho = gibbs_reweight(pi, h)
         assert abs(dv_gap(h, rho, pi)) <= 1e-9
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@st.composite
+def lse_vectors(draw, minus_inf=False, ties=False):
+    """Gaussian vectors of any scale, optionally with -inf entries or a tied maximum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 300))
+    a = rng.normal(size=m) * 10.0 ** draw(st.floats(-3.0, 5.0))
+    if minus_inf:
+        a[rng.random(m) < draw(st.floats(0.0, 1.0))] = -math.inf
+    if ties:
+        a[rng.integers(0, m, size=draw(st.integers(1, m)))] = a.max()
+    return a
+
+
+class TestLogSumExp:
+    """The in-house log-sum-exp reproduces scipy.special.logsumexp to the bit."""
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60))
+    @settings(max_examples=300)
+    def test_edge_floats(self, a):
+        assert same_bits(_logsumexp(a), logsumexp(a))
+
+    @given(lse_vectors())
+    @settings(max_examples=500)
+    def test_finite_vectors(self, a):
+        assert same_bits(_logsumexp(a), logsumexp(a))
+
+    @given(lse_vectors(minus_inf=True))
+    @settings(max_examples=500)
+    def test_minus_inf_entries(self, a):
+        assert same_bits(_logsumexp(a), logsumexp(a))
+
+    @given(lse_vectors(ties=True))
+    @settings(max_examples=500)
+    def test_ties_at_the_maximum(self, a):
+        assert same_bits(_logsumexp(a), logsumexp(a))
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_all_minus_inf(self, m):
+        a = np.full(m, -math.inf)
+        assert _logsumexp(a) == -math.inf
+        assert same_bits(_logsumexp(a), logsumexp(a))
+
+    def test_large_vector(self):
+        a = np.random.default_rng(8).normal(size=100_000) * 40.0
+        assert same_bits(_logsumexp(a), logsumexp(a))

@@ -4,7 +4,6 @@ pi-dimension against a fine grid, localization payoff, and the seeded
 violation / rate / exponential-moment harnesses."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -386,15 +385,6 @@ class TestViolationExperiment:
         b = violation_experiment(self.task, "mcallester", "gibbs", 300, 0.1, 200, 11)
         assert a.rows == b.rows
 
-    def test_parallel_matches_serial(self):
-        serial = violation_experiment(self.task, "seeger", "gibbs", 300, 0.1, 200, 12)
-        os.environ["PACBAYES_THREADS"] = "4"
-        try:
-            parallel = violation_experiment(self.task, "seeger", "gibbs", 300, 0.1, 200, 12)
-        finally:
-            del os.environ["PACBAYES_THREADS"]
-        assert serial.rows == parallel.rows
-
     def test_oracle_probability_event(self):
         report = violation_experiment(
             self.task, "oracle_probability", "gibbs", 500, 0.05, 500, 7, lam=100.0
@@ -418,6 +408,13 @@ class TestViolationExperiment:
         report = violation_experiment(ht, "chi_square", "fixed_rho", 300, 0.1, 400, 9)
         se = math.sqrt(0.1 * 0.9 / 400)
         assert report.violation_rate <= 0.1 + 3 * se
+
+    @pytest.mark.parametrize("bound_id", ["seeger", "catoni_linear", "mcallester",
+                                          "lambda_grid", "oracle_probability"])
+    def test_heavy_tail_rejects_bounded_loss_bounds(self, bound_id):
+        ht = make_synthetic_task("heavy_tail", {"means": [0.5, 0.7, 0.9], "sds": 0.5}, 0)
+        with pytest.raises(ValueError, match=f"{bound_id} needs a bounded loss range.*heavy_tail"):
+            violation_experiment(ht, bound_id, "gibbs", 300, 0.1, 10, 0)
 
     def test_localized_empirical_validated_range(self):
         # the displayed formula's denominator grows superlinearly in lambda;
