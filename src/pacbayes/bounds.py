@@ -139,6 +139,16 @@ def _certificate(bound_id, value, C, lam=None, terms=None, details=None) -> Cert
     )
 
 
+def _vacuous_at_infinite_kl(bound_id, emp_risk, C, lam=None, details=None) -> Certificate:
+    """The certificate at KL = inf, +inf for every lambda.
+
+    Bounds whose closed-form lambda grows with KL would otherwise divide
+    infinity by infinity; this is the certificate mcallester gives there.
+    """
+    return _certificate(bound_id, math.inf, C, lam=lam, details=details,
+                        terms={"empirical": emp_risk, "complexity": math.inf, "slack": 0.0})
+
+
 def bernstein_g(x: float) -> float:
     """Bernstein's MGF function g(x) = (e^x - 1 - x) / x^2, with g(0) = 1.
 
@@ -192,6 +202,8 @@ def bound_catoni_linear(inp: BoundInput, lam: float) -> Certificate:
     """Linear-in-lambda bound: emp + lam C^2/(8n) + (KL + log(1/eps))/lam."""
     if not (lam > 0):
         raise ValueError("lambda must be positive")
+    if math.isinf(inp.kl):
+        return _vacuous_at_infinite_kl("catoni_linear", inp.emp_risk, inp.C, lam)
     slack = lam * inp.C**2 / (8.0 * inp.n)
     complexity = (inp.kl + inp.log_inv_eps) / lam
     value = inp.emp_risk + slack + complexity
@@ -358,6 +370,8 @@ def bound_catoni_phi(inp: BoundInput, lam: float) -> Certificate:
         raise ValueError("lambda must be positive")
     if not (0 <= inp.emp_risk <= 1):
         raise ValueError("catoni_phi bound requires emp_risk in [0, 1]")
+    if math.isinf(inp.kl):
+        return _vacuous_at_infinite_kl("catoni_phi", inp.emp_risk, inp.C, lam)
     a = lam / inp.n
     arg = inp.emp_risk + (inp.kl + inp.log_inv_eps) / lam
     value = _phi_inverse(a, arg)
@@ -419,6 +433,8 @@ def bound_subgaussian(inp: BoundInput, lam: float) -> Certificate:
     """
     if not (lam > 0):
         raise ValueError("lambda must be positive")
+    if math.isinf(inp.kl):
+        return _vacuous_at_infinite_kl("subgaussian", inp.emp_risk, inp.C, lam)
     slack = lam * inp.C**2 / inp.n
     complexity = (inp.kl + inp.log_inv_eps) / lam
     value = inp.emp_risk + slack + complexity
@@ -537,6 +553,9 @@ def bound_localized_empirical(
     local_prior = gibbs_reweight(pi, -xi * r)
     kl_local = kl_discrete(rho, local_prior)
     emp = float(np.dot(rho.weights, r))
+    if math.isinf(kl_local):
+        return _vacuous_at_infinite_kl("localized_empirical", emp, 1.0, lam,
+                                       details={"xi": xi, "kl_localized": kl_local})
     denom = (1.0 - xi) * lam + (1.0 + xi) * bernstein_g(lam / n) * lam**2 / n
     conf = (1.0 + xi) * math.log(2.0 / eps)
     value = ((1.0 - xi) * emp + kl_local + conf) / denom

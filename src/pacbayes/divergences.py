@@ -34,6 +34,15 @@ __all__ = [
 _WEIGHT_SUM_TOL = 1e-12
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Raise unless every row of w is finite, nonnegative and sums to 1 within 1e-12."""
+    if not ((w >= 0).all() and np.isfinite(w).all()):
+        raise ValueError("weights must be finite and nonnegative")
+    total = w.sum(axis=-1)
+    if (abs(total - 1.0) > _WEIGHT_SUM_TOL).any():
+        raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Probability mass vector over a finite hypothesis index set {0..M-1}.
@@ -47,10 +56,7 @@ class DiscreteDistribution:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-D vector")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {w.sum()!r}")
+        _check_weights(w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -179,29 +185,38 @@ def _safe_log(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logsumexp(a) -> float:
-    """log(sum(exp(a))) of a 1-D vector, shifted by its maximum.
+def _logsumexp(a):
+    """log(sum(exp(a))) over the last axis, shifted by each row's maximum.
 
     The entries equal to the maximum are counted apart from the rest, as in
     scipy.special.logsumexp (Blanchard, Higham & Higham 2021), so results
     match it to the bit; a non-finite result falls back to the direct sum.
+    Leading axes broadcast: a 1-D vector gives a float, a (B, M) matrix the
+    B row values, each the bits of the 1-D call on that row.
     """
-    a = np.asarray(a, dtype=float)
+    # Reducing the transpose over its first axis leaves a 1-D input's maximum
+    # a numpy scalar, which keeps the per-call cost of the vector case low.
+    a = np.asarray(a, dtype=float).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max()
+        top = a.max(axis=0)
         at_top = a == top
-        count = np.float64(np.count_nonzero(at_top))
-        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        count = at_top.sum(axis=0, dtype=float)
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=0)
         out = np.log1p(rest / count) + np.log(count) + top
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
+        finite = np.isfinite(out)
+        if not (finite if out.ndim == 0 else finite.all()):
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def _log_gibbs(logpi: np.ndarray, h) -> np.ndarray:
-    """Normalized log weights of the Gibbs measure pi_h, from log pi and h."""
+    """Normalized log weights of the Gibbs measure pi_h, from log pi and h.
+
+    h may be a (B, M) matrix of B exponents, giving one Gibbs measure per row.
+    """
     logw = logpi + h
-    return logw - _logsumexp(logw)
+    lse = _logsumexp(logw)
+    return logw - (lse if logw.ndim == 1 else lse[:, None])
 
 
 def kl_discrete(rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:

@@ -12,7 +12,6 @@ Every experiment derives per-trial RNG streams deterministically from
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from . import bounds
 from .bounds import bernstein_g
 from .divergences import (
     DiscreteDistribution,
+    _check_weights,
     gibbs_reweight,
     kl_discrete,
     _log_gibbs,
@@ -94,8 +94,12 @@ class SyntheticTask:
     def sample_emp_risk(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Column means of a fresh n-example loss matrix.
 
-        Subclasses may sample the sufficient statistic directly instead of
-        materializing the matrix; the distribution is identical.
+        Subclasses may compute them without materializing the matrix.
+        ThresholdMarginTask and the shared-noise RiskTableTask return the
+        same values as ``sample_losses(n, rng).mean(axis=0)`` for the same
+        rng, bit for bit; the independent RiskTableTask (binomial counts)
+        and HeavyTailTask (mean shock) draw the sufficient statistic
+        directly, so theirs match in distribution only.
         """
         return self.sample_losses(n, rng).mean(axis=0)
 
@@ -204,9 +208,15 @@ class ThresholdMarginTask(SyntheticTask):
         return (pred != y[:, None]).astype(float)
 
     def sample_emp_risk(self, n, rng):
+        # Threshold j errs on the k_j = #{x_i < theta_j} inputs below it that
+        # carry label 1 and on the inputs above it that carry label 0, so one
+        # sort of x and a prefix count of y give every error count exactly.
         x, y = self._sample_xy(n, rng)
-        pred = x[:, None] >= self.thresholds[None, :]
-        return (pred != y[:, None]).mean(axis=0)
+        order = np.argsort(x)
+        k = np.searchsorted(x[order], self.thresholds, side="left")
+        ones = np.concatenate(([0], np.cumsum(y[order])))
+        below = ones[k]
+        return ((n - k) - (ones[-1] - below) + below) / n
 
     def second_moments_vs_star(self):
         # losses differ exactly on the disagreement region of the two thresholds
@@ -359,6 +369,22 @@ def estimate_bernstein_constant(
 # ---------------------------------------------------------------------------
 
 
+#: Weight-matrix entries per block of Gibbs candidates in _rho_family_inf;
+#: bounds its temporaries to a few MB each whatever M is.
+_FAMILY_BLOCK = 1 << 18
+
+
+def _gibbs_risks_and_kls(logpi: np.ndarray, R: np.ndarray, betas: np.ndarray, q: np.ndarray):
+    """E_rho[R] and KL(rho || q) for the Gibbs measures pi_{-beta R}, one row per beta."""
+    w = np.exp(_log_gibbs(logpi, -betas[:, None] * R))
+    rho = w / w.sum(axis=1, keepdims=True)
+    _check_weights(rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        charged = rho > 0
+        terms = np.where(charged, rho * np.log(np.where(charged, rho, 1.0) / q), 0.0)
+    return rho @ R, terms.sum(axis=1)
+
+
 def _rho_family_inf(pi: DiscreteDistribution, R: np.ndarray, extra_betas, objective,
                     against: Optional[DiscreteDistribution] = None) -> float:
     """inf of objective(E_rho[R], KL(rho || against)), against defaulting to pi.
@@ -367,19 +393,26 @@ def _rho_family_inf(pi: DiscreteDistribution, R: np.ndarray, extra_betas, object
     on pi's support, skipping infinite KL.  The Gibbs family contains the
     exact minimizer of E_rho[R] + c KL(rho||pi) for every c > 0, so with the
     matching beta among ``extra_betas`` the infimum is exact, not a heuristic.
+    The family is evaluated as arrays: the Gibbs candidates as (beta x M)
+    weight matrices, one when M <= 1800, and the Diracs in closed form,
+    E_delta_j[R] = R_j and KL(delta_j || q) = log(1/q_j); ``objective``
+    takes arrays.
     """
-    against = pi if against is None else against
+    q = (pi if against is None else against).weights
     betas = np.concatenate(
         [np.array([0.0]), np.geomspace(1e-6, 1e8, 141), np.asarray(extra_betas, dtype=float)]
     )
-    gibbs = (gibbs_reweight(pi, -beta * R) for beta in betas)
-    diracs = (DiscreteDistribution.dirac(pi.size, j) for j in range(pi.size) if pi.weights[j] > 0)
-    best = math.inf
-    for rho in itertools.chain(gibbs, diracs):
-        kl = kl_discrete(rho, against)
-        if not math.isinf(kl):
-            best = min(best, objective(float(np.dot(rho.weights, R)), kl))
-    return best
+    logpi = _safe_log(pi.weights)
+    rows = max(1, _FAMILY_BLOCK // R.size)
+    gibbs_risks, gibbs_kls = zip(*(_gibbs_risks_and_kls(logpi, R, betas[i:i + rows], q)
+                                   for i in range(0, betas.size, rows)))
+    support = pi.weights > 0
+    with np.errstate(divide="ignore"):
+        dirac_kls = np.log(1.0 / q[support])
+    risks = np.concatenate([*gibbs_risks, R[support]])
+    kls = np.maximum(np.concatenate([*gibbs_kls, dirac_kls]), 0.0)
+    finite = ~np.isinf(kls)
+    return float(np.min(objective(risks[finite], kls[finite]), initial=math.inf))
 
 
 def oracle_bound_rhs(
@@ -408,7 +441,7 @@ def oracle_bound_rhs(
         scale = max(2.0 * K, C)
         best = _rho_family_inf(
             pi, R, (n / scale,),
-            lambda risk, kl: max(risk - task.risk_star, 0.0) + scale * kl / n,
+            lambda risk, kl: np.maximum(risk - task.risk_star, 0.0) + scale * kl / n,
         )
         return 2.0 * best
     if lam is None or not (lam > 0):
@@ -458,7 +491,10 @@ def pi_dimension(
     Maximized by golden-section search on log(beta) over [1e-6, 1e8] to
     relative tolerance 1e-6, guarded by a 1000-point log-grid scan; a
     disagreement beyond 1e-6 is logged and resolved in favor of the grid.
-    Returns (d_pi, beta_star); all-equal risks give (0, NaN).
+    Every value returned is the objective at some beta the search visited,
+    so d_pi is a lower estimate of the supremum: up to the rounding of one
+    evaluation it can undershoot, never overshoot.  Returns (d_pi, beta_star);
+    all-equal risks give (0, NaN).
     """
     R = np.asarray(true_risk, dtype=float)
     if R.shape != pi.weights.shape:
@@ -533,7 +569,7 @@ def localized_oracle_rhs(
     local_prior = gibbs_reweight(pi, -beta * R)
     best = _rho_family_inf(
         pi, R, (beta, lam),
-        lambda risk, kl: 3.0 * max(risk - task.risk_star, 0.0) + 4.0 * scale * kl / n,
+        lambda risk, kl: 3.0 * np.maximum(risk - task.risk_star, 0.0) + 4.0 * scale * kl / n,
         against=local_prior,
     )
 

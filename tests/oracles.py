@@ -150,6 +150,42 @@ def ewa_dp_max_regret(m: int, horizon: int, eta: float) -> float:
     return max(states.values())
 
 
+def rho_family_inf_loop(pi, R, extra_betas, objective, against=None) -> float:
+    """inf of objective(E_rho[R], KL(rho || against)) one candidate at a time.
+
+    The scalar loop the laboratory ran before its array pass: rho ranges over
+    the Gibbs reweightings pi_{-beta R} on the same beta grid (normalized with
+    scipy's logsumexp) and the Dirac masses on pi's support, each with its own
+    KL sum; candidates with infinite KL are skipped.  pi and against are
+    weight vectors.
+    """
+    from scipy.special import logsumexp
+
+    pi = np.asarray(pi, dtype=float)
+    q = pi if against is None else np.asarray(against, dtype=float)
+    R = np.asarray(R, dtype=float)
+    with np.errstate(divide="ignore"):
+        logpi = np.log(pi)
+    betas = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, 141), np.asarray(extra_betas, float)])
+    candidates = []
+    for beta in betas:
+        logw = logpi - beta * R
+        w = np.exp(logw - logsumexp(logw))
+        candidates.append(w / w.sum())
+    for j in np.flatnonzero(pi > 0):
+        dirac = np.zeros(pi.size)
+        dirac[j] = 1.0
+        candidates.append(dirac)
+    best = math.inf
+    for rho in candidates:
+        mask = rho > 0
+        if np.any(q[mask] == 0):
+            continue
+        kl = max(float(np.sum(rho[mask] * np.log(rho[mask] / q[mask]))), 0.0)
+        best = min(best, float(objective(float(np.dot(rho, R)), kl)))
+    return best
+
+
 def mp_union_bound_value(log_M, n, eps, digits: int = 60):
     """Arbitrary-precision sqrt((log M + log(1/eps)) / (2n)) via mpmath."""
     import mpmath as mp

@@ -12,6 +12,7 @@ import pytest
 from pacbayes.bounds import (
     BOUND_IDS,
     BOUND_TABLE,
+    BoundData,
     BoundInput,
     bernstein_g,
     bound_catoni_linear,
@@ -532,6 +533,32 @@ class TestSharedInvariants:
 
 
 class TestCatalogTable:
+    @pytest.mark.parametrize("C", [1.0, 2.0])
+    @pytest.mark.parametrize("bound_id", BOUND_IDS)
+    def test_no_nan_at_infinite_kl(self, bound_id, C):
+        # rho charges index 2, where the prior vanishes: KL(rho || pi) = inf,
+        # and the closed-form lambda sqrt(8 n (KL + log(1/eps)))/C is inf too
+        n, eps = 40, 0.05
+        losses = C * (np.arange(n)[:, None] % np.array([5, 3, 4]) == 0)
+        emp_risk = losses.mean(axis=0)
+        prior = DiscreteDistribution(np.array([0.5, 0.5, 0.0]))
+        rho = DiscreteDistribution(np.array([0.5, 0.0, 0.5]))
+        data = BoundData(emp_risk, n, eps, C, prior=prior, kappa=0.25, losses=losses)
+        emp = float(rho.weights @ emp_risk)
+        entry = BOUND_TABLE[bound_id]
+        lams = {"free": [select_lambda_closed_form(math.inf, n, eps, C), 5.0],
+                "fixed": [None, 1.5]}.get(entry.lam_kind, [None])
+        for lam in lams:
+            if bound_id == "germain_generic" or (entry.tail_free and n / lam < C):
+                with pytest.raises(ValueError):  # refused, never a NaN certificate
+                    entry.certify(data, rho, emp, math.inf, lam)
+                continue
+            cert = entry.certify(data, rho, emp, math.inf, lam)
+            assert not math.isnan(cert.value), (bound_id, lam)
+            assert not any(math.isnan(v) for v in cert.terms.values()), (bound_id, lam)
+            if "posterior" in entry.requires:
+                assert cert.vacuous, (bound_id, lam)
+
     def test_readme_table_matches_the_table(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         rows = {}

@@ -20,6 +20,7 @@ from pacbayes.divergences import (
     kl_gaussian_diag,
     kl_inverse_upper,
     kl_uniform_ball,
+    _log_gibbs,
     _logsumexp,
 )
 from scipy.special import logsumexp
@@ -342,3 +343,42 @@ class TestLogSumExp:
     def test_large_vector(self):
         a = np.random.default_rng(8).normal(size=100_000) * 40.0
         assert same_bits(_logsumexp(a), logsumexp(a))
+
+
+@st.composite
+def lse_matrices(draw):
+    """(B, M) matrices whose rows mix finite, -inf-laden, tied and all -inf vectors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, m = draw(st.integers(1, 40)), draw(st.integers(1, 200))
+    a = rng.normal(size=(b, m)) * 10.0 ** rng.uniform(-3.0, 5.0, size=(b, 1))
+    a[rng.random((b, m)) < rng.uniform(0.0, 0.5, size=(b, 1))] = -math.inf
+    tied = rng.random(b) < 0.3
+    a[tied, : max(1, m // 3)] = np.max(a[tied], axis=1, initial=-math.inf)[:, None]
+    a[rng.random(b) < 0.1] = -math.inf
+    return a
+
+
+class TestLogSumExpRows:
+    """A (B, M) matrix gives, row by row, the bits of the 1-D call."""
+
+    @given(lse_matrices())
+    @settings(max_examples=300)
+    def test_rows_match_the_vector_call(self, a):
+        rows = _logsumexp(a)
+        assert rows.shape == (a.shape[0],)
+        for row, value in zip(a, rows):
+            assert same_bits(value, _logsumexp(row))
+
+    @given(lse_matrices())
+    @settings(max_examples=100)
+    def test_gibbs_rows_match_the_vector_call(self, a):
+        logpi = np.log(np.full(a.shape[1], 1.0 / a.shape[1]))
+        finite = a[np.isfinite(a).all(axis=1)]
+        rows = _log_gibbs(logpi, finite)
+        for row, h in zip(rows, finite):
+            assert row.tobytes() == _log_gibbs(logpi, h).tobytes()
+
+    def test_batch_of_one_and_wide_rows(self):
+        a = np.random.default_rng(9).normal(size=(3, 100_000)) * 40.0
+        assert [same_bits(v, logsumexp(row)) for v, row in zip(_logsumexp(a), a)] == [True] * 3
+        assert same_bits(_logsumexp(a[:1])[0], logsumexp(a[0]))

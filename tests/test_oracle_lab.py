@@ -7,7 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pacbayes import oracle_lab
+from pacbayes._util import child_rng
 from pacbayes.divergences import DiscreteDistribution, gibbs_reweight, kl_discrete
 from pacbayes.oracle_lab import (
     HeavyTailTask,
@@ -23,7 +27,10 @@ from pacbayes.oracle_lab import (
     validate_geometric_grid,
     verify_exponential_moment,
     violation_experiment,
+    _rho_family_inf,
 )
+
+from oracles import rho_family_inf_loop
 
 N_GRID = [100, 200, 400, 800, 1600]
 
@@ -123,6 +130,125 @@ class TestMakeSyntheticTask:
         assert np.max(np.abs(losses.std(axis=0) - task.sds)) < 0.05
         diff2 = ((losses - losses[:, [0]]) ** 2).mean(axis=0)
         assert np.max(np.abs(diff2 - task.second_moments_vs_star())) < 0.05
+
+
+def same_bits_as_column_means(task, n, key) -> bool:
+    fast = task.sample_emp_risk(n, child_rng(*key))
+    full = task.sample_losses(n, child_rng(*key)).mean(axis=0)
+    return fast.tobytes() == full.tobytes()
+
+
+class TestThresholdSampler:
+    """Error counts by prefix sums give the bits of the loss-matrix column means."""
+
+    GRID = np.linspace(0.0, 1.0, 41)
+    PERMUTED = np.random.default_rng(3).permutation(GRID)
+
+    @pytest.mark.parametrize("thresholds,star", [
+        (GRID, None),
+        (PERMUTED, 7),
+        (np.array([0.0, 0.25, 0.6, 1.0]), 1),
+        (GRID, 0),
+        (GRID, 40),
+        (PERMUTED, int(np.argmax(PERMUTED))),
+    ], ids=["sorted", "permuted", "ends_0_and_1", "star_first", "star_last", "permuted_star_at_1"])
+    @pytest.mark.parametrize("n", [1, 2, 37, 500])
+    def test_same_bits(self, thresholds, star, n):
+        task = ThresholdMarginTask(0.2, thresholds, star_index=star)
+        for t in range(20):
+            assert same_bits_as_column_means(task, n, (11, t))
+
+    def test_tie_between_a_threshold_and_an_input(self):
+        n, key = 50, (5, 2)
+        x = child_rng(*key).random(n)  # x is the first draw of the sampler
+        for value in (x[0], x.min(), x.max()):
+            task = ThresholdMarginTask(0.3, [0.05, value, 0.95], star_index=1)
+            assert value in task._sample_xy(n, child_rng(*key))[0]
+            assert same_bits_as_column_means(task, n, key)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 60),
+           st.floats(0.01, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_random_grids(self, seed, n, m, tau):
+        rng = np.random.default_rng(seed)
+        thresholds = rng.choice(np.linspace(0.0, 1.0, 1001), size=m, replace=False)
+        task = ThresholdMarginTask(tau, thresholds, star_index=int(rng.integers(m)))
+        assert same_bits_as_column_means(task, n, (seed, 0))
+
+
+class TestRhoFamilyInf:
+    """The one-pass infimum matches the candidate-at-a-time loop."""
+
+    @staticmethod
+    def objectives(R):
+        r_star = float(np.min(R))
+        return [
+            lambda risk, kl: risk + 0.01 + 0.05 * kl,
+            lambda risk, kl: risk + 2.0 * (kl + math.log(40.0)) / 30.0,
+            lambda risk, kl: np.maximum(risk - r_star, 0.0) + 4.0 * kl / 700.0,
+            lambda risk, kl: 3.0 * np.maximum(risk - r_star, 0.0) + 12.0 * kl / 90.0,
+        ]
+
+    NAMES = ["M1", "M2", "M41", "M1001", "prior_zeros", "against_zeros",
+             "against_all_zero_on_support"]
+
+    @classmethod
+    def case(cls, name):
+        rng = np.random.default_rng(cls.NAMES.index(name))
+        m = {"M1": 1, "M2": 2, "M41": 41, "M1001": 1001}.get(name, 41)
+        R = rng.uniform(0.05, 0.9, m)
+        pi = rng.random(m) + 0.01
+        against = None
+        if name == "prior_zeros":
+            pi[rng.random(m) < 0.4] = 0.0
+            pi[0] = 1.0
+        if name == "against_zeros":
+            against = rng.random(m)
+            against[rng.random(m) < 0.4] = 0.0
+            against[0] = 1.0
+            against = DiscreteDistribution.from_weights(against)
+        if name == "against_all_zero_on_support":
+            pi[m // 2:] = 0.0
+            against = np.zeros(m)
+            against[m // 2:] = 1.0
+            against = DiscreteDistribution.from_weights(against)
+        return R, DiscreteDistribution.from_weights(pi), against
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("extra", [(), (3.0,), (0.5, 250.0)])
+    @pytest.mark.parametrize("block", [None, 1, 500], ids=["one_block", "row_blocks", "blocks"])
+    def test_matches_the_loop(self, name, extra, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(oracle_lab, "_FAMILY_BLOCK", block)
+        R, pi, against = self.case(name)
+        q = None if against is None else against.weights
+        for objective in self.objectives(R):
+            got = _rho_family_inf(pi, R, extra, objective, against=against)
+            want = rho_family_inf_loop(pi.weights, R, extra, objective, against=q)
+            if name == "against_all_zero_on_support":
+                assert got == want == math.inf
+            else:
+                assert math.isfinite(got)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_public_rhs_match_the_loop(self):
+        task = make_synthetic_task("risk_table", {"p": np.linspace(0.1, 0.7, 30).tolist()}, 0)
+        pi = DiscreteDistribution.from_weights(np.arange(1.0, 31.0))
+        n, lam, eps = 400, 25.0, 0.05
+        R = task.true_risk
+        got = oracle_bound_rhs(task, pi, lam, "probability", n=n, eps=eps)
+        want = rho_family_inf_loop(
+            pi.weights, R, (lam / 2,),
+            lambda r, kl: r + lam / (4 * n) + 2 / lam * kl + 2 * math.log(2 / eps) / lam)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        K = estimate_bernstein_constant(task).K
+        loc = localized_oracle_rhs(task, pi, K, n)
+        local_prior = gibbs_reweight(pi, -loc.lam / 4 * R)
+        want = rho_family_inf_loop(
+            pi.weights, R, (loc.lam / 4, loc.lam),
+            lambda r, kl: 3 * max(r - task.risk_star, 0.0) + 4 * loc.scale * kl / n,
+            against=local_prior.weights)
+        assert loc.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBernsteinConstant:
