@@ -11,8 +11,9 @@ machine-readable reports:
 
 Exit codes: 0 success, 2 schema violation (malformed file or flags, with a
 field diagnostic), 3 semantic mismatch (e.g. a bound whose required inputs
-are absent).  All randomness flows from --seed.  Certificates are JSON with
-full-precision floats (17 significant digits round-trip); experiments are
+are absent).  All randomness flows from --seed.  Certificates are strict JSON
+with full-precision floats (17 significant digits round-trip) and null for
+a non-finite value (an infinite certificate or lambda); experiments are
 CSV with one row per trial plus '#'-prefixed summary lines.
 """
 
@@ -285,8 +286,19 @@ def certificate_json(cert: Certificate) -> dict:
     return doc
 
 
+def _finite_or_null(value):
+    """value with every non-finite float replaced by None (JSON null), recursively."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit_json(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

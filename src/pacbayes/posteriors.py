@@ -287,20 +287,41 @@ class QuadraticSurrogate:
     def n(self) -> int:
         return int(self.x.size)
 
-    def loss(self, theta: np.ndarray) -> np.ndarray:
-        diff = theta[:, 0][:, None] - self.x[None, :]
-        return np.minimum(diff**2, 1.0).mean(axis=1)
+    def _diff(self, theta: np.ndarray) -> np.ndarray:
+        return theta[:, 0][:, None] - self.x[None, :]
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        diff = theta[:, 0][:, None] - self.x[None, :]
-        g = 2.0 * diff * (diff**2 < 1.0)
-        return g.mean(axis=1)[:, None]
+    def loss(self, theta: np.ndarray) -> np.ndarray:
+        return np.minimum(self._diff(theta) ** 2, 1.0).mean(axis=1)
+
+    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        diff = self._diff(theta)
+        sq = diff**2
+        g = 2.0 * diff * (sq < 1.0)
+        return np.minimum(sq, 1.0).mean(axis=1), g.mean(axis=1)[:, None]
 
     def subset(self, idx) -> "QuadraticSurrogate":
         return QuadraticSurrogate(self.x[idx])
 
     def prior_mean(self) -> np.ndarray:
         return np.array([self.x.mean()])
+
+
+_LOG2 = math.log(2.0)
+
+
+def _logistic_raw(m: np.ndarray) -> np.ndarray:
+    """log2(1 + e^{-m}) entrywise, unclipped, in one new buffer.
+
+    Evaluated as log1p(e^{-|m|}) - min(m, 0): the exponential never
+    overflows, and numpy runs exp and log1p as vectorised loops.
+    """
+    out = np.abs(m)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out -= np.minimum(m, 0.0)
+    out /= _LOG2
+    return out
 
 
 class LogisticSurrogate:
@@ -323,17 +344,22 @@ class LogisticSurrogate:
         return self.y[None, :] * (theta @ self.x.T)
 
     def loss(self, theta: np.ndarray) -> np.ndarray:
-        m = self._margins(theta)
-        raw = np.logaddexp(0.0, -m) / math.log(2.0)
-        return np.minimum(raw, 1.0).mean(axis=1)
+        raw = _logistic_raw(self._margins(theta))
+        return np.minimum(raw, 1.0, out=raw).mean(axis=1)
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
+    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = self._margins(theta)
-        raw = np.logaddexp(0.0, -m) / math.log(2.0)
+        raw = _logistic_raw(m)
         active = raw < 1.0
-        sig = 1.0 / (1.0 + np.exp(m))
-        coef = -(sig * active) * self.y[None, :] / math.log(2.0)
-        return (coef @ self.x) / self.n
+        loss = np.minimum(raw, 1.0, out=raw).mean(axis=1)
+        # d/dm of log2(1 + e^{-m}) is -sigmoid(-m)/log 2, zero where clipped
+        coef = np.exp(m, out=m)
+        coef += 1.0
+        np.reciprocal(coef, out=coef)
+        coef *= active
+        coef *= -self.y[None, :]
+        coef /= _LOG2
+        return loss, (coef @ self.x) / self.n
 
     def subset(self, idx) -> "LogisticSurrogate":
         return LogisticSurrogate(self.x[idx], self.y[idx])
@@ -341,7 +367,7 @@ class LogisticSurrogate:
     def prior_mean(self, steps: int = 25, step_size: float = 0.5) -> np.ndarray:
         theta = np.zeros((1, self.dim))
         for _ in range(steps):
-            theta = theta - step_size * self.grad(theta)
+            theta = theta - step_size * self.loss_grad(theta)[1]
         return theta[0]
 
 
@@ -361,8 +387,8 @@ class ConstantSurrogate:
     def loss(self, theta: np.ndarray) -> np.ndarray:
         return np.full(theta.shape[0], self.value)
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return np.zeros_like(theta)
+    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.loss(theta), np.zeros_like(theta)
 
     def subset(self, idx) -> "ConstantSurrogate":
         return ConstantSurrogate(self.value, len(idx))
@@ -439,6 +465,15 @@ def optimize_gaussian_posterior(
     is evaluated with a fresh MC estimate over 10x mc_samples draws, either
     in the linear form (``certificate="linear"``) or via the kl inversion
     (``certificate="seeger"``, 0-1 scale).
+
+    objective_data is any object with
+      dim, n             parameter dimension and number of examples
+      loss(theta)        mean loss in [0, C] per row of a (draws x dim) theta
+      loss_grad(theta)   (loss(theta), its (draws x dim) gradient), one pass;
+                         called once per iteration
+      subset(idx)        the same objective on the examples idx
+      prior_mean()       a parameter vector fit to the data (split runs only)
+    as QuadraticSurrogate, LogisticSurrogate and ConstantSurrogate are.
     """
     if not (prior_std > 0):
         raise ValueError("prior_std must be positive")
@@ -490,8 +525,7 @@ def optimize_gaussian_posterior(
             )
         z = rng.standard_normal((n_draws, d))
         theta = m[None, :] + s * z
-        losses = work.loss(theta)
-        grads = work.grad(theta)
+        losses, grads = work.loss_grad(theta)
         risk = float(losses.mean())
         obj = risk + const + (kl_term(m, s) + math.log(1.0 / eps)) / lam
         grad_m = grads.mean(axis=0) + (m - prior_mean) / (sigma**2 * lam)

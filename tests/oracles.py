@@ -193,3 +193,47 @@ def mp_union_bound_value(log_M, n, eps, digits: int = 60):
     with mp.workdps(digits):
         val = mp.sqrt((mp.mpf(log_M) + mp.log(1 / mp.mpf(eps))) / (2 * mp.mpf(n)))
         return float(val)
+
+
+class TwoPassLogisticSurrogate:
+    """The logistic surrogate as the optimizer saw it before its one-pass loss_grad.
+
+    loss and grad each recompute the margins and the clipped loss with
+    np.logaddexp; loss_grad only pairs the two calls, so the optimizer runs
+    unchanged on it.
+    """
+
+    def __init__(self, x, y):
+        self.x = np.atleast_2d(np.asarray(x, dtype=float))
+        self.y = np.asarray(y, dtype=float).reshape(-1)
+        self.dim = self.x.shape[1]
+
+    @property
+    def n(self) -> int:
+        return int(self.y.size)
+
+    def _margins(self, theta):
+        return self.y[None, :] * (theta @ self.x.T)
+
+    def loss(self, theta):
+        raw = np.logaddexp(0.0, -self._margins(theta)) / math.log(2.0)
+        return np.minimum(raw, 1.0).mean(axis=1)
+
+    def grad(self, theta):
+        m = self._margins(theta)
+        raw = np.logaddexp(0.0, -m) / math.log(2.0)
+        sig = 1.0 / (1.0 + np.exp(m))
+        coef = -(sig * (raw < 1.0)) * self.y[None, :] / math.log(2.0)
+        return (coef @ self.x) / self.n
+
+    def loss_grad(self, theta):
+        return self.loss(theta), self.grad(theta)
+
+    def subset(self, idx):
+        return TwoPassLogisticSurrogate(self.x[idx], self.y[idx])
+
+    def prior_mean(self, steps: int = 25, step_size: float = 0.5):
+        theta = np.zeros((1, self.dim))
+        for _ in range(steps):
+            theta = theta - step_size * self.grad(theta)
+        return theta[0]

@@ -4,11 +4,12 @@
 case below, recorded with the CLI as it stood before the bound catalog was
 gathered into one table (``bounds.BOUND_TABLE``).  The weights_inf cases of
 catoni_linear, catoni_phi, subgaussian and localized_empirical were
-re-recorded when infinite KL stopped giving them a NaN value.  certify,
-compare, violate and rates must keep producing the same bytes.  Re-record
-only the cases a deliberate output change touches, naming them (an unknown
-id exits non-zero and writes nothing); with no ids every case is
-re-recorded:
+re-recorded when infinite KL stopped giving them a NaN value, and every case
+that printed Infinity or NaN was re-recorded when non-finite values became
+null.  certify, compare, violate and rates must keep producing the same
+bytes.  Re-record only the cases a deliberate output change touches, naming
+them (an unknown id exits non-zero and writes nothing); with no ids every
+case is re-recorded:
 
     PYTHONPATH=src python tests/test_cli_golden.py CASE_ID ...
 """
@@ -187,6 +188,23 @@ def test_output_is_byte_identical(case_id, fixture_dir, golden):
 
 def test_golden_file_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_json_outputs_are_strict(golden):
+    """certify and compare print JSON that strict parsers accept: no NaN or Infinity."""
+    texts = [(case_id, text) for case_id, doc in golden.items()
+             if CASES[case_id][0] in ("certify", "compare")
+             for text in (doc["stdout"], doc["out"]) if text]
+    assert texts
+    for case_id, text in texts:
+        try:
+            json.loads(text, parse_constant=_reject_constant)
+        except ValueError as exc:
+            pytest.fail(f"{case_id}: {exc}")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

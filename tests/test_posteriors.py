@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pacbayes.bounds import BoundInput, bound_catoni_linear, lambda_grid_geometric
 from pacbayes.divergences import (
@@ -16,6 +18,7 @@ from pacbayes.divergences import (
 from pacbayes.posteriors import (
     ConstantSurrogate,
     GaussianQuadraticTask,
+    LogisticSurrogate,
     OptimizationDiverged,
     QuadraticSurrogate,
     RiskTable,
@@ -28,9 +31,10 @@ from pacbayes.posteriors import (
     model_select,
     optimize_gaussian_posterior,
     single_draw_certificate,
+    _logistic_raw,
 )
 
-from oracles import ewa_dp_max_regret, ewa_exhaustive_max_regret
+from oracles import TwoPassLogisticSurrogate, ewa_dp_max_regret, ewa_exhaustive_max_regret
 
 RISKS3 = np.array([0.1, 0.2, 0.4])
 
@@ -375,6 +379,92 @@ class TestGaussianOptimizer:
         )
         exact = task.exact_posterior_risk(float(gauss.mean[0]), gauss.std)
         assert exact <= cert.value
+
+
+def _logistic_problem(seed, n=300, d=5):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = np.where(x @ rng.normal(size=d) + rng.normal(size=n) > 0, 1.0, -1.0)
+    return x, y
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance in units in the last place between two nonnegative doubles."""
+    ia, ib = np.array([a, b]).view(np.int64)
+    return abs(int(ia) - int(ib))
+
+
+class TestLogisticSurrogate:
+    @settings(max_examples=300)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(1e-300)
+    @example(-1e-300)
+    @example(36.7)
+    @example(-36.7)
+    @example(700.0)
+    @example(-700.0)
+    def test_raw_loss_within_2_ulp_of_mpmath(self, m):
+        import mpmath as mp
+
+        with np.errstate(over="ignore"):
+            got = float(_logistic_raw(np.array([m]))[0])
+        with mp.workdps(50):
+            # log1p, not log(1 + .): 1 + e^{-m} rounds to 1 at 50 digits once m > 115
+            want = float(mp.log1p(mp.exp(-mp.mpf(m))) / mp.log(2))
+        if math.isinf(want):  # log2(1 + e^{-m}) above the largest double, m < -1.24e308
+            assert got == want
+        else:
+            assert _ulps(got, want) <= 2, (m, got, want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: LogisticSurrogate(*_logistic_problem(0)),
+        lambda: QuadraticSurrogate(np.random.default_rng(1).normal(0.3, 0.5, 300)),
+        lambda: ConstantSurrogate(0.25, 100),
+    ], ids=["logistic", "quadratic", "constant"])
+    def test_loss_grad_loss_is_loss_bit_for_bit(self, make):
+        surrogate = make()
+        # scale 3 puts many margins in the clipped region
+        theta = 3.0 * np.random.default_rng(2).normal(size=(40, surrogate.dim))
+        loss, grad = surrogate.loss_grad(theta)
+        assert loss.shape == (40,) and grad.shape == theta.shape
+        assert np.array_equal(loss, surrogate.loss(theta))
+
+    def test_gradient_matches_central_differences(self):
+        x, y = _logistic_problem(3)
+        theta = np.random.default_rng(4).normal(size=(6, x.shape[1]))
+        margins = y[None, :] * (theta @ x.T)
+        # keep the examples whose margins stay away from the clip point m = 0
+        # for every row, so the loss is smooth within the difference step
+        keep = np.all(np.abs(margins) > 0.05, axis=0)
+        assert keep.sum() > 100
+        surrogate = LogisticSurrogate(x[keep], y[keep])
+        _, grad = surrogate.loss_grad(theta)
+        h = 1e-6
+        for j in range(x.shape[1]):
+            step = np.zeros_like(theta)
+            step[:, j] = h
+            fd = (surrogate.loss(theta + step) - surrogate.loss(theta - step)) / (2 * h)
+            np.testing.assert_allclose(grad[:, j], fd, rtol=1e-6, atol=1e-9)
+        assert np.any(grad != 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("split", [0.0, 0.5])
+    @pytest.mark.parametrize("certificate", ["linear", "seeger"])
+    def test_optimizer_matches_two_pass_oracle(self, seed, split, certificate):
+        x, y = _logistic_problem(10 + seed)
+        cfg = VariationalConfig(mc_samples=16, max_iters=100, seed=seed, split_fraction=split)
+        runs = [optimize_gaussian_posterior(surrogate, 1.0, cfg, 100.0, 0.05,
+                                            certificate=certificate)
+                for surrogate in (LogisticSurrogate(x, y), TwoPassLogisticSurrogate(x, y))]
+        (g_new, c_new), (g_old, c_old) = runs
+        np.testing.assert_allclose(g_new.mean, g_old.mean, rtol=1e-12, atol=0)
+        assert g_new.std == pytest.approx(g_old.std, rel=1e-12)
+        assert c_new.value == pytest.approx(c_old.value, rel=1e-12)
+        assert c_new.bound_id == c_old.bound_id
+        # a mean far from zero, so the relative comparison says something
+        assert np.max(np.abs(g_new.mean)) > 0.1
 
 
 class TestGaussianQuadraticTask:
