@@ -30,7 +30,7 @@ import numpy as np
 
 from .divergences import (
     DiscreteDistribution,
-    _bisect_last_true,
+    _bisect_upper,
     chi2_discrete,
     gibbs_reweight,
     kl_discrete,
@@ -75,7 +75,6 @@ class BoundInput:
     C          loss range upper bound > 0
     chi2       optional chi-square divergence, >= 0
     kappa      optional variance bound > 0
-    delta_tail optional truncation tail term E_rho[Delta_{n,lambda}] >= 0
     """
 
     emp_risk: float
@@ -85,7 +84,6 @@ class BoundInput:
     C: float = 1.0
     chi2: Optional[float] = None
     kappa: Optional[float] = None
-    delta_tail: Optional[float] = None
 
     def __post_init__(self):
         if not (self.n >= 1):
@@ -102,8 +100,6 @@ class BoundInput:
             raise ValueError("chi2 must be nonnegative")
         if self.kappa is not None and not (self.kappa > 0):
             raise ValueError("kappa must be positive")
-        if self.delta_tail is not None and self.delta_tail < 0:
-            raise ValueError("delta_tail must be nonnegative")
 
     @property
     def log_inv_eps(self) -> float:
@@ -250,31 +246,17 @@ def bound_lambda_grid(
 
     ``entries`` holds one (lambda, emp_risk, kl) triple per grid point; the
     posterior (and hence emp_risk and kl) may differ across lambdas.  The
-    certificate is the grid minimum of
+    certificate is the grid minimum of the linear bound with KL + log(card),
 
         emp_risk(lam) + lam C^2/(8n) + (kl(lam) + log(card/eps)) / lam.
     """
     if len(entries) == 0:
         raise ValueError("grid must be nonempty")
     log_card = math.log(len(entries))
-    best = None
-    for lam, emp, kl in entries:
-        if not (lam > 0):
-            raise ValueError("grid lambdas must be positive")
-        slack = lam * C**2 / (8.0 * n)
-        complexity = (kl + log_card + math.log(1.0 / eps)) / lam
-        value = emp + slack + complexity
-        if best is None or value < best[0]:
-            best = (value, lam, emp, slack, complexity)
-    value, lam, emp, slack, complexity = best
-    return _certificate(
-        "lambda_grid",
-        value,
-        C,
-        lam=lam,
-        terms={"empirical": emp, "complexity": complexity, "slack": slack},
-        details={"grid_size": len(entries), "log_card": log_card},
-    )
+    best = min((bound_catoni_linear(BoundInput(emp, kl + log_card, n, eps, C), lam)
+                for lam, emp, kl in entries), key=lambda c: c.value)
+    return replace(best, bound_id="lambda_grid",
+                   details={"grid_size": len(entries), "log_card": log_card})
 
 
 def bound_mcallester_maurer(inp: BoundInput) -> Certificate:
@@ -397,10 +379,12 @@ def bound_germain_generic(
     """Generic convex-function bound: invert D(p, .) at the moment budget.
 
     Returns sup{q in [p, 1] : D(p, q) <= (KL + log_moment + log(1/eps))/n},
-    found by bisection.  ``log_moment`` is the caller-supplied value (or an
-    upper bound) of log E_S E_pi e^{n D(r, R)}.  D(p, .) must be
-    nondecreasing on [p, 1]; a starting point already over budget means the
-    bracketing assumption fails and is reported as an error.
+    found by bisection and rounded up by at most tol.  ``log_moment`` is the
+    caller-supplied value (or an upper bound) of log E_S E_pi e^{n D(r, R)}.
+    D(p, .) must be nondecreasing on [p, 1]; a starting point already over
+    budget means the bracketing assumption fails and is reported as an
+    error.  It takes a function handle, so it is Python-only and has no
+    catalog row.
     """
     if not (0 <= p <= 1):
         raise ValueError("p must lie in [0, 1]")
@@ -415,7 +399,7 @@ def bound_germain_generic(
     if D(p, 1.0) <= budget:
         value = 1.0
     else:
-        value = _bisect_last_true(lambda q: D(p, q) <= budget, p, 1.0, tol)
+        value = _bisect_upper(lambda q: D(p, q) <= budget, p, 1.0, tol)
     return _certificate(
         "germain_generic",
         value,
@@ -700,11 +684,6 @@ def _lambda_grid(inp, d, rho, lam):
     return posteriors.minimize_bound_grid(d.prior, rt, lambda_grid_geometric(d.n), d.eps)[1]
 
 
-def _germain(inp, d, rho, lam):
-    raise ValueError("germain_generic takes a bivariate convex function handle; "
-                     "use pacbayes.bounds.bound_germain_generic from Python")
-
-
 def _geometric(n, m, eps, C):
     return [float(g) for g in lambda_grid_geometric(n)]
 
@@ -730,8 +709,6 @@ BOUND_TABLE = {entry.bound_id: entry for entry in (
     CatalogEntry("catoni_phi", ("posterior",), "kl",
                  lambda inp, d, rho, lam: bound_catoni_phi(inp, lam),
                  lam_kind="free", search=_geometric),
-    CatalogEntry("germain_generic", ("posterior",), "unit", _germain,
-                 search=lambda n, m, eps, C: []),
     CatalogEntry("subgaussian", ("posterior",), "range",
                  lambda inp, d, rho, lam: bound_subgaussian(inp, lam),
                  lam_kind="free", search=_geometric),

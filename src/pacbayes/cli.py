@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import Certificate
-from .divergences import DiscreteDistribution, _logsumexp, kl_discrete
+from .divergences import DiscreteDistribution, _kl_log_prior, _logsumexp, _safe_log
 from .oracle_lab import (
     make_synthetic_task,
     rate_experiment,
@@ -123,8 +123,7 @@ def load_task_file(path: str) -> dict:
         _require(bool(np.all(prior >= 0)), "prior", "entries must be nonnegative")
         _require(abs(float(prior.sum()) - 1.0) <= 1e-9, "prior",
                  f"must sum to 1 within 1e-9, got {prior.sum()!r}")
-        with np.errstate(divide="ignore"):
-            out["log_prior"] = np.where(prior > 0, np.log(np.maximum(prior, 1e-300)), -np.inf)
+        out["log_prior"] = _safe_log(prior)
     elif log_prior_mass is not None:
         out["log_prior"] = log_prior_mass - _logsumexp(log_prior_mass)
     else:
@@ -182,10 +181,14 @@ def load_task_file(path: str) -> dict:
     return out
 
 
-def _prior_distribution(task: dict) -> DiscreteDistribution:
+def _log_prior(task: dict) -> np.ndarray:
     if task["log_prior"] is None:
         raise SemanticError("this operation needs a prior ('prior' or 'log_prior_mass')")
-    w = np.exp(task["log_prior"])
+    return task["log_prior"]
+
+
+def _prior_distribution(task: dict) -> DiscreteDistribution:
+    w = np.exp(_log_prior(task))
     return DiscreteDistribution(w / w.sum())
 
 
@@ -234,19 +237,9 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
         rho = DiscreteDistribution(w / w.sum())
     else:
         raise SchemaError("--posterior", f"unknown posterior spec {spec!r}")
-    kl = _kl_against_prior(task, rho)
+    kl = _kl_log_prior(rho.weights, _log_prior(task))
     lam = closed_form_lam(kl) if lam_flag in (None, "closed_form") else lam_flag
     return rho, lam
-
-
-def _kl_against_prior(task: dict, rho: DiscreteDistribution) -> float:
-    if task["log_prior"] is None:
-        raise SemanticError("KL against the prior needs 'prior' or 'log_prior_mass'")
-    mask = rho.weights > 0
-    logp = task["log_prior"][mask]
-    if np.any(np.isneginf(logp)):
-        return math.inf
-    return float(np.sum(rho.weights[mask] * (np.log(rho.weights[mask]) - logp)))
 
 
 def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Certificate:
@@ -255,7 +248,7 @@ def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Cert
     emp = kl = None
     if "posterior" in entry.requires and rho is not None:
         emp = float(np.dot(rho.weights, task["emp_risk"]))
-        kl = _kl_against_prior(task, rho)
+        kl = _kl_log_prior(rho.weights, _log_prior(task))
     rt = task.get("risk_table")
     data = bounds.BoundData(
         task["emp_risk"], task["n"], task["eps"], task["C"],
@@ -350,7 +343,8 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     m = emp_vec.size
     candidates = [gibbs_posterior(pi, emp_vec, g) for g in bounds.lambda_grid_geometric(n)]
     candidates.append(DiscreteDistribution.dirac(m, int(np.argmin(emp_vec))))
-    stats = [(rho, float(np.dot(rho.weights, emp_vec)), kl_discrete(rho, pi))
+    logpi = task["log_prior"]
+    stats = [(rho, float(np.dot(rho.weights, emp_vec)), _kl_log_prior(rho.weights, logpi))
              for rho in candidates]
     stats = [s for s in stats if not math.isinf(s[2])]
     rt = task["risk_table"]
@@ -574,6 +568,9 @@ def _check_flags(args) -> None:
     if isinstance(getattr(args, "lam", None), float) and entry and entry.lam_upper is not None:
         _require(args.lam < entry.lam_upper, "--lambda",
                  f"must lie in (0, {entry.lam_upper:g}) for {args.bound}")
+    posterior = getattr(args, "posterior", "gibbs")
+    if entry and posterior != "gibbs" and "posterior" not in entry.requires:
+        raise SchemaError("--posterior", f"{entry.bound_id} takes no posterior, got {posterior!r}")
 
 
 def main(argv=None) -> int:

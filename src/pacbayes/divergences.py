@@ -132,21 +132,27 @@ def kl_bernoulli(p: float, q: float) -> float:
         return 0.0
     if q <= 0.0 or q >= 1.0:
         return math.inf
-    out = 0.0
-    if p > 0.0:
-        out += p * math.log(p / q)
-    if p < 1.0:
-        out += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
+    d = p - q
+    if abs(d) <= 0.5 * min(q, 1.0 - q):
+        # the terms cancel to O(d^2); d is exact here, so log1p keeps them accurate
+        out = p * math.log1p(d / q) + (1.0 - p) * math.log1p(-d / (1.0 - q))
+    else:
+        out = 0.0
+        if p > 0.0:
+            out += p * math.log(p / q)
+        if p < 1.0:
+            out += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
     # Tiny negative values can appear from rounding when p ~ q.
     return max(out, 0.0)
 
 
 def kl_inverse_upper(q: float, b: float, tol: float = 1e-9) -> float:
-    """Largest p in [q, 1] with kl(q|p) <= b, by bisection.
+    """Largest p in [q, 1] with kl(q|p) <= b, by bisection, rounded up.
 
     This is the inversion used to turn Seeger-style statements
     kl(emp | true) <= b into explicit risk bounds.  kl(q|.) is continuous
-    and increasing on [q, 1), which makes bisection exact up to ``tol``.
+    and increasing on [q, 1), which makes bisection exact up to ``tol``;
+    the result is never below the true inverse and at most ``tol`` above.
     """
     q = _check_probability("q", q)
     b = float(b)
@@ -154,23 +160,22 @@ def kl_inverse_upper(q: float, b: float, tol: float = 1e-9) -> float:
         raise ValueError(f"budget b must be nonnegative, got {b!r}")
     if b == 0.0 or q == 1.0:
         return q if q < 1.0 else 1.0
-    if kl_bernoulli(q, 1.0) <= b:  # only possible when q == 1, kept for safety
-        return 1.0
-    return _bisect_last_true(lambda p: kl_bernoulli(q, p) <= b, q, 1.0, tol)
+    return _bisect_upper(lambda p: kl_bernoulli(q, p) <= b, q, 1.0, tol)
 
 
-def _bisect_last_true(ok, lo: float, hi: float, tol: float) -> float:
-    """Bisect [lo, hi] to within tol for the last point where ok holds.
+def _bisect_upper(ok, lo: float, hi: float, tol: float) -> float:
+    """Bisect [lo, hi] to within tol for the point where ok stops holding.
 
-    ok holds at lo and is monotone (true, then false); the lower end of the
-    final bracket is returned, so ok holds at the result."""
+    ok holds at lo and is monotone (true, then false); the upper end of the
+    final bracket is returned, so the last point where ok holds lies within
+    tol below the result and a bound read off it errs upward."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
         else:
             hi = mid
-    return lo
+    return hi
 
 
 def _check_same_support(rho: DiscreteDistribution, pi: DiscreteDistribution) -> None:
@@ -219,6 +224,15 @@ def _log_gibbs(logpi: np.ndarray, h) -> np.ndarray:
     return logw - (lse if logw.ndim == 1 else lse[:, None])
 
 
+def _kl_log_prior(r: np.ndarray, logp: np.ndarray) -> float:
+    """KL(rho || pi) = sum over r > 0 of r (log r - logp), from rho's weights r
+    and pi's log masses logp; +inf where logp = -inf.  No ratio r/p can overflow."""
+    mask = r > 0
+    rm = r[mask]
+    # clamp float noise on near-degenerate weights; the divergence is >= 0
+    return max(float(np.sum(rm * (np.log(rm) - logp[mask]))), 0.0)
+
+
 def kl_discrete(rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:
     """KL(rho || pi) = sum_theta rho(theta) log(rho(theta)/pi(theta)).
 
@@ -226,12 +240,7 @@ def kl_discrete(rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:
     soon as rho charges an index where pi vanishes.
     """
     _check_same_support(rho, pi)
-    r, p = rho.weights, pi.weights
-    mask = r > 0
-    if np.any(p[mask] == 0):
-        return math.inf
-    # clamp float noise on near-degenerate weights; the divergence is >= 0
-    return max(float(np.sum(r[mask] * np.log(r[mask] / p[mask]))), 0.0)
+    return _kl_log_prior(rho.weights, _safe_log(pi.weights))
 
 
 def chi2_discrete(rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:

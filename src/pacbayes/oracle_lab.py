@@ -12,7 +12,6 @@ Every experiment derives per-trial RNG streams deterministically from
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,6 +25,7 @@ from .divergences import (
     _check_weights,
     gibbs_reweight,
     kl_discrete,
+    _kl_log_prior,
     _log_gibbs,
     _logsumexp,
     _safe_log,
@@ -51,9 +51,6 @@ __all__ = [
     "verify_exponential_moment",
     "MomentReport",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 # ---------------------------------------------------------------------------
 # Synthetic tasks
@@ -374,14 +371,13 @@ def estimate_bernstein_constant(
 _FAMILY_BLOCK = 1 << 18
 
 
-def _gibbs_risks_and_kls(logpi: np.ndarray, R: np.ndarray, betas: np.ndarray, q: np.ndarray):
+def _gibbs_risks_and_kls(logpi: np.ndarray, R: np.ndarray, betas: np.ndarray, logq: np.ndarray):
     """E_rho[R] and KL(rho || q) for the Gibbs measures pi_{-beta R}, one row per beta."""
     w = np.exp(_log_gibbs(logpi, -betas[:, None] * R))
     rho = w / w.sum(axis=1, keepdims=True)
     _check_weights(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
-        charged = rho > 0
-        terms = np.where(charged, rho * np.log(np.where(charged, rho, 1.0) / q), 0.0)
+        terms = np.where(rho > 0, rho * (np.log(rho) - logq), 0.0)
     return rho @ R, terms.sum(axis=1)
 
 
@@ -398,19 +394,17 @@ def _rho_family_inf(pi: DiscreteDistribution, R: np.ndarray, extra_betas, object
     E_delta_j[R] = R_j and KL(delta_j || q) = log(1/q_j); ``objective``
     takes arrays.
     """
-    q = (pi if against is None else against).weights
+    logq = _safe_log((pi if against is None else against).weights)
     betas = np.concatenate(
         [np.array([0.0]), np.geomspace(1e-6, 1e8, 141), np.asarray(extra_betas, dtype=float)]
     )
     logpi = _safe_log(pi.weights)
     rows = max(1, _FAMILY_BLOCK // R.size)
-    gibbs_risks, gibbs_kls = zip(*(_gibbs_risks_and_kls(logpi, R, betas[i:i + rows], q)
+    gibbs_risks, gibbs_kls = zip(*(_gibbs_risks_and_kls(logpi, R, betas[i:i + rows], logq)
                                    for i in range(0, betas.size, rows)))
     support = pi.weights > 0
-    with np.errstate(divide="ignore"):
-        dirac_kls = np.log(1.0 / q[support])
     risks = np.concatenate([*gibbs_risks, R[support]])
-    kls = np.maximum(np.concatenate([*gibbs_kls, dirac_kls]), 0.0)
+    kls = np.maximum(np.concatenate([*gibbs_kls, -logq[support]]), 0.0)
     finite = ~np.isinf(kls)
     return float(np.min(objective(risks[finite], kls[finite]), initial=math.inf))
 
@@ -488,13 +482,14 @@ def pi_dimension(
 ) -> tuple[float, float]:
     """Catoni's pi-dimension: sup_beta beta * E_{pi_{-beta R}}[R - R*].
 
-    Maximized by golden-section search on log(beta) over [1e-6, 1e8] to
-    relative tolerance 1e-6, guarded by a 1000-point log-grid scan; a
-    disagreement beyond 1e-6 is logged and resolved in favor of the grid.
-    Every value returned is the objective at some beta the search visited,
-    so d_pi is a lower estimate of the supremum: up to the rounding of one
-    evaluation it can undershoot, never overshoot.  Returns (d_pi, beta_star);
-    all-equal risks give (0, NaN).
+    A 1000-point log-grid scan of [1e-6, 1e8] picks the best grid point, and
+    one golden-section search on log(beta) refines it, to relative tolerance
+    1e-6, between that point's two grid neighbours.  A multimodal objective
+    is handled as long as its highest peak is wider than one grid step (a
+    factor of 1.033 in beta).  Every value returned is the objective at some
+    beta the search visited, so d_pi is a lower estimate of the supremum: up
+    to the rounding of one evaluation it can undershoot, never overshoot.
+    Returns (d_pi, beta_star); all-equal risks give (0, NaN).
     """
     R = np.asarray(true_risk, dtype=float)
     if R.shape != pi.weights.shape:
@@ -507,19 +502,10 @@ def pi_dimension(
     def objective(beta: float) -> float:
         return beta * float(np.dot(np.exp(_log_gibbs(logpi, -beta * gaps)), gaps))
 
-    beta_g, val_g = _golden_max(objective, 1e-6, 1e8)
     grid = np.geomspace(1e-6, 1e8, 1000)
     grid_vals = np.array([objective(b) for b in grid])
     k = int(np.argmax(grid_vals))
-    if grid_vals[k] > val_g + 1e-6:
-        logger.warning(
-            "pi_dimension: golden-section (%.6g at beta=%.3g) disagrees with grid scan "
-            "(%.6g at beta=%.3g); refining around the grid optimum",
-            val_g, beta_g, grid_vals[k], grid[k],
-        )
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        beta_g, val_g = _golden_max(objective, lo, hi)
+    beta_g, val_g = _golden_max(objective, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
     if grid_vals[k] > val_g:
         beta_g, val_g = float(grid[k]), float(grid_vals[k])
     return float(val_g), float(beta_g)
@@ -659,7 +645,6 @@ def violation_experiment(
     *,
     lam="closed_form",
     xi: float = 0.0,
-    grid_kind: str = "geometric",
     pi: Optional[DiscreteDistribution] = None,
     fixed_rho: Optional[DiscreteDistribution] = None,
     corruption: float = 1.0,
@@ -699,11 +684,8 @@ def violation_experiment(
     if oracle:
         oracle_value = oracle_bound_rhs(task, pi, lam_value, "probability", n=n, eps=eps)
     if kind == "grid":
-        grid = (
-            bounds.lambda_grid_geometric(n)
-            if grid_kind == "geometric"
-            else bounds.lambda_grid_arithmetic(n)
-        )
+        grid = bounds.lambda_grid_geometric(n)
+    logpi = _safe_log(pi.weights)
 
     rows = []
     for t in range(trials):
@@ -718,7 +700,7 @@ def violation_experiment(
             else:
                 data = bounds.BoundData(r, n, eps, C, prior=pi, xi=xi,
                                         kappa=getattr(task, "kappa", None))
-                emp, kl = float(np.dot(rho.weights, r)), kl_discrete(rho, pi)
+                emp, kl = float(np.dot(rho.weights, r)), _kl_log_prior(rho.weights, logpi)
                 value = entry.certify(data, rho, emp, kl, lam_bound).value
         true = float(np.dot(rho.weights, R))
         corrupted = corruption * value

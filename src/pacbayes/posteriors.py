@@ -20,6 +20,7 @@ from ._util import child_rng
 from .divergences import (
     DiagonalGaussian,
     DiscreteDistribution,
+    _kl_log_prior,
     _safe_log,
     gibbs_reweight,
     kl_discrete,
@@ -124,12 +125,13 @@ def minimize_bound_grid(
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
     r = risk_table.emp_risk
+    logpi = _safe_log(pi.weights)
     posteriors_ = []
     entries = []
     for lam in grid:
         rho = gibbs_posterior(pi, r, lam)
         posteriors_.append(rho)
-        entries.append((lam, float(np.dot(rho.weights, r)), kl_discrete(rho, pi)))
+        entries.append((lam, float(np.dot(rho.weights, r)), _kl_log_prior(rho.weights, logpi)))
     cert = bounds.bound_lambda_grid(entries, risk_table.n, eps, risk_table.C)
     winner = next(i for i, (lam, _, _) in enumerate(entries) if lam == cert.lam)
     return posteriors_[winner], cert
@@ -171,18 +173,9 @@ def model_select(
     if best is None:
         raise ValueError("p assigns zero mass to every model")
     score, j, rho_j, emp, kl, penalty = best
-    slack = lam * C**2 / (8.0 * n)
-    complexity = (kl + penalty + math.log(1.0 / eps)) / lam
-    value = emp + slack + complexity
-    cert = Certificate(
-        bound_id="model_select",
-        value=value,
-        lam=lam,
-        terms={"empirical": emp, "complexity": complexity, "slack": slack},
-        vacuous=value >= C,
-        details={"model_index": j, "model_penalty": penalty, "score": score},
-    )
-    return j, rho_j, cert
+    cert = bounds.bound_catoni_linear(BoundInput(emp, kl + penalty, n, eps, C), lam)
+    return j, rho_j, replace(cert, bound_id="model_select", details={
+        "model_index": j, "model_penalty": penalty, "score": score})
 
 
 def aggregate_prediction(rho: DiscreteDistribution, predictions) -> float:
@@ -246,8 +239,6 @@ class VariationalConfig:
 
     split_fraction > 0 reserves that fraction of the data to build the
     prior mean; the certificate then uses only the remaining part.
-    fix_std pins the posterior scale to prior_std/sqrt(n) instead of
-    optimizing it.
     """
 
     mc_samples: int = 32
@@ -256,7 +247,6 @@ class VariationalConfig:
     seed: int = 0
     split_fraction: float = 0.0
     patience: int = 200
-    fix_std: bool = False
 
     def __post_init__(self):
         if self.mc_samples < 1:
@@ -503,19 +493,12 @@ def optimize_gaussian_posterior(
 
     if d == 0:
         risk = float(work.loss(np.zeros((1, 0)))[0])
-        value = risk + const + math.log(1.0 / eps) / lam
-        cert = Certificate(
-            bound_id="catoni_linear",
-            value=value,
-            lam=lam,
-            terms={"empirical": risk, "complexity": math.log(1.0 / eps) / lam, "slack": const},
-            vacuous=value >= C,
-            details={"kl": 0.0, "mc_risk": risk, "n_cert": n_cert},
-        )
-        return DiagonalGaussian(mean=np.zeros(0), std=sigma), cert
+        cert = bounds.bound_catoni_linear(BoundInput(risk, 0.0, n_cert, eps, C), lam)
+        return DiagonalGaussian(mean=np.zeros(0), std=sigma), replace(
+            cert, details={"kl": 0.0, "mc_risk": risk, "n_cert": n_cert})
 
     m = prior_mean.copy()
-    log_s = math.log(sigma / math.sqrt(n_cert)) if cfg.fix_std else math.log(sigma)
+    log_s = math.log(sigma)
 
     def mc_objective_and_grads(m, log_s, rng, n_draws):
         s = math.exp(log_s)
@@ -558,8 +541,7 @@ def optimize_gaussian_posterior(
                     f"objective stuck above its initial value for {cfg.patience} iterations"
                 )
         m = m - cfg.step_size * grad_m
-        if not cfg.fix_std:
-            log_s = log_s - cfg.step_size * grad_logs
+        log_s = log_s - cfg.step_size * grad_logs
 
     m, log_s = best_params
     s = math.exp(log_s)
@@ -571,22 +553,12 @@ def optimize_gaussian_posterior(
     kl = kl_term(m, s)
     extra = {"kl": kl, "mc_risk": mc_risk, "train_mc_risk": best_risk, "n_cert": n_cert}
     if certificate == "linear":
-        complexity = (kl + math.log(1.0 / eps)) / lam
-        value = mc_risk + const + complexity
-        cert = Certificate(
-            bound_id="catoni_linear",
-            value=value,
-            lam=lam,
-            terms={"empirical": mc_risk, "complexity": complexity, "slack": const},
-            vacuous=value >= C,
-            details=extra,
-        )
+        inner = bounds.bound_catoni_linear(BoundInput(mc_risk, kl, n_cert, eps, C), lam)
     else:
         inner = bounds.bound_seeger_maurer(
             BoundInput(emp_risk=min(mc_risk, 1.0), kl=kl, n=n_cert, eps=eps, C=1.0)
         )
-        cert = replace(inner, details={**inner.details, **extra})
-    return gauss, cert
+    return gauss, replace(inner, details={**inner.details, **extra})
 
 
 # ---------------------------------------------------------------------------

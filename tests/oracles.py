@@ -195,6 +195,33 @@ def mp_union_bound_value(log_M, n, eps, digits: int = 60):
         return float(val)
 
 
+def mp_kl_inverse_upper(q: float, b: float, digits: int = 40):
+    """The upper kl inverse sup{p in [q, 1] : kl(q|p) <= b} as a 40-digit mpmath number.
+
+    Bisects in mpmath on [q, 1] for 130 steps, far below a float's spacing;
+    a point whose 1 - p rounds to zero counts as over budget.
+    """
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        q, b = mp.mpf(q), mp.mpf(b)
+
+        def kl(p):
+            if p >= 1:
+                return mp.inf
+            out = (1 - q) * mp.log((1 - q) / (1 - p)) if q < 1 else mp.mpf(0)
+            return out + (q * mp.log(q / p) if q > 0 else 0)
+
+        lo, hi = q, mp.mpf(1)
+        for _ in range(130):
+            mid = (lo + hi) / 2
+            if kl(mid) <= b:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 class TwoPassLogisticSurrogate:
     """The logistic surrogate as the optimizer saw it before its one-pass loss_grad.
 

@@ -137,7 +137,7 @@ def test_criterion_04_violation_suite():
         ("seeger", {}),
         ("tolstikhin_seldin", {}),
         ("thiemann", {"lam": 1.0}),
-        ("lambda_grid", {"grid_kind": "geometric"}),
+        ("lambda_grid", {}),
     ]
     start = time.perf_counter()
     lines = []

@@ -549,7 +549,7 @@ class TestCatalogTable:
         lams = {"free": [select_lambda_closed_form(math.inf, n, eps, C), 5.0],
                 "fixed": [None, 1.5]}.get(entry.lam_kind, [None])
         for lam in lams:
-            if bound_id == "germain_generic" or (entry.tail_free and n / lam < C):
+            if entry.tail_free and n / lam < C:
                 with pytest.raises(ValueError):  # refused, never a NaN certificate
                     entry.certify(data, rho, emp, math.inf, lam)
                 continue

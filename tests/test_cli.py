@@ -93,6 +93,20 @@ class TestTaskFileSchema:
         with pytest.raises(cli.SchemaError):
             cli.load_task_file(path)
 
+    def test_subnormal_prior_mass_is_not_clamped(self, tmp_path, capsys):
+        # KL(delta_1 || pi) = -log(1e-310); a clamp at 1e-300 would give 690.8
+        path = write_json(tmp_path / "t.json", {
+            "schema": 1, "n": 1000, "eps": 0.05, "C": 1.0,
+            "prior": [1.0, 1e-310], "emp_risk": [0.5, 0.1],
+        })
+        assert cli.main(["certify", path, "--bound", "catoni_linear",
+                         "--posterior", "dirac:1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        kl = -math.log(1e-310)
+        lam = select_lambda_closed_form(kl, 1000, 0.05)
+        assert doc["lambda"] == pytest.approx(lam, rel=1e-12)
+        assert doc["value"] == pytest.approx(0.6986639754911382, rel=1e-12)
+
     def test_losses_must_match_emp_risk(self, tmp_path):
         path = write_json(tmp_path / "bad.json", {
             "schema": 1, "n": 2, "eps": 0.1, "C": 1.0,
@@ -261,9 +275,15 @@ class TestCertify:
                              "--corruption", "nan"], "--corruption"),
     ("generative_instance", ["violate", "--bound", "thiemann", "--trials", "5",
                              "--lambda", "5"], "--lambda"),
+    # bounds that certify no given posterior
+    ("small_instance", ["certify", "--bound", "lambda_grid", "--posterior", "dirac:0"],
+     "--posterior"),
+    ("small_instance", ["certify", "--bound", "union_finite", "--posterior", "dirac:0"],
+     "--posterior"),
 ], ids=["lambda_nan", "lambda_negative", "thiemann_lambda_5", "xi_1.5", "compare_eps_1.5",
         "violate_eps_nan", "rates_eps_1.5", "rates_reps_0", "violate_trials_0",
-        "violate_corruption_nan", "violate_thiemann_lambda_5"])
+        "violate_corruption_nan", "violate_thiemann_lambda_5", "lambda_grid_dirac",
+        "union_finite_dirac"])
 def test_out_of_range_flag_exit_2(fixture, argv, field, request, capsys):
     command, *flags = argv
     rc = cli.main([command, request.getfixturevalue(fixture), *flags])
@@ -313,6 +333,22 @@ class TestCompare:
         doc = json.loads(out.read_text())
         for r in doc["results"]:
             assert r["value"] >= 0.26
+
+    def test_agrees_with_certify_on_a_tiny_log_prior_mass(self, tmp_path, capsys):
+        # exp(-1000) underflows to 0, but the log prior keeps the Dirac's KL finite
+        path = write_json(tmp_path / "t.json", {
+            "schema": 1, "n": 100_000, "eps": 0.05, "C": 1.0,
+            "log_prior_mass": [0.0, -1000.0, 0.0], "emp_risk": [0.5, 0.1, 0.6],
+        })
+        assert cli.main(["certify", path, "--bound", "mcallester", "--posterior", "dirac:1"]) == 0
+        certified = json.loads(capsys.readouterr().out)["value"]
+        assert cli.main(["compare", path]) == 0
+        compared = {r["bound"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+        kl = 1000.0 + math.log(2.0)
+        expected = 0.1 + math.sqrt((kl + math.log(20.0) + 2.5 * math.log(1e5) + 8.0) / 199_999)
+        assert certified == pytest.approx(expected, rel=1e-12)
+        assert compared["mcallester"] == certified
+        assert certified == pytest.approx(0.1721, abs=1e-4)
 
     def test_eps_override(self, small_instance, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,8 +6,11 @@ gathered into one table (``bounds.BOUND_TABLE``).  The weights_inf cases of
 catoni_linear, catoni_phi, subgaussian and localized_empirical were
 re-recorded when infinite KL stopped giving them a NaN value, and every case
 that printed Infinity or NaN was re-recorded when non-finite values became
-null.  certify, compare, violate and rates must keep producing the same
-bytes.  Re-record only the cases a deliberate output change touches, naming
+null.  The seeger-backed cases were re-recorded when the kl inverse began
+rounding up, the localized_empirical cases when KL moved onto log prior
+masses, and the lambda_grid and union_finite cases with a posterior other
+than gibbs when certify began rejecting one (exit 2).  certify, compare,
+violate and rates must keep producing the same bytes.  Re-record only the cases a deliberate output change touches, naming
 them (an unknown id exits non-zero and writes nothing); with no ids every
 case is re-recorded:
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pacbayes.divergences import (
@@ -25,7 +25,7 @@ from pacbayes.divergences import (
 )
 from scipy.special import logsumexp
 
-from oracles import grid_kl_inverse, kl_gaussian_quadrature
+from oracles import grid_kl_inverse, kl_gaussian_quadrature, mp_kl_inverse_upper
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 inner_probs = st.floats(min_value=1e-6, max_value=1 - 1e-6)
@@ -117,12 +117,24 @@ class TestKlInverseUpper:
         lo, hi = sorted((b1, b2))
         assert kl_inverse_upper(q, lo) <= kl_inverse_upper(q, hi) + 1e-12
 
+    @given(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1 - 1e-6),
+                     st.floats(min_value=1e-7, max_value=1e-5),
+                     st.floats(min_value=1 - 1e-5, max_value=1 - 1e-6)),
+           st.floats(min_value=1e-12, max_value=30.0))
+    @settings(max_examples=300, deadline=None)
+    @example(0.8846413441419358, 2.9057198971906876e-12)  # kl(q|p) loses to cancellation here
+    def test_never_below_the_mpmath_inverse(self, q, b):
+        # a certificate must not fall short of the true inverse: p* <= p <= p* + tol
+        p = kl_inverse_upper(q, b)
+        exact = mp_kl_inverse_upper(q, b)
+        assert exact <= p <= exact + 1e-9
+
     @given(inner_probs, st.floats(min_value=1e-6, max_value=3.0))
     @settings(max_examples=200)
     def test_inverse_consistency(self, q, b):
+        # the result is rounded up, so it sits at or past the budget
         p = kl_inverse_upper(q, b)
-        if p < 1.0:
-            assert kl_bernoulli(q, p) <= b + 1e-8
+        assert kl_bernoulli(q, p) >= b or p == 1.0
 
 
 class TestKlDiscrete:

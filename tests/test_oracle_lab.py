@@ -381,6 +381,20 @@ class TestPiDimension:
             assert d == pytest.approx(0.27846, abs=1e-3)
             assert beta * gap == pytest.approx(1.2785, abs=1e-3)
 
+    def test_two_peaks_finds_the_higher_one(self):
+        # gaps 1 and 1e-4 give peaks near beta = 1 (0.1099) and beta = 1.16e4
+        # (0.1572); a golden-section search over the whole range climbs the
+        # lower one, so the grid scan must pick the bracket
+        pi = np.array([0.5, 0.25, 0.25])
+        gaps = np.array([0.0, 1.0, 1e-4])
+        d, beta = pi_dimension(DiscreteDistribution(pi), 0.2 + gaps, 1.0)
+        betas = np.geomspace(5e3, 3e4, 200_001)
+        w = pi * np.exp(-betas[:, None] * gaps)
+        scan = betas * (w @ gaps) / w.sum(axis=1)
+        assert d == pytest.approx(float(scan.max()), abs=1e-9)
+        assert d == pytest.approx(0.15718, abs=1e-5)
+        assert beta == pytest.approx(float(betas[np.argmax(scan)]), rel=1e-3)
+
     def test_objective_dominates_fine_grid(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
