@@ -31,14 +31,14 @@ import numpy as np
 
 from . import bounds
 from .bounds import Certificate
-from .divergences import DiscreteDistribution, _kl_log_prior, _logsumexp, _safe_log
+from .divergences import DiscreteDistribution, _gibbs_family, _kl_log_prior, _logsumexp, _safe_log
 from .oracle_lab import (
     make_synthetic_task,
     rate_experiment,
     validate_geometric_grid,
     violation_experiment,
 )
-from .posteriors import RiskTable, gibbs_posterior
+from .posteriors import LOSS_MEAN_TOL, RiskTable, gibbs_posterior
 
 SCHEMA_VERSION = 1
 
@@ -144,12 +144,10 @@ def load_task_file(path: str) -> dict:
                      "losses", f"must be an {out['n']} x {emp.size} matrix")
             _require(bool(np.all((loss_arr >= 0) & (loss_arr <= out["C"]))),
                      "losses", "entries must lie in [0, C]")
-            _require(float(np.max(np.abs(loss_arr.mean(axis=0) - emp))) <= 1e-9,
-                     "losses", "column means must reproduce emp_risk")
+            _require(float(np.max(np.abs(loss_arr.mean(axis=0) - emp))) <= LOSS_MEAN_TOL,
+                     "losses", f"column means must reproduce emp_risk within {LOSS_MEAN_TOL}")
         try:
-            out["risk_table"] = RiskTable(
-                emp_risk=emp, n=out["n"], C=out["C"], losses=loss_arr, true_risk=true_risk
-            )
+            out["risk_table"] = RiskTable(emp_risk=emp, n=out["n"], C=out["C"], losses=loss_arr)
         except ValueError as exc:
             raise SchemaError("emp_risk", str(exc))
     out["emp_risk"] = emp
@@ -341,11 +339,14 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
         raise SemanticError("compare needs the emp_risk field")
     pi = _prior_distribution(task)
     m = emp_vec.size
-    candidates = [gibbs_posterior(pi, emp_vec, g) for g in bounds.lambda_grid_geometric(n)]
-    candidates.append(DiscreteDistribution.dirac(m, int(np.argmin(emp_vec))))
     logpi = task["log_prior"]
-    stats = [(rho, float(np.dot(rho.weights, emp_vec)), _kl_log_prior(rho.weights, logpi))
-             for rho in candidates]
+    erm = int(np.argmin(emp_vec))
+    dirac = DiscreteDistribution.dirac(m, erm)
+    stats = [(DiscreteDistribution(row), emp, kl)
+             for w, emps, kls in _gibbs_family(_safe_log(pi.weights), emp_vec,
+                                               bounds.lambda_grid_geometric(n), logpi)
+             for row, emp, kl in zip(w, emps.tolist(), kls.tolist())]
+    stats.append((dirac, float(emp_vec[erm]), _kl_log_prior(dirac.weights, logpi)))
     stats = [s for s in stats if not math.isinf(s[2])]
     rt = task["risk_table"]
     data = bounds.BoundData(emp_vec, n, eps, C, prior=pi, kappa=task["kappa"],
@@ -355,7 +356,7 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     results = []
     for entry in bounds.BOUND_TABLE.values():
         lams = entry.search(n, m, eps, C)
-        if not lams or entry.missing(data, candidates[0]):
+        if not lams or entry.missing(data, dirac):
             continue
         priced = replace(data, eps=eps / len(lams))
         posts = stats if "posterior" in entry.requires else [(None, None, None)]

@@ -224,13 +224,41 @@ def _log_gibbs(logpi: np.ndarray, h) -> np.ndarray:
     return logw - (lse if logw.ndim == 1 else lse[:, None])
 
 
-def _kl_log_prior(r: np.ndarray, logp: np.ndarray) -> float:
+def _gibbs_weights(logpi: np.ndarray, h) -> np.ndarray:
+    """Weights of pi_h, renormalized to sum to 1; one row per row of h."""
+    w = np.exp(_log_gibbs(logpi, h))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+#: Weight-matrix entries per block of Gibbs candidates in _gibbs_family;
+#: bounds its temporaries to a few MB each whatever M is.
+_FAMILY_BLOCK = 1 << 18
+
+
+def _gibbs_family(logpi: np.ndarray, r: np.ndarray, lams, logq: np.ndarray):
+    """The Gibbs measures pi_{-lam r}, one checked weight row per lam, in blocks.
+
+    Yields (w, E_w[r], KL(w || q)), q with log masses logq, for consecutive
+    blocks of at most _FAMILY_BLOCK entries (at least one row); each row has
+    the bits of gibbs_posterior at its lam."""
+    lams = np.asarray(lams, dtype=float)
+    rows = max(1, _FAMILY_BLOCK // r.size)
+    for i in range(0, lams.size, rows):
+        w = _gibbs_weights(logpi, -lams[i:i + rows, None] * r)
+        _check_weights(w)
+        yield w, w @ r, _kl_log_prior(w, logq)
+
+
+def _kl_log_prior(r: np.ndarray, logp: np.ndarray):
     """KL(rho || pi) = sum over r > 0 of r (log r - logp), from rho's weights r
-    and pi's log masses logp; +inf where logp = -inf.  No ratio r/p can overflow."""
-    mask = r > 0
-    rm = r[mask]
+    and pi's log masses logp; +inf where logp = -inf.  No ratio r/p can overflow.
+    A 1-D r gives a float, a (B, M) matrix the B row KLs, each the bits of the
+    1-D call on that row: zero weights enter the sum as 0 terms, not dropped."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(r > 0, r * (np.log(r) - logp), 0.0)
     # clamp float noise on near-degenerate weights; the divergence is >= 0
-    return max(float(np.sum(rm * (np.log(rm) - logp[mask]))), 0.0)
+    kl = np.maximum(terms.sum(axis=-1), 0.0)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def kl_discrete(rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:
@@ -293,8 +321,7 @@ def gibbs_reweight(pi: DiscreteDistribution, h) -> DiscreteDistribution:
         raise ValueError("h must match the support size")
     if not np.all(np.isfinite(h)):
         raise ValueError("h must be finite")
-    w = np.exp(_log_gibbs(_safe_log(pi.weights), h))
-    return DiscreteDistribution(w / w.sum())
+    return DiscreteDistribution(_gibbs_weights(_safe_log(pi.weights), h))
 
 
 def dv_gap(h, rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:

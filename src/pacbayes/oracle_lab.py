@@ -22,9 +22,9 @@ from . import bounds
 from .bounds import bernstein_g
 from .divergences import (
     DiscreteDistribution,
-    _check_weights,
     gibbs_reweight,
     kl_discrete,
+    _gibbs_family,
     _kl_log_prior,
     _log_gibbs,
     _logsumexp,
@@ -320,7 +320,6 @@ class BernsteinEstimate:
 
     K: float
     ratios: np.ndarray
-    kappa_exponent: int = 1
 
 
 def estimate_bernstein_constant(
@@ -366,21 +365,6 @@ def estimate_bernstein_constant(
 # ---------------------------------------------------------------------------
 
 
-#: Weight-matrix entries per block of Gibbs candidates in _rho_family_inf;
-#: bounds its temporaries to a few MB each whatever M is.
-_FAMILY_BLOCK = 1 << 18
-
-
-def _gibbs_risks_and_kls(logpi: np.ndarray, R: np.ndarray, betas: np.ndarray, logq: np.ndarray):
-    """E_rho[R] and KL(rho || q) for the Gibbs measures pi_{-beta R}, one row per beta."""
-    w = np.exp(_log_gibbs(logpi, -betas[:, None] * R))
-    rho = w / w.sum(axis=1, keepdims=True)
-    _check_weights(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(rho > 0, rho * (np.log(rho) - logq), 0.0)
-    return rho @ R, terms.sum(axis=1)
-
-
 def _rho_family_inf(pi: DiscreteDistribution, R: np.ndarray, extra_betas, objective,
                     against: Optional[DiscreteDistribution] = None) -> float:
     """inf of objective(E_rho[R], KL(rho || against)), against defaulting to pi.
@@ -398,10 +382,8 @@ def _rho_family_inf(pi: DiscreteDistribution, R: np.ndarray, extra_betas, object
     betas = np.concatenate(
         [np.array([0.0]), np.geomspace(1e-6, 1e8, 141), np.asarray(extra_betas, dtype=float)]
     )
-    logpi = _safe_log(pi.weights)
-    rows = max(1, _FAMILY_BLOCK // R.size)
-    gibbs_risks, gibbs_kls = zip(*(_gibbs_risks_and_kls(logpi, R, betas[i:i + rows], logq)
-                                   for i in range(0, betas.size, rows)))
+    gibbs_risks, gibbs_kls = zip(*((risk, kl) for _, risk, kl
+                                   in _gibbs_family(_safe_log(pi.weights), R, betas, logq)))
     support = pi.weights > 0
     risks = np.concatenate([*gibbs_risks, R[support]])
     kls = np.maximum(np.concatenate([*gibbs_kls, -logq[support]]), 0.0)
@@ -836,48 +818,36 @@ class MomentReport:
     bernstein_ok: bool
 
 
-def _dist_info(dist_spec: dict):
+def _summand(dist_spec: dict):
+    """(low, high, mean, var, draw, mgf) of a bounded summand law.
+
+    draw(rng, shape) samples the law; mgf(t, n) is the closed-form
+    E[e^{t sum (U_i - EU_i)}] over n summands, for t != 0.
+    """
     kind = dist_spec["kind"]
     if kind == "bernoulli":
         p = float(dist_spec["p"])
         if not (0 <= p <= 1):
             raise ValueError("p must lie in [0, 1]")
-        return {"low": 0.0, "high": 1.0, "mean": p, "var": p * (1 - p)}
+        return (0.0, 1.0, p, p * (1 - p), lambda rng, shape: (rng.random(shape) < p).astype(float),
+                lambda t, n: ((1 - p) + p * math.exp(t)) ** n * math.exp(-t * n * p))
     if kind == "uniform":
         low, high = float(dist_spec["low"]), float(dist_spec["high"])
         if not (high >= low):
             raise ValueError("need high >= low")
-        return {
-            "low": low,
-            "high": high,
-            "mean": 0.5 * (low + high),
-            "var": (high - low) ** 2 / 12.0,
-        }
+
+        def mgf(t, n):
+            if high == low:
+                return 1.0
+            single = (math.exp(t * high) - math.exp(t * low)) / (t * (high - low))
+            return single**n * math.exp(-t * n * 0.5 * (low + high))
+
+        return (low, high, 0.5 * (low + high), (high - low) ** 2 / 12.0,
+                lambda rng, shape: low + (high - low) * rng.random(shape), mgf)
     if kind == "constant":
         v = float(dist_spec["value"])
-        return {"low": v, "high": v, "mean": v, "var": 0.0}
-    raise ValueError(
-        f"unsupported (or unbounded) distribution kind {dist_spec.get('kind')!r}"
-    )
-
-
-def _dist_mgf(dist_spec: dict, t: float, n: int) -> Optional[float]:
-    """Closed-form E[e^{t sum (U_i - EU_i)}] where available."""
-    kind = dist_spec["kind"]
-    if t == 0.0:
-        return 1.0
-    if kind == "bernoulli":
-        p = float(dist_spec["p"])
-        return ((1 - p) + p * math.exp(t)) ** n * math.exp(-t * n * p)
-    if kind == "uniform":
-        low, high = float(dist_spec["low"]), float(dist_spec["high"])
-        if high == low:
-            return 1.0
-        single = (math.exp(t * high) - math.exp(t * low)) / (t * (high - low))
-        return single**n * math.exp(-t * n * 0.5 * (low + high))
-    if kind == "constant":
-        return 1.0
-    return None
+        return v, v, v, 0.0, lambda rng, shape: np.full(shape, v), lambda t, n: 1.0
+    raise ValueError(f"unsupported (or unbounded) distribution kind {kind!r}")
 
 
 def verify_exponential_moment(
@@ -900,25 +870,16 @@ def verify_exponential_moment(
         raise ValueError("dist_spec must set n >= 1")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    info = _dist_info(dist_spec)
-    span = info["high"] - info["low"]
-    kind = dist_spec["kind"]
+    low, high, mean, var, draw, mgf = _summand(dist_spec)
+    span = high - low
     rng = child_rng(seed, 0)
 
     # Accumulate the centered sums once, in chunks, then reuse across t.
     sums = np.empty(samples)
     chunk = 200_000
-    pos = 0
-    while pos < samples:
+    for pos in range(0, samples, chunk):
         k = min(chunk, samples - pos)
-        if kind == "bernoulli":
-            draws = (rng.random((k, n)) < dist_spec["p"]).astype(float)
-        elif kind == "uniform":
-            draws = info["low"] + span * rng.random((k, n))
-        else:
-            draws = np.full((k, n), info["mean"])
-        sums[pos : pos + k] = draws.sum(axis=1) - n * info["mean"]
-        pos += k
+        sums[pos : pos + k] = draw(rng, (k, n)).sum(axis=1) - n * mean
 
     rows = []
     hoeffding_ok = True
@@ -928,7 +889,7 @@ def verify_exponential_moment(
         mgf_hat = float(vals.mean())
         rel_se = float(vals.std(ddof=1) / math.sqrt(samples) / mgf_hat) if t != 0 else 0.0
         hoeffding_rhs = math.exp(n * t**2 * span**2 / 8.0)
-        bernstein_rhs = math.exp(bernstein_g(span * t) * n * t**2 * info["var"])
+        bernstein_rhs = math.exp(bernstein_g(span * t) * n * t**2 * var)
         slack = 1.0 + 5.0 * rel_se
         h_ok = mgf_hat <= hoeffding_rhs * slack
         b_ok = mgf_hat <= bernstein_rhs * slack
@@ -941,7 +902,7 @@ def verify_exponential_moment(
                 "rel_se": rel_se,
                 "hoeffding_rhs": hoeffding_rhs,
                 "bernstein_rhs": bernstein_rhs,
-                "closed_form": _dist_mgf(dist_spec, float(t), n),
+                "closed_form": 1.0 if t == 0 else mgf(float(t), n),
                 "hoeffding_ok": h_ok,
                 "bernstein_ok": b_ok,
             }

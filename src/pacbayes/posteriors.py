@@ -20,7 +20,7 @@ from ._util import child_rng
 from .divergences import (
     DiagonalGaussian,
     DiscreteDistribution,
-    _kl_log_prior,
+    _gibbs_family,
     _safe_log,
     gibbs_reweight,
     kl_discrete,
@@ -47,19 +47,23 @@ __all__ = [
 ]
 
 
+#: Largest gap allowed between emp_risk and the column means of losses.
+LOSS_MEAN_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class RiskTable:
-    """Per-hypothesis empirical risks, with optional loss matrix and true risks.
+    """Per-hypothesis empirical risks, with an optional loss matrix.
 
     When ``losses`` (an n x M matrix of per-example losses in [0, C]) is
-    present, its column means must reproduce ``emp_risk`` within 1e-12.
+    present, its column means must reproduce ``emp_risk`` within
+    LOSS_MEAN_TOL.
     """
 
     emp_risk: np.ndarray
     n: int
     C: float = 1.0
     losses: Optional[np.ndarray] = None
-    true_risk: Optional[np.ndarray] = None
 
     def __post_init__(self):
         r = np.asarray(self.emp_risk, dtype=float)
@@ -79,16 +83,10 @@ class RiskTable:
                 raise ValueError(f"losses must have shape ({self.n}, {r.size})")
             if np.any(ell < 0) or np.any(ell > self.C):
                 raise ValueError("loss entries must lie in [0, C]")
-            if np.max(np.abs(ell.mean(axis=0) - r)) > 1e-12:
+            if np.max(np.abs(ell.mean(axis=0) - r)) > LOSS_MEAN_TOL:
                 raise ValueError("emp_risk must equal the column means of losses")
             ell.flags.writeable = False
             object.__setattr__(self, "losses", ell)
-        if self.true_risk is not None:
-            t = np.asarray(self.true_risk, dtype=float)
-            if t.shape != r.shape:
-                raise ValueError("true_risk must match emp_risk's length")
-            t.flags.writeable = False
-            object.__setattr__(self, "true_risk", t)
 
     @property
     def m(self) -> int:
@@ -121,20 +119,16 @@ def minimize_bound_grid(
     the argmin posterior with its certificate.  Ties break toward the
     earliest grid entry.
     """
-    grid = [float(g) for g in np.atleast_1d(grid)]
-    if len(grid) == 0:
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
         raise ValueError("grid must be nonempty")
     r = risk_table.emp_risk
     logpi = _safe_log(pi.weights)
-    posteriors_ = []
-    entries = []
-    for lam in grid:
-        rho = gibbs_posterior(pi, r, lam)
-        posteriors_.append(rho)
-        entries.append((lam, float(np.dot(rho.weights, r)), _kl_log_prior(rho.weights, logpi)))
+    emps, kls = (np.concatenate(c) for c in
+                 zip(*((emp, kl) for _, emp, kl in _gibbs_family(logpi, r, grid, logpi))))
+    entries = list(zip(grid.tolist(), emps.tolist(), kls.tolist()))
     cert = bounds.bound_lambda_grid(entries, risk_table.n, eps, risk_table.C)
-    winner = next(i for i, (lam, _, _) in enumerate(entries) if lam == cert.lam)
-    return posteriors_[winner], cert
+    return gibbs_posterior(pi, r, cert.lam), cert
 
 
 def model_select(

@@ -116,6 +116,17 @@ class TestTaskFileSchema:
         with pytest.raises(cli.SchemaError):
             cli.load_task_file(path)
 
+    def test_losses_check_names_losses_at_the_risk_table_tolerance(self, tmp_path, capsys):
+        # a 3e-10 gap passed a 1e-9 check here and was then rejected by
+        # RiskTable as a fault of emp_risk; both now use one tolerance
+        path = write_json(tmp_path / "bad.json", {
+            "schema": 1, "n": 3, "eps": 0.05, "C": 1.0,
+            "emp_risk": [1 / 3 + 3e-10, 1 / 3],
+            "losses": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]],
+        })
+        assert cli.main(["certify", path, "--bound", "mcallester"]) == 2
+        assert "field 'losses'" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_union_finite_reference_value(self, small_instance, tmp_path, capsys):

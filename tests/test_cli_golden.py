@@ -9,7 +9,14 @@ that printed Infinity or NaN was re-recorded when non-finite values became
 null.  The seeger-backed cases were re-recorded when the kl inverse began
 rounding up, the localized_empirical cases when KL moved onto log prior
 masses, and the lambda_grid and union_finite cases with a posterior other
-than gibbs when certify began rejecting one (exit 2).  certify, compare,
+than gibbs when certify began rejecting one (exit 2).  In their last
+digits, the certify.full Gibbs-posterior cases of catoni_linear, catoni_phi
+and subgaussian (gibbs, lam_closed_form) and of localized_empirical (gibbs,
+lam5_xi0.5) were re-recorded when the discrete KL began summing every
+weight's term, zeros included; and certify.full.lambda_grid.gibbs,
+compare.full, compare.full.eps0.01 and violate.lambda_grid when the Gibbs
+candidates began coming from one blocked row pass, whose E_rho[r] is a
+matrix-vector product.  certify, compare,
 violate and rates must keep producing the same bytes.  Re-record only the cases a deliberate output change touches, naming
 them (an unknown id exits non-zero and writes nothing); with no ids every
 case is re-recorded:

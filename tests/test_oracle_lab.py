@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacbayes import oracle_lab
+from pacbayes import divergences
 from pacbayes._util import child_rng
 from pacbayes.divergences import DiscreteDistribution, gibbs_reweight, kl_discrete
 from pacbayes.oracle_lab import (
@@ -219,7 +219,7 @@ class TestRhoFamilyInf:
     @pytest.mark.parametrize("block", [None, 1, 500], ids=["one_block", "row_blocks", "blocks"])
     def test_matches_the_loop(self, name, extra, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(oracle_lab, "_FAMILY_BLOCK", block)
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
         R, pi, against = self.case(name)
         q = None if against is None else against.weights
         for objective in self.objectives(R):

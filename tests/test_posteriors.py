@@ -9,11 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pacbayes import divergences
 from pacbayes.bounds import BoundInput, bound_catoni_linear, lambda_grid_geometric
 from pacbayes.divergences import (
     DiscreteDistribution,
     kl_discrete,
     kl_gaussian_diag,
+    _gibbs_family,
+    _kl_log_prior,
+    _safe_log,
 )
 from pacbayes.posteriors import (
     ConstantSurrogate,
@@ -35,6 +39,7 @@ from pacbayes.posteriors import (
 )
 
 from oracles import TwoPassLogisticSurrogate, ewa_dp_max_regret, ewa_exhaustive_max_regret
+from test_cli_golden import FIXTURES
 
 RISKS3 = np.array([0.1, 0.2, 0.4])
 
@@ -166,6 +171,45 @@ class TestMinimizeBoundGrid:
                 [],
                 0.05,
             )
+
+
+class TestGibbsFamily:
+    """The blocked Gibbs family behind compare, the lambda grid and the oracle
+    rho-infimum gives, row by row, the bits of the one-posterior path."""
+
+    @staticmethod
+    def fixture(name):
+        doc = FIXTURES[name]
+        return DiscreteDistribution.from_weights(doc["prior"]), np.asarray(doc["emp_risk"]), doc
+
+    # full.json's prior has a zero mass; on noiseless.json the last lambda
+    # drives every weight but the minimizer's to zero
+    @pytest.mark.parametrize("name", ["full.json", "noiseless.json"])
+    @pytest.mark.parametrize("block", [None, 1, 500], ids=["one_block", "row_blocks", "blocks"])
+    def test_rows_match_the_one_posterior_path(self, name, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+        pi, r, doc = self.fixture(name)
+        lams = np.append(lambda_grid_geometric(doc["n"]), 2500.0)
+        logpi = _safe_log(pi.weights)
+        rows, emps, kls = (np.concatenate(c) for c in zip(*_gibbs_family(logpi, r, lams, logpi)))
+        assert rows.shape == (lams.size, r.size)
+        for lam, row, emp, kl in zip(lams, rows, emps, kls):
+            rho = gibbs_posterior(pi, r, lam)
+            assert row.tobytes() == rho.weights.tobytes()
+            assert kl == _kl_log_prior(rho.weights, logpi)
+            want = float(rho.weights @ r)
+            assert abs(emp - want) <= 4 * math.ulp(want)
+        if name == "noiseless.json":
+            assert np.count_nonzero(rows[-1]) == 1
+
+    @pytest.mark.parametrize("name", ["full.json", "noiseless.json"])
+    def test_minimize_bound_grid_returns_the_posterior_at_its_lambda(self, name):
+        pi, r, doc = self.fixture(name)
+        grid = lambda_grid_geometric(doc["n"])
+        rho, cert = minimize_bound_grid(pi, RiskTable(r, doc["n"]), grid, doc["eps"])
+        assert cert.lam in grid.tolist()
+        assert rho.weights.tobytes() == gibbs_posterior(pi, r, cert.lam).weights.tobytes()
 
 
 class TestModelSelect:
