@@ -14,6 +14,10 @@ Conventions
   and rescales the certificate by C.
 * ``terms`` always sums exactly to ``value``; intermediate quantities that
   do not sum (budgets, Phi arguments) live in ``details``.
+* Bounds linear in 1/lambda (catoni_linear, subgaussian and the single-draw
+  certificate of ``posteriors``) share one evaluator, ``_linear``, which
+  adds the lambda penalty and (complexity nats)/lambda to the empirical
+  term; :func:`resolve_lambda` turns a lambda flag into a number.
 
 :data:`BOUND_TABLE` maps every catalog id to its required inputs, loss
 scale, lambda policy and evaluator; the CLI's certify and compare and the
@@ -44,6 +48,7 @@ __all__ = [
     "bound_union_finite",
     "bound_catoni_linear",
     "select_lambda_closed_form",
+    "resolve_lambda",
     "bound_lambda_grid",
     "lambda_grid_arithmetic",
     "lambda_grid_geometric",
@@ -94,9 +99,9 @@ class BoundInput:
             raise ValueError("C must be positive")
         if math.isnan(self.emp_risk) or not (0 <= self.emp_risk <= self.C):
             raise ValueError(f"emp_risk must lie in [0, C], got {self.emp_risk!r}")
-        if self.kl < 0:
+        if not (self.kl >= 0):
             raise ValueError("kl must be nonnegative")
-        if self.chi2 is not None and self.chi2 < 0:
+        if self.chi2 is not None and not (self.chi2 >= 0):
             raise ValueError("chi2 must be nonnegative")
         if self.kappa is not None and not (self.kappa > 0):
             raise ValueError("kappa must be positive")
@@ -194,22 +199,26 @@ def bound_union_finite(
     )
 
 
-def bound_catoni_linear(inp: BoundInput, lam: float) -> Certificate:
-    """Linear-in-lambda bound: emp + lam C^2/(8n) + (KL + log(1/eps))/lam."""
+def _linear(bound_id, emp, nats, lam, slack, C) -> Certificate:
+    """The certificate emp + slack + nats/lam of every bound linear in 1/lam.
+
+    nats is the complexity numerator (a KL or log density ratio, plus
+    log(1/eps)) and slack the penalty growing in lam; an infinite numerator
+    gives the vacuous certificate.
+    """
     if not (lam > 0):
         raise ValueError("lambda must be positive")
-    if math.isinf(inp.kl):
-        return _vacuous_at_infinite_kl("catoni_linear", inp.emp_risk, inp.C, lam)
-    slack = lam * inp.C**2 / (8.0 * inp.n)
-    complexity = (inp.kl + inp.log_inv_eps) / lam
-    value = inp.emp_risk + slack + complexity
-    return _certificate(
-        "catoni_linear",
-        value,
-        inp.C,
-        lam=lam,
-        terms={"empirical": inp.emp_risk, "complexity": complexity, "slack": slack},
-    )
+    if math.isinf(nats):
+        return _vacuous_at_infinite_kl(bound_id, emp, C, lam)
+    complexity = nats / lam
+    return _certificate(bound_id, emp + slack + complexity, C, lam=lam,
+                        terms={"empirical": emp, "complexity": complexity, "slack": slack})
+
+
+def bound_catoni_linear(inp: BoundInput, lam: float) -> Certificate:
+    """Linear-in-lambda bound: emp + lam C^2/(8n) + (KL + log(1/eps))/lam."""
+    return _linear("catoni_linear", inp.emp_risk, inp.kl + inp.log_inv_eps, lam,
+                   lam * inp.C**2 / (8.0 * inp.n), inp.C)
 
 
 def select_lambda_closed_form(kl: float, n: int, eps: float, C: float = 1.0) -> float:
@@ -222,6 +231,17 @@ def select_lambda_closed_form(kl: float, n: int, eps: float, C: float = 1.0) -> 
     if not (numer > 0):
         raise ValueError("kl + log(1/eps) must be positive")
     return math.sqrt(8.0 * n * numer) / C
+
+
+def resolve_lambda(spec, kl: float, n: int, eps: float, C: float = 1.0) -> float:
+    """The lambda a --lambda value names: None and "closed_form" pick
+    select_lambda_closed_form(kl, n, eps, C); any other value must be positive."""
+    if spec is None or spec == "closed_form":
+        return select_lambda_closed_form(kl, n, eps, C)
+    lam = float(spec)
+    if not (lam > 0):
+        raise ValueError(f"lambda must be positive, got {lam!r}")
+    return lam
 
 
 def lambda_grid_arithmetic(n: int) -> np.ndarray:
@@ -382,9 +402,9 @@ def bound_germain_generic(
     found by bisection and rounded up by at most tol.  ``log_moment`` is the
     caller-supplied value (or an upper bound) of log E_S E_pi e^{n D(r, R)}.
     D(p, .) must be nondecreasing on [p, 1]; a starting point already over
-    budget means the bracketing assumption fails and is reported as an
-    error.  It takes a function handle, so it is Python-only and has no
-    catalog row.
+    budget, or a NaN budget, means the bracketing assumption fails and is
+    reported as an error.  It takes a function handle, so it is Python-only
+    and has no catalog row.
     """
     if not (0 <= p <= 1):
         raise ValueError("p must lie in [0, 1]")
@@ -393,9 +413,9 @@ def bound_germain_generic(
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     budget = (kl + log_moment + math.log(1.0 / eps)) / n
-    if D(p, p) > budget:
-        raise ValueError("bracketing failure: D(p, p) exceeds the budget "
-                         "(D is not a nonnegative nondecreasing divergence on [p, 1])")
+    if not (D(p, p) <= budget):
+        raise ValueError("bracketing failure: D(p, p) is not within the budget (a NaN input, "
+                         "or D is not a nonnegative nondecreasing divergence on [p, 1])")
     if D(p, 1.0) <= budget:
         value = 1.0
     else:
@@ -415,20 +435,8 @@ def bound_subgaussian(inp: BoundInput, lam: float) -> Certificate:
     Here ``inp.C`` plays the role of the sub-Gaussian constant; the penalty
     is 8x the bounded-loss lam C^2/(8n) term.
     """
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
-    if math.isinf(inp.kl):
-        return _vacuous_at_infinite_kl("subgaussian", inp.emp_risk, inp.C, lam)
-    slack = lam * inp.C**2 / inp.n
-    complexity = (inp.kl + inp.log_inv_eps) / lam
-    value = inp.emp_risk + slack + complexity
-    return _certificate(
-        "subgaussian",
-        value,
-        inp.C,
-        lam=lam,
-        terms={"empirical": inp.emp_risk, "complexity": complexity, "slack": slack},
-    )
+    return _linear("subgaussian", inp.emp_risk, inp.kl + inp.log_inv_eps, lam,
+                   lam * inp.C**2 / inp.n, inp.C)
 
 
 def bound_chi_square(inp: BoundInput) -> Certificate:

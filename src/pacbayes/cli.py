@@ -85,12 +85,17 @@ def load_task_file(path: str) -> dict:
     out = {"schema": raw.get("schema", 1)}
     _require(out["schema"] == SCHEMA_VERSION, "schema", f"expected {SCHEMA_VERSION}")
 
-    for name, kind in (("n", int), ("eps", float), ("C", float)):
+    def scalar(name, integral=False):
+        """The JSON number raw[name] (no bool or string) as a float, or an int if integral."""
+        v = raw[name]
+        _require(type(v) is float or (type(v) is int and abs(v) < 2**1023), name,
+                 "must be a number in float range")
+        _require(not integral or float(v).is_integer(), name, "must be an integer")
+        return int(v) if integral else float(v)
+
+    for name in ("n", "eps", "C"):
         _require(name in raw, name, "required field is missing")
-        try:
-            out[name] = kind(raw[name])
-        except (TypeError, ValueError):
-            raise SchemaError(name, f"must be a {kind.__name__}")
+        out[name] = scalar(name, integral=name == "n")
     _require(out["n"] >= 1, "n", "must be >= 1")
     _require(0 < out["eps"] < 1, "eps", "must lie in (0, 1)")
     _require(out["C"] > 0, "C", "must be positive")
@@ -153,23 +158,10 @@ def load_task_file(path: str) -> dict:
     out["emp_risk"] = emp
     out["true_risk"] = true_risk
 
-    if "kappa" in raw:
-        try:
-            out["kappa"] = float(raw["kappa"])
-        except (TypeError, ValueError):
-            raise SchemaError("kappa", "must be a number")
-        _require(out["kappa"] > 0, "kappa", "must be positive")
-    else:
-        out["kappa"] = None
-
-    if "log_M" in raw:
-        try:
-            out["log_M"] = float(raw["log_M"])
-        except (TypeError, ValueError):
-            raise SchemaError("log_M", "must be a number")
-        _require(out["log_M"] >= 0, "log_M", "must be nonnegative")
-    else:
-        out["log_M"] = None
+    out["kappa"] = scalar("kappa") if "kappa" in raw else None
+    _require(out["kappa"] is None or out["kappa"] > 0, "kappa", "must be positive")
+    out["log_M"] = scalar("log_M") if "log_M" in raw else None
+    _require(out["log_M"] is None or out["log_M"] >= 0, "log_M", "must be nonnegative")
 
     task_spec = raw.get("task")
     if task_spec is not None:
@@ -199,19 +191,11 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
     """Build (rho, lam) from the --posterior and --lambda flags."""
     emp = task["emp_risk"]
     m = emp.size
-
-    def closed_form_lam(kl_value: float) -> float:
-        return bounds.select_lambda_closed_form(kl_value, task["n"], task["eps"], task["C"])
-
     if spec == "gibbs":
-        pi = _prior_distribution(task)
-        if lam_flag is None or lam_flag == "closed_form":
-            # a-priori pick: the closed-form minimizer at the Dirac
-            # complexity log M, independent of the data
-            lam = closed_form_lam(math.log(m))
-        else:
-            lam = lam_flag
-        return gibbs_posterior(pi, emp, lam), lam
+        # a-priori pick: the closed-form minimizer at the Dirac complexity
+        # log M, independent of the data
+        lam = bounds.resolve_lambda(lam_flag, math.log(m), task["n"], task["eps"], task["C"])
+        return gibbs_posterior(_prior_distribution(task), emp, lam), lam
     if spec.startswith("dirac:"):
         try:
             k = int(spec.split(":", 1)[1])
@@ -236,8 +220,7 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
     else:
         raise SchemaError("--posterior", f"unknown posterior spec {spec!r}")
     kl = _kl_log_prior(rho.weights, _log_prior(task))
-    lam = closed_form_lam(kl) if lam_flag in (None, "closed_form") else lam_flag
-    return rho, lam
+    return rho, bounds.resolve_lambda(lam_flag, kl, task["n"], task["eps"], task["C"])
 
 
 def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Certificate:
@@ -436,7 +419,7 @@ def cmd_violate(args) -> int:
             eps,
             args.trials,
             args.seed,
-            lam=args.lam if args.lam is not None else "closed_form",
+            lam=args.lam,
             xi=args.xi,
             corruption=args.corruption,
         )

@@ -156,7 +156,7 @@ def kl_inverse_upper(q: float, b: float, tol: float = 1e-9) -> float:
     """
     q = _check_probability("q", q)
     b = float(b)
-    if b < 0:
+    if not (b >= 0):
         raise ValueError(f"budget b must be nonnegative, got {b!r}")
     if b == 0.0 or q == 1.0:
         return q if q < 1.0 else 1.0

@@ -345,19 +345,12 @@ def estimate_bernstein_constant(
     else:
         raise ValueError("mode must be 'exact' or 'statistical'")
     gaps = task.gaps
-    ratios = np.full(task.m, math.nan)
-    K = 0.0
-    for j in range(task.m):
-        if j == task.theta_star:
-            continue
-        if gaps[j] <= 0:
-            if second[j] > 1e-12:
-                ratios[j] = math.inf
-                K = math.inf
-            continue  # zero numerator over zero denominator: skipped
-        ratios[j] = second[j] / gaps[j]
-        K = max(K, ratios[j])
-    return BernsteinEstimate(K=float(K), ratios=ratios)
+    # a zero gap gives inf, or NaN (0/0, skipped) where the moment vanishes too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(gaps <= 0, np.where(second > 1e-12, math.inf, math.nan), second / gaps)
+    ratios[task.theta_star] = math.nan
+    K = float(np.max(ratios, initial=0.0, where=~np.isnan(ratios)))
+    return BernsteinEstimate(K=K, ratios=ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +583,6 @@ class ExperimentReport:
     details: dict = field(default_factory=dict)
 
 
-def _resolve_lambda(lam, m: int, n: int, eps: float, C: float) -> float:
-    """Turn a lambda spec into a number.
-
-    "closed_form" uses the data-independent pick sqrt(8 n log(M/eps))/C,
-    i.e. the closed-form minimizer at the Dirac complexity log M under a
-    uniform prior.  Keeping the choice data-free is what preserves the
-    fixed-lambda theorems' validity inside the violation harness.
-    """
-    if lam == "closed_form" or lam is None:
-        return bounds.select_lambda_closed_form(math.log(m), n, eps, C)
-    lam = float(lam)
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
-    return lam
-
-
 def _build_posterior(rule: str, pi, r, lam_value, fixed_rho):
     if rule == "gibbs":
         return gibbs_posterior(pi, r, lam_value)
@@ -658,7 +635,9 @@ def violation_experiment(
     kind = "free" if oracle else entry.lam_kind
     lam_value = None
     if kind == "free" or (posterior_rule == "gibbs" and kind != "grid"):
-        lam_value = _resolve_lambda(lam, task.m, n, eps, C)
+        # a data-free pick (the closed form at the Dirac complexity log M
+        # under a uniform prior) keeps the fixed-lambda theorems valid here
+        lam_value = bounds.resolve_lambda(lam, math.log(task.m), n, eps, C)
     # free-lambda bounds run at the posterior's lambda; a fixed-lambda bound
     # runs at its catalog default unless a number is given
     lam_bound = lam_value if kind == "free" else (

@@ -200,8 +200,6 @@ def single_draw_certificate(
     The density-ratio term is negative wherever the posterior is thinner
     than the prior, and the certificate preserves that.
     """
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     if rho.weights[theta_idx] <= 0:
@@ -209,17 +207,9 @@ def single_draw_certificate(
     if pi.weights[theta_idx] <= 0:
         raise ValueError("theta_idx lies outside the prior's support")
     log_ratio = math.log(rho.weights[theta_idx] / pi.weights[theta_idx])
-    slack = lam * C**2 / (8.0 * n)
-    complexity = (log_ratio + math.log(1.0 / eps)) / lam
-    value = emp_risk_theta + slack + complexity
-    return Certificate(
-        bound_id="single_draw",
-        value=value,
-        lam=lam,
-        terms={"empirical": emp_risk_theta, "complexity": complexity, "slack": slack},
-        vacuous=value >= C,
-        details={"log_density_ratio": log_ratio, "theta_idx": theta_idx},
-    )
+    cert = bounds._linear("single_draw", emp_risk_theta, log_ratio + math.log(1.0 / eps), lam,
+                          lam * C**2 / (8.0 * n), C)
+    return replace(cert, details={"log_density_ratio": log_ratio, "theta_idx": theta_idx})
 
 
 # ---------------------------------------------------------------------------

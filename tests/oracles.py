@@ -264,3 +264,57 @@ class TwoPassLogisticSurrogate:
         for _ in range(steps):
             theta = theta - step_size * self.grad(theta)
         return theta[0]
+
+
+def subgaussian_by_hand(emp, kl, n, eps, C, lam):
+    """The sub-Gaussian bound emp + lam C^2/n + (KL + log(1/eps))/lam written out.
+
+    The body bounds.bound_subgaussian had before the one linear evaluator,
+    returning (value, terms, lam, vacuous) from the same float operations in
+    the same order; KL = inf gives the vacuous +inf certificate.
+    """
+    if not (lam > 0):
+        raise ValueError("lambda must be positive")
+    if math.isinf(kl):
+        return math.inf, {"empirical": emp, "complexity": math.inf, "slack": 0.0}, lam, True
+    slack = lam * C**2 / n
+    complexity = (kl + math.log(1.0 / eps)) / lam
+    value = emp + slack + complexity
+    return value, {"empirical": emp, "complexity": complexity, "slack": slack}, lam, value >= C
+
+
+def single_draw_by_hand(pi, rho, theta_idx, emp, n, eps, C, lam):
+    """The single-draw certificate r + lam C^2/(8n) + (log(rho/pi) + log(1/eps))/lam.
+
+    The body posteriors.single_draw_certificate had before the one linear
+    evaluator, on weight vectors pi and rho, returning (value, terms, lam,
+    vacuous, log_ratio).
+    """
+    log_ratio = math.log(rho[theta_idx] / pi[theta_idx])
+    slack = lam * C**2 / (8.0 * n)
+    complexity = (log_ratio + math.log(1.0 / eps)) / lam
+    value = emp + slack + complexity
+    terms = {"empirical": emp, "complexity": complexity, "slack": slack}
+    return value, terms, lam, value >= C, log_ratio
+
+
+def bernstein_ratios_loop(gaps, second, theta_star):
+    """(K, ratios) of the Bernstein condition, one hypothesis at a time.
+
+    The loop oracle_lab.estimate_bernstein_constant ran before its array
+    pass: a zero gap gives inf when the second moment exceeds 1e-12 and is
+    skipped (NaN) otherwise; K is the largest ratio, starting from 0.
+    """
+    ratios = np.full(len(gaps), math.nan)
+    K = 0.0
+    for j in range(len(gaps)):
+        if j == theta_star:
+            continue
+        if gaps[j] <= 0:
+            if second[j] > 1e-12:
+                ratios[j] = math.inf
+                K = math.inf
+            continue
+        ratios[j] = second[j] / gaps[j]
+        K = max(K, ratios[j])
+    return float(K), ratios

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacbayes.bounds import (
     BOUND_IDS,
@@ -31,6 +33,7 @@ from pacbayes.bounds import (
     lambda_grid_arithmetic,
     lambda_grid_geometric,
     psi_inverse,
+    resolve_lambda,
     select_lambda_closed_form,
     truncated_empirical_risk,
 )
@@ -41,7 +44,12 @@ from pacbayes.divergences import (
     kl_inverse_upper,
 )
 
-from oracles import golden_section_min, grid_kl_inverse, mp_union_bound_value
+from oracles import (
+    golden_section_min,
+    grid_kl_inverse,
+    mp_union_bound_value,
+    subgaussian_by_hand,
+)
 
 LOG100 = math.log(100)
 
@@ -60,6 +68,10 @@ class TestBoundInput:
             BoundInput(emp_risk=0.5, kl=0.0, n=10, eps=1.5)
         with pytest.raises(ValueError):
             BoundInput(emp_risk=0.5, kl=0.0, n=0, eps=0.05)
+        with pytest.raises(ValueError):
+            BoundInput(emp_risk=0.5, kl=math.nan, n=10, eps=0.05)
+        with pytest.raises(ValueError):
+            BoundInput(emp_risk=0.5, kl=0.0, n=10, eps=0.05, chi2=math.nan)
 
     def test_infinite_kl_allowed(self):
         inp = BoundInput(emp_risk=0.5, kl=math.inf, n=10, eps=0.05)
@@ -374,6 +386,12 @@ class TestGermainGeneric:
         with pytest.raises(ValueError):
             bound_germain_generic(0.5, 0.0, 100, 0.5, 0.0, lambda p, q: 10.0 - q)
 
+    @pytest.mark.parametrize("kl, log_moment", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_budget_is_rejected(self, kl, log_moment):
+        # a NaN budget fails every comparison, so bisection would return p itself
+        with pytest.raises(ValueError):
+            bound_germain_generic(0.1, kl, 100, 0.05, log_moment, kl_bernoulli)
+
 
 class TestSubGaussian:
     def test_optimal_lambda_identity(self):
@@ -394,6 +412,33 @@ class TestSubGaussian:
         sub = bound_subgaussian(inp, lam)
         lin = bound_catoni_linear(inp, lam)
         assert sub.terms["slack"] == pytest.approx(8 * lin.terms["slack"], rel=1e-14)
+
+
+class TestLinearEvaluator:
+    @given(st.floats(0.0, 1.0), st.one_of(st.floats(0.0, 1e6), st.just(math.inf)),
+           st.integers(1, 10**7), st.floats(1e-12, 0.999), st.floats(0.01, 100.0),
+           st.floats(1e-6, 1e8))
+    @settings(max_examples=300, deadline=None)
+    def test_subgaussian_matches_the_hand_formula(self, emp, kl, n, eps, C, lam):
+        emp = emp * C
+        cert = bound_subgaussian(BoundInput(emp, kl, n, eps, C), lam)
+        assert (cert.value, cert.terms, cert.lam, cert.vacuous) == \
+            subgaussian_by_hand(emp, kl, n, eps, C, lam)
+
+    @pytest.mark.parametrize("spec", [None, "closed_form"])
+    @pytest.mark.parametrize("kl", [0.0, LOG100, 1e5, math.inf])
+    def test_resolver_picks_the_closed_form(self, spec, kl):
+        assert resolve_lambda(spec, kl, 1000, 0.05, 2.0) == \
+            select_lambda_closed_form(kl, 1000, 0.05, 2.0)
+
+    def test_resolver_passes_a_number_through(self):
+        assert resolve_lambda(7.5, LOG100, 1000, 0.05) == 7.5
+        assert resolve_lambda("2.5", LOG100, 1000, 0.05) == 2.5
+
+    @pytest.mark.parametrize("spec", [0, 0.0, -1, -1.0, math.nan, "nan"])
+    def test_resolver_rejects_a_nonpositive_lambda(self, spec):
+        with pytest.raises(ValueError):
+            resolve_lambda(spec, LOG100, 1000, 0.05)
 
 
 class TestChiSquare:
@@ -558,6 +603,19 @@ class TestCatalogTable:
             assert not any(math.isnan(v) for v in cert.terms.values()), (bound_id, lam)
             if "posterior" in entry.requires:
                 assert cert.vacuous, (bound_id, lam)
+
+    @pytest.mark.parametrize("bound_id", [b for b in BOUND_IDS if "posterior" in
+                                          BOUND_TABLE[b].requires and BOUND_TABLE[b].scale != "unit"])
+    def test_nan_kl_is_rejected(self, bound_id):
+        # a NaN KL fails every comparison a certificate makes; none may come out
+        # (localized_empirical, on the "unit" scale, computes its own KL)
+        n, eps = 40, 0.05
+        losses = (np.arange(n)[:, None] % np.array([5, 3, 4]) == 0).astype(float)
+        prior = DiscreteDistribution.uniform(3)
+        data = BoundData(losses.mean(axis=0), n, eps, 1.0, prior=prior, kappa=0.25,
+                         losses=losses)
+        with pytest.raises(ValueError):
+            BOUND_TABLE[bound_id].certify(data, prior, 0.2, math.nan, 1.5)
 
     def test_readme_table_matches_the_table(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

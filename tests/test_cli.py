@@ -107,6 +107,24 @@ class TestTaskFileSchema:
         assert doc["lambda"] == pytest.approx(lam, rel=1e-12)
         assert doc["value"] == pytest.approx(0.6986639754911382, rel=1e-12)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 1.5), ("n", True), ("n", "1000"), ("eps", "0.05"), ("eps", True),
+        ("C", "1"), ("kappa", True), ("kappa", "2"), ("log_M", "3.0"), ("log_M", True),
+        ("n", 10**400), ("eps", 10**400),
+    ])
+    def test_scalars_must_be_json_numbers(self, tmp_path, capsys, field, value):
+        # a bool, a string, a float overflow or a fractional n is refused, never coerced
+        doc = {"schema": 1, "n": 1000, "eps": 0.05, "C": 1.0, "log_M": 3.0, field: value}
+        path = write_json(tmp_path / "bad.json", doc)
+        assert cli.main(["certify", path, "--bound", "union_finite"]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_integral_float_n_is_accepted(self, tmp_path):
+        path = write_json(tmp_path / "t.json", {"schema": 1, "n": 1000.0, "eps": 0.05,
+                                                "C": 1.0, "log_M": 3.0})
+        n = cli.load_task_file(path)["n"]
+        assert n == 1000 and isinstance(n, int)
+
     def test_losses_must_match_emp_risk(self, tmp_path):
         path = write_json(tmp_path / "bad.json", {
             "schema": 1, "n": 2, "eps": 0.1, "C": 1.0,

@@ -124,6 +124,8 @@ class TestKlInverseUpper:
     def test_negative_budget(self):
         with pytest.raises(ValueError):
             kl_inverse_upper(0.3, -1e-9)
+        with pytest.raises(ValueError):
+            kl_inverse_upper(0.3, math.nan)
 
     @given(inner_probs, st.floats(min_value=0.0, max_value=3.0),
            st.floats(min_value=0.0, max_value=3.0))

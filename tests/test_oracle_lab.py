@@ -30,7 +30,7 @@ from pacbayes.oracle_lab import (
     _rho_family_inf,
 )
 
-from oracles import rho_family_inf_loop
+from oracles import bernstein_ratios_loop, rho_family_inf_loop
 
 N_GRID = [100, 200, 400, 800, 1600]
 
@@ -292,6 +292,38 @@ class TestBernsteinConstant:
         est = estimate_bernstein_constant(EqualRiskTask())
         assert est.K == math.inf
         assert est.ratios[1] == math.inf
+
+    @pytest.mark.parametrize("kind, params", [
+        ("risk_table", {"p": [0.1, 0.2, 0.6]}),
+        ("risk_table", {"p": [0.1, 0.2, 0.6], "shared_noise": True}),
+        ("threshold_margin", {"tau": 0.25, "grid_size": 11}),
+    ])
+    def test_array_pass_matches_the_loop(self, kind, params):
+        task = make_synthetic_task(kind, params, 0)
+        est = estimate_bernstein_constant(task)
+        K, ratios = bernstein_ratios_loop(task.gaps, task.second_moments_vs_star(),
+                                          task.theta_star)
+        assert est.K == K
+        assert np.array_equal(est.ratios, ratios, equal_nan=True)
+
+    def test_mixed_zero_gaps_match_the_loop(self):
+        class MixedTask(SyntheticTask):
+            # a finite ratio, a zero gap with a zero moment (skipped) and a
+            # zero gap with a nonzero moment (infinite K)
+            kind = "custom"
+            C = 1.0
+            true_risk = np.array([0.3, 0.5, 0.3, 0.3])
+            theta_star = 0
+
+            def second_moments_vs_star(self):
+                return np.array([0.0, 0.3, 0.0, 0.42])
+
+        task = MixedTask()
+        est = estimate_bernstein_constant(task)
+        K, ratios = bernstein_ratios_loop(task.gaps, task.second_moments_vs_star(), 0)
+        assert est.K == K == math.inf
+        assert np.array_equal(est.ratios, ratios, equal_nan=True)
+        assert est.ratios[1] == 0.3 / 0.2 and math.isnan(est.ratios[2])
 
 
 class TestOracleBoundRhs:

@@ -38,7 +38,12 @@ from pacbayes.posteriors import (
     _logistic_raw,
 )
 
-from oracles import TwoPassLogisticSurrogate, ewa_dp_max_regret, ewa_exhaustive_max_regret
+from oracles import (
+    TwoPassLogisticSurrogate,
+    ewa_dp_max_regret,
+    ewa_exhaustive_max_regret,
+    single_draw_by_hand,
+)
 from test_cli_golden import FIXTURES
 
 RISKS3 = np.array([0.1, 0.2, 0.4])
@@ -323,6 +328,22 @@ class TestSingleDraw:
         rho = DiscreteDistribution.dirac(3, 0)
         with pytest.raises(ValueError):
             single_draw_certificate(pi, rho, 1, 0.2, 100, 0.05, 1.0, 10.0)
+
+    @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=6), st.data(),
+           st.floats(0.0, 1.0), st.integers(1, 10**6), st.floats(1e-9, 0.999),
+           st.floats(0.1, 10.0), st.floats(1e-3, 1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_hand_formula(self, raw, data, emp, n, eps, C, lam):
+        pi = DiscreteDistribution(np.full(len(raw), 1.0 / len(raw)))
+        w = np.asarray(raw)
+        rho = DiscreteDistribution(w / w.sum())
+        idx = data.draw(st.integers(0, len(raw) - 1))
+        cert = single_draw_certificate(pi, rho, idx, emp, n, eps, C, lam)
+        value, terms, lam_, vacuous, log_ratio = single_draw_by_hand(
+            pi.weights, rho.weights, idx, emp, n, eps, C, lam)
+        assert (cert.value, cert.terms, cert.lam, cert.vacuous) == (value, terms, lam_, vacuous)
+        assert cert.details == {"log_density_ratio": log_ratio, "theta_idx": idx}
+        assert cert.bound_id == "single_draw"
 
 
 class TestGaussianOptimizer:
