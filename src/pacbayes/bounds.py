@@ -18,6 +18,11 @@ Conventions
   certificate of ``posteriors``) share one evaluator, ``_linear``, which
   adds the lambda penalty and (complexity nats)/lambda to the empirical
   term; :func:`resolve_lambda` turns a lambda flag into a number.
+* Every bound assumes n i.i.d. losses in [0, C] and a confidence level eps.
+  ``_check_inputs`` is the one check of these hypotheses: n an integer
+  >= 1, eps in (0, 1), C > 0 and every risk in [0, C], NaN failing each test.
+  :class:`BoundInput` runs it (and adds KL >= 0), as does every entry point
+  taking n, eps or risks without one; bad input raises ValueError.
 
 :data:`BOUND_TABLE` maps every catalog id to its required inputs, loss
 scale, lambda policy and evaluator; the CLI's certify and compare and the
@@ -69,13 +74,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _check_inputs(n, eps, C=1.0, lo=0.0, hi=None, name="emp_risk") -> None:
+    """The one check of the hypotheses every bound shares, NaN failing each test.
+
+    n must be an integer >= 1, eps lie in (0, 1) (None where no confidence
+    level enters), C be positive and the risks lie in [0, C]: lo is one risk,
+    or with hi the smallest and largest of many.
+    """
+    if not (n >= 1 and n % 1 == 0):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if eps is not None and not (0 < eps < 1):
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+    if hi is None:
+        hi = lo
+    if not (0 <= lo <= hi <= C > 0):
+        if not (C > 0):
+            raise ValueError(f"C must be positive, got {C!r}")
+        got = lo if hi is lo else f"values in [{float(lo)!r}, {float(hi)!r}]"
+        raise ValueError(f"{name} must lie in [0, C] = [0, {C!r}], got {got}")
+
+
+@dataclass(frozen=True, slots=True)
 class BoundInput:
     """Sufficient statistics consumed by the bound catalog.
 
     emp_risk   E_rho[r] in [0, C]
     kl         KL(rho || pi) in nats, >= 0 (may be +inf)
-    n          sample size >= 1
+    n          sample size, an integer >= 1
     eps        confidence parameter in (0, 1)
     C          loss range upper bound > 0
     chi2       optional chi-square divergence, >= 0
@@ -91,16 +116,9 @@ class BoundInput:
     kappa: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.n >= 1):
-            raise ValueError("n must be >= 1")
-        if not (0 < self.eps < 1):
-            raise ValueError("eps must lie in (0, 1)")
-        if not (self.C > 0):
-            raise ValueError("C must be positive")
-        if math.isnan(self.emp_risk) or not (0 <= self.emp_risk <= self.C):
-            raise ValueError(f"emp_risk must lie in [0, C], got {self.emp_risk!r}")
+        _check_inputs(self.n, self.eps, self.C, self.emp_risk)
         if not (self.kl >= 0):
-            raise ValueError("kl must be nonnegative")
+            raise ValueError(f"kl must be nonnegative, got {self.kl!r}")
         if self.chi2 is not None and not (self.chi2 >= 0):
             raise ValueError("chi2 must be nonnegative")
         if self.kappa is not None and not (self.kappa > 0):
@@ -176,19 +194,17 @@ def bound_union_finite(
     """Finite-class Hoeffding union bound: r_min + C sqrt(log(M/eps)/(2n)).
 
     Exactly one of ``M`` and ``log_M`` must be given; supplying log M keeps
-    instances like M = 2^1000100 finite in float arithmetic.
+    instances like M = 2^1000100 finite in float arithmetic.  log M is the
+    KL of a Dirac under the uniform prior, and is checked as one.
     """
     if (M is None) == (log_M is None):
         raise ValueError("supply exactly one of M and log_M")
     if log_M is None:
-        if M < 1:
-            raise ValueError("M must be >= 1")
+        if not (M >= 1):
+            raise ValueError(f"M must be >= 1, got {M!r}")
         log_M = math.log(M)
-    if not (n >= 1):
-        raise ValueError("n must be >= 1")
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    slack = C * math.sqrt((log_M + math.log(1.0 / eps)) / (2.0 * n))
+    inp = BoundInput(r_min, log_M, n, eps, C)
+    slack = C * math.sqrt((log_M + inp.log_inv_eps) / (2.0 * n))
     value = r_min + slack
     return _certificate(
         "union_finite",
@@ -246,15 +262,13 @@ def resolve_lambda(spec, kl: float, n: int, eps: float, C: float = 1.0) -> float
 
 def lambda_grid_arithmetic(n: int) -> np.ndarray:
     """The arithmetic grid {1, 2, ..., n}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_inputs(n, None)
     return np.arange(1, n + 1, dtype=float)
 
 
 def lambda_grid_geometric(n: int) -> np.ndarray:
     """The geometric grid {e^k : k in N} intersected with [1, n]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_inputs(n, None)
     kmax = int(math.floor(math.log(n))) if n > 1 else 0
     return np.exp(np.arange(0, kmax + 1, dtype=float))
 
@@ -400,19 +414,15 @@ def bound_germain_generic(
 
     Returns sup{q in [p, 1] : D(p, q) <= (KL + log_moment + log(1/eps))/n},
     found by bisection and rounded up by at most tol.  ``log_moment`` is the
-    caller-supplied value (or an upper bound) of log E_S E_pi e^{n D(r, R)}.
+    caller-supplied value (or an upper bound) of log E_S E_pi e^{n D(r, R)};
+    p, kl, n and eps are checked as a BoundInput with C = 1.
     D(p, .) must be nondecreasing on [p, 1]; a starting point already over
     budget, or a NaN budget, means the bracketing assumption fails and is
     reported as an error.  It takes a function handle, so it is Python-only
     and has no catalog row.
     """
-    if not (0 <= p <= 1):
-        raise ValueError("p must lie in [0, 1]")
-    if not (n >= 1):
-        raise ValueError("n must be >= 1")
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    budget = (kl + log_moment + math.log(1.0 / eps)) / n
+    inp = BoundInput(p, kl, n, eps)
+    budget = (kl + log_moment + inp.log_inv_eps) / n
     if not (D(p, p) <= budget):
         raise ValueError("bracketing failure: D(p, p) is not within the budget (a NaN input, "
                          "or D is not a nonnegative nondecreasing divergence on [p, 1])")
@@ -471,13 +481,17 @@ def psi_inverse(alpha: float, v: float) -> float:
     return -math.expm1(-alpha * v) / alpha
 
 
-def truncated_empirical_risk(losses: np.ndarray, n: int, lam: float) -> float:
-    """Average of Psi_{lam/n}(min(loss, n/lam)) over the loss sample."""
+def truncated_empirical_risk(losses: np.ndarray, n: int, lam: float):
+    """Average of Psi_{lam/n}(min(loss, n/lam)) over the loss sample.
+
+    A 1-D sample gives a float; a 2-D array gives one average per row.
+    """
     alpha = lam / n
     clipped = np.minimum(np.asarray(losses, dtype=float), n / lam)
     with np.errstate(divide="ignore"):
         vals = -np.log1p(-clipped * alpha) / alpha
-    return float(np.mean(vals))
+    mean = np.mean(vals, axis=-1)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def bound_truncated(
@@ -492,8 +506,8 @@ def bound_truncated(
     """
     if not (lam > 0):
         raise ValueError("lambda must be positive")
-    if delta_tail < 0:
-        raise ValueError("delta_tail must be nonnegative")
+    if not (trunc_emp_risk >= 0 and delta_tail >= 0):
+        raise ValueError("trunc_emp_risk and delta_tail must be nonnegative")
     alpha = lam / inp.n
     arg = trunc_emp_risk + (inp.kl + inp.log_inv_eps) / lam
     main = psi_inverse(alpha, arg)
@@ -537,8 +551,7 @@ def bound_localized_empirical(
         raise ValueError("xi must lie in [0, 1)")
     if not (lam > 0):
         raise ValueError("lambda must be positive")
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
+    _check_inputs(n, eps)
     r = np.asarray(emp_risk_vector, dtype=float)
     if r.shape != pi.weights.shape:
         raise ValueError("emp_risk_vector must match the prior support")
@@ -600,8 +613,8 @@ class BoundData:
     def truncated_risks(self, lam: float) -> np.ndarray:
         """Per-hypothesis truncated empirical risks at lam, computed once per lam."""
         if lam not in self._truncated:
-            self._truncated[lam] = np.array(
-                [truncated_empirical_risk(column, self.n, lam) for column in self.losses.T])
+            self._truncated[lam] = truncated_empirical_risk(
+                np.ascontiguousarray(self.losses.T), self.n, lam)
         return self._truncated[lam]
 
 

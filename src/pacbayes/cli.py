@@ -291,7 +291,7 @@ def cmd_certify(args) -> int:
     rho, lam = None, None
     if task["emp_risk"] is not None and task["log_prior"] is not None:
         rho, lam = _resolve_posterior(task, args.posterior, args.lam)
-    if args.lam is None and entry.lam_default is not None:
+    if args.lam in (None, "closed_form") and entry.lam_kind == "fixed":
         lam = entry.lam_default
     cert = evaluate_bound(task, args.bound, rho, lam, xi=args.xi)
     doc = certificate_json(cert)

@@ -69,20 +69,14 @@ class RiskTable:
         r = np.asarray(self.emp_risk, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise ValueError("emp_risk must be a nonempty vector")
-        if np.any(r < 0) or np.any(r > self.C):
-            raise ValueError("emp_risk entries must lie in [0, C]")
-        if not (self.n >= 1):
-            raise ValueError("n must be >= 1")
-        if not (self.C > 0):
-            raise ValueError("C must be positive")
+        bounds._check_inputs(self.n, None, self.C, r.min(), r.max())
         r.flags.writeable = False
         object.__setattr__(self, "emp_risk", r)
         if self.losses is not None:
             ell = np.asarray(self.losses, dtype=float)
             if ell.shape != (self.n, r.size):
                 raise ValueError(f"losses must have shape ({self.n}, {r.size})")
-            if np.any(ell < 0) or np.any(ell > self.C):
-                raise ValueError("loss entries must lie in [0, C]")
+            bounds._check_inputs(self.n, None, self.C, ell.min(), ell.max(), "losses")
             if np.max(np.abs(ell.mean(axis=0) - r)) > LOSS_MEAN_TOL:
                 raise ValueError("emp_risk must equal the column means of losses")
             ell.flags.writeable = False
@@ -200,8 +194,7 @@ def single_draw_certificate(
     The density-ratio term is negative wherever the posterior is thinner
     than the prior, and the certificate preserves that.
     """
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
+    bounds._check_inputs(n, eps, C, emp_risk_theta, name="emp_risk_theta")
     if rho.weights[theta_idx] <= 0:
         raise ValueError("theta_idx lies outside the posterior's support")
     if pi.weights[theta_idx] <= 0:
@@ -474,13 +467,6 @@ def optimize_gaussian_posterior(
         return kl_gaussian_diag(DiagonalGaussian(mean=m - prior_mean, std=s), sigma)
 
     const = lam * C**2 / (8.0 * n_cert)
-
-    if d == 0:
-        risk = float(work.loss(np.zeros((1, 0)))[0])
-        cert = bounds.bound_catoni_linear(BoundInput(risk, 0.0, n_cert, eps, C), lam)
-        return DiagonalGaussian(mean=np.zeros(0), std=sigma), replace(
-            cert, details={"kl": 0.0, "mc_risk": risk, "n_cert": n_cert})
-
     m = prior_mean.copy()
     log_s = math.log(sigma)
 

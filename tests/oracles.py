@@ -298,6 +298,16 @@ def single_draw_by_hand(pi, rho, theta_idx, emp, n, eps, C, lam):
     return value, terms, lam, value >= C, log_ratio
 
 
+def truncated_risks_loop(losses, n, lam):
+    """Per-hypothesis truncated empirical risks, one loss column at a time.
+
+    The loop BoundData.truncated_risks ran before its one row pass.
+    """
+    from pacbayes.bounds import truncated_empirical_risk
+
+    return np.array([truncated_empirical_risk(column, n, lam) for column in losses.T])
+
+
 def bernstein_ratios_loop(gaps, second, theta_star):
     """(K, ratios) of the Bernstein condition, one hypothesis at a time.
 

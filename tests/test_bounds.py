@@ -49,6 +49,7 @@ from oracles import (
     grid_kl_inverse,
     mp_union_bound_value,
     subgaussian_by_hand,
+    truncated_risks_loop,
 )
 
 LOG100 = math.log(100)
@@ -72,6 +73,8 @@ class TestBoundInput:
             BoundInput(emp_risk=0.5, kl=math.nan, n=10, eps=0.05)
         with pytest.raises(ValueError):
             BoundInput(emp_risk=0.5, kl=0.0, n=10, eps=0.05, chi2=math.nan)
+        with pytest.raises(ValueError, match="integer"):
+            BoundInput(emp_risk=0.5, kl=0.0, n=1.5, eps=0.05)
 
     def test_infinite_kl_allowed(self):
         inp = BoundInput(emp_risk=0.5, kl=math.inf, n=10, eps=0.05)
@@ -107,6 +110,14 @@ class TestUnionFinite:
             bound_union_finite(0.0, 10, 0.05, 1.0)
         with pytest.raises(ValueError):
             bound_union_finite(0.0, 10, 0.05, 1.0, M=3, log_M=1.0)
+
+    @pytest.mark.parametrize("r_min, C, size", [
+        (0.1, 1.0, {"log_M": math.nan}), (0.1, 1.0, {"M": math.nan}),
+        (math.nan, 1.0, {"M": 10}), (0.1, -1.0, {"M": 10})])
+    def test_bad_input_is_rejected(self, r_min, C, size):
+        # each of these once gave a NaN or negative certificate flagged non-vacuous
+        with pytest.raises(ValueError):
+            bound_union_finite(r_min, 100, 0.05, C, **size)
 
 
 class TestCatoniLinear:
@@ -392,6 +403,11 @@ class TestGermainGeneric:
         with pytest.raises(ValueError):
             bound_germain_generic(0.1, kl, 100, 0.05, log_moment, kl_bernoulli)
 
+    def test_negative_kl_is_rejected(self):
+        # a negative KL would shrink the budget and lower the certificate
+        with pytest.raises(ValueError):
+            bound_germain_generic(0.1, -0.3, 100, 0.05, 0.0, kl_bernoulli)
+
 
 class TestSubGaussian:
     def test_optimal_lambda_identity(self):
@@ -477,6 +493,19 @@ class TestTruncated:
         assert cert.terms["slack"] == 0.0
         assert math.isfinite(cert.value)
 
+    @pytest.mark.parametrize("trunc, tail", [(math.nan, 0.0), (0.1, math.nan), (0.1, -0.1)])
+    def test_nan_or_negative_terms_are_rejected(self, trunc, tail):
+        with pytest.raises(ValueError):
+            bound_truncated(BoundInput(0.1, 0.5, 100, 0.05), 10.0, trunc, tail)
+
+    @pytest.mark.parametrize("n, m", [(60, 8), (40, 8), (1000, 300), (7, 5)])
+    def test_one_pass_matches_the_column_loop(self, n, m):
+        losses = np.random.default_rng(n + m).uniform(0.0, 1.0, size=(n, m))
+        data = BoundData(losses.mean(axis=0), n, 0.05, losses=losses)
+        for lam in (1.0, n / 2.0, 3.0 * n):  # 3n clips losses above 1/3, where Psi is +inf
+            assert np.array_equal(data.truncated_risks(lam), truncated_risks_loop(losses, n, lam))
+            assert data.truncated_risks(lam) is data.truncated_risks(lam)
+
     def test_small_alpha_identity(self):
         assert psi_inverse(1e-8, 0.3) == pytest.approx(0.3, abs=1e-6)
         assert psi_inverse(0.0, 0.3) == 0.3
@@ -524,6 +553,12 @@ class TestLocalizedEmpirical:
     def test_xi_domain(self):
         with pytest.raises(ValueError):
             bound_localized_empirical(self.r, self.rho, self.pi, 100, 0.05, 10.0, 1.0)
+
+    @pytest.mark.parametrize("n", [0, -5, 1.5])
+    def test_sample_size_domain(self, n):
+        # n = 0 once divided by zero and n = -5 certified a negative value
+        with pytest.raises(ValueError):
+            bound_localized_empirical(self.r, self.rho, self.pi, n, 0.05, 10.0, 0.5)
 
 
 class TestSharedInvariants:

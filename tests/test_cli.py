@@ -283,6 +283,14 @@ class TestCertify:
                              "--posterior", "dirac:0", "--out", str(path), *argv]) == 0
         assert out.read_bytes() == explicit.read_bytes()
 
+    def test_thiemann_closed_form_flag_is_the_default(self, small_instance, capsys):
+        # thiemann's lambda is fixed; closed_form names no other lambda, as in violate
+        outputs = []
+        for argv in ([], ["--lambda", "closed_form"]):
+            assert cli.main(["certify", small_instance, "--bound", "thiemann", *argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 @pytest.mark.parametrize("fixture, argv, field", [
     ("small_instance", ["certify", "--bound", "catoni_linear", "--posterior", "dirac:0",

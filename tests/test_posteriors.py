@@ -10,7 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pacbayes import divergences
-from pacbayes.bounds import BoundInput, bound_catoni_linear, lambda_grid_geometric
+from pacbayes.bounds import (
+    BoundInput,
+    bound_catoni_linear,
+    bound_seeger_maurer,
+    lambda_grid_geometric,
+)
 from pacbayes.divergences import (
     DiscreteDistribution,
     kl_discrete,
@@ -68,6 +73,15 @@ class TestRiskTable:
                 emp_risk=np.array([0.5]), n=2, C=1.0,
                 losses=np.array([[2.0], [-1.0]]),
             )
+        with pytest.raises(ValueError):
+            RiskTable(emp_risk=np.array([0.5, math.nan]), n=3, C=1.0)
+        with pytest.raises(ValueError):
+            RiskTable(emp_risk=np.array([0.5]), n=2, C=1.0,
+                      losses=np.array([[math.nan], [0.5]]))
+
+    def test_sample_size_must_be_integral(self):
+        with pytest.raises(ValueError, match="integer"):
+            RiskTable(emp_risk=np.array([0.5, 0.4]), n=1.5, C=1.0)
 
 
 class TestGibbsPosterior:
@@ -329,11 +343,20 @@ class TestSingleDraw:
         with pytest.raises(ValueError):
             single_draw_certificate(pi, rho, 1, 0.2, 100, 0.05, 1.0, 10.0)
 
+    @pytest.mark.parametrize("emp, n, C", [
+        (0.2, 0, 1.0), (0.2, -10, 1.0), (0.2, 100, -1.0), (-3.0, 100, 1.0), (math.nan, 100, 1.0)])
+    def test_bad_input_is_rejected(self, emp, n, C):
+        # r(theta) = -3 once certified a negative value flagged non-vacuous
+        pi = DiscreteDistribution.uniform(3)
+        with pytest.raises(ValueError):
+            single_draw_certificate(pi, pi, 1, emp, n, 0.05, C, 10.0)
+
     @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=6), st.data(),
            st.floats(0.0, 1.0), st.integers(1, 10**6), st.floats(1e-9, 0.999),
            st.floats(0.1, 10.0), st.floats(1e-3, 1e6))
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_hand_formula(self, raw, data, emp, n, eps, C, lam):
+    def test_matches_the_hand_formula(self, raw, data, u, n, eps, C, lam):
+        emp = C * u  # r(theta) in [0, C]
         pi = DiscreteDistribution(np.full(len(raw), 1.0 / len(raw)))
         w = np.asarray(raw)
         rho = DiscreteDistribution(w / w.sum())
@@ -404,6 +427,10 @@ class TestGaussianOptimizer:
         assert gauss.dim == 0
         expected = 0.25 + 20.0 / 800 + math.log(20) / 20.0
         assert cert.value == pytest.approx(expected, rel=1e-12)
+        _, seeger = optimize_gaussian_posterior(
+            ConstantSurrogate(0.25, 100), 1.0, cfg, 20.0, 0.05, certificate="seeger")
+        assert seeger.bound_id == "seeger"
+        assert seeger.value == bound_seeger_maurer(BoundInput(0.25, 0.0, 100, 0.05)).value
 
     def test_divergence_detected(self):
         task = GaussianQuadraticTask()
