@@ -273,6 +273,22 @@ def lambda_grid_geometric(n: int) -> np.ndarray:
     return np.exp(np.arange(0, kmax + 1, dtype=float))
 
 
+def _lambda_grid_values(grid: np.ndarray, emps: np.ndarray, kls: np.ndarray, n, eps, C=1.0):
+    """The lambda-grid objective at every entry, with the checks BoundInput makes.
+
+    emps and kls hold E_rho[r] and KL(rho || pi) of the posterior at each
+    lambda in grid, in their last axis, for one sample or one per row; each
+    value has the bits of bound_catoni_linear at KL + log(card).
+    """
+    _check_inputs(n, eps, C, emps.min(), emps.max())
+    if not (grid > 0).all():
+        raise ValueError("lambda must be positive")
+    if not (kls >= 0).all():
+        raise ValueError(f"kl must be nonnegative, got values down to {kls.min()!r}")
+    nats = kls + math.log(grid.size) + math.log(1.0 / eps)
+    return emps + grid * C**2 / (8.0 * n) + nats / grid
+
+
 def bound_lambda_grid(
     entries: Sequence[tuple], n: int, eps: float, C: float = 1.0
 ) -> Certificate:
@@ -282,13 +298,17 @@ def bound_lambda_grid(
     posterior (and hence emp_risk and kl) may differ across lambdas.  The
     certificate is the grid minimum of the linear bound with KL + log(card),
 
-        emp_risk(lam) + lam C^2/(8n) + (kl(lam) + log(card/eps)) / lam.
+        emp_risk(lam) + lam C^2/(8n) + (kl(lam) + log(card/eps)) / lam,
+
+    the earliest entry winning a tie.
     """
     if len(entries) == 0:
         raise ValueError("grid must be nonempty")
+    grid, emps, kls = (np.array(column, dtype=float) for column in zip(*entries))
+    k = int(np.argmin(_lambda_grid_values(grid, emps, kls, n, eps, C)))
     log_card = math.log(len(entries))
-    best = min((bound_catoni_linear(BoundInput(emp, kl + log_card, n, eps, C), lam)
-                for lam, emp, kl in entries), key=lambda c: c.value)
+    best = bound_catoni_linear(BoundInput(float(emps[k]), float(kls[k]) + log_card, n, eps, C),
+                               float(grid[k]))
     return replace(best, bound_id="lambda_grid",
                    details={"grid_size": len(entries), "log_card": log_card})
 

@@ -75,6 +75,18 @@ class DiscreteDistribution:
         return cls(w)
 
     @classmethod
+    def _rows(cls, w: np.ndarray) -> list:
+        """One distribution per row of a weight matrix _check_weights has passed,
+        without checking each row again."""
+        w.flags.writeable = False
+        rows = []
+        for row in w:
+            rho = object.__new__(cls)
+            object.__setattr__(rho, "weights", row)
+            rows.append(rho)
+        return rows
+
+    @classmethod
     def from_weights(cls, weights) -> "DiscreteDistribution":
         """Normalize an arbitrary nonnegative weight vector."""
         w = np.asarray(weights, dtype=float)
@@ -200,8 +212,13 @@ def _logsumexp(a):
     B row values, each the bits of the 1-D call on that row.
     """
     # Reducing the transpose over its first axis leaves a 1-D input's maximum
-    # a numpy scalar, which keeps the per-call cost of the vector case low.
-    a = np.asarray(a, dtype=float).T
+    # a numpy scalar, which keeps the per-call cost of the vector case low.  A
+    # matrix is made C-contiguous first: reduced over its strided axis, a
+    # Fortran-ordered one would sum each row in another order.
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 1:
+        a = np.ascontiguousarray(a)
+    a = a.T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = a.max(axis=0)
         at_top = a == top
@@ -238,15 +255,25 @@ _FAMILY_BLOCK = 1 << 18
 def _gibbs_family(logpi: np.ndarray, r: np.ndarray, lams, logq: np.ndarray):
     """The Gibbs measures pi_{-lam r}, one checked weight row per lam, in blocks.
 
-    Yields (w, E_w[r], KL(w || q)), q with log masses logq, for consecutive
-    blocks of at most _FAMILY_BLOCK entries (at least one row); each row has
-    the bits of gibbs_posterior at its lam."""
+    r is one risk vector, or a (T, M) matrix giving the measures of every
+    (risk row, lam) pair, risk row by risk row.  Yields (w, E_w[r], KL(w || q)),
+    q with log masses logq, for consecutive blocks of at most _FAMILY_BLOCK
+    entries (at least one row), which hold whole families of lams where one
+    fits.  Each row has the bits of gibbs_posterior at its lam, and each
+    E_w[r] the bits of the (lams x M) @ r product of its block."""
     lams = np.asarray(lams, dtype=float)
-    rows = max(1, _FAMILY_BLOCK // r.size)
-    for i in range(0, lams.size, rows):
-        w = _gibbs_weights(logpi, -lams[i:i + rows, None] * r)
-        _check_weights(w)
-        yield w, w @ r, _kl_log_prior(w, logq)
+    R = np.atleast_2d(r)
+    M = R.shape[1]
+    rows = max(1, _FAMILY_BLOCK // M)
+    step = min(rows, lams.size)
+    per = max(1, rows // lams.size)
+    for t in range(0, R.shape[0], per):
+        Rb = R[t:t + per]
+        for i in range(0, lams.size, step):
+            w = _gibbs_weights(logpi, (-lams[i:i + step, None] * Rb[:, None, :]).reshape(-1, M))
+            _check_weights(w)
+            emp = np.matmul(w.reshape(Rb.shape[0], -1, M), Rb[:, :, None]).reshape(-1)
+            yield w, emp, _kl_log_prior(w, logq)
 
 
 def _kl_log_prior(r: np.ndarray, logp: np.ndarray):

@@ -18,19 +18,21 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds
+from . import bounds, divergences
 from .bounds import bernstein_g
 from .divergences import (
     DiscreteDistribution,
     gibbs_reweight,
     kl_discrete,
+    _check_weights,
     _gibbs_family,
+    _gibbs_weights,
     _kl_log_prior,
     _log_gibbs,
     _logsumexp,
     _safe_log,
 )
-from .posteriors import RiskTable, gibbs_posterior, minimize_bound_grid
+from .posteriors import _gibbs_grid
 from ._util import child_rng
 
 __all__ = [
@@ -583,14 +585,43 @@ class ExperimentReport:
     details: dict = field(default_factory=dict)
 
 
-def _build_posterior(rule: str, pi, r, lam_value, fixed_rho):
-    if rule == "gibbs":
-        return gibbs_posterior(pi, r, lam_value)
-    if rule == "erm_dirac":
-        return DiscreteDistribution.dirac(r.size, int(np.argmin(r)))
+def _check_support_size(name: str, dist: Optional[DiscreteDistribution], m: int) -> None:
+    if dist is not None and dist.size != m:
+        raise ValueError(f"{name} has {dist.size} masses but the task has {m} hypotheses")
+
+
+def _stacked_draws(task: SyntheticTask, n: int, keys: list):
+    """task.sample_emp_risk(n, child_rng(*key)) for each key, stacked in order
+    into C-contiguous (draws x M) blocks of at most _FAMILY_BLOCK entries, at
+    least one draw each."""
+    rows = max(1, divergences._FAMILY_BLOCK // task.m)
+    for i in range(0, len(keys), rows):
+        yield np.array([task.sample_emp_risk(n, child_rng(*key)) for key in keys[i:i + rows]],
+                       dtype=float)
+
+
+def _row_dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The dot product of each row of w with x, or with the matching row of x,
+    each with the bits of np.dot on that row (a gemv or einsum would differ)."""
+    return np.matmul(w[:, None, :], x[..., None])[:, 0, 0]
+
+
+def _posterior_rows(rule: str, logpi: np.ndarray, R: np.ndarray, lam, fixed):
+    """One posterior per row r of R under a violation_experiment rule, with the
+    checks of the one-posterior constructors: the weight matrix and each row's
+    DiscreteDistribution.  A gibbs lam is one value or a column of one per row."""
     if rule == "fixed_rho":
-        return fixed_rho if fixed_rho is not None else pi
-    raise ValueError(f"unknown posterior rule {rule!r}")
+        return np.broadcast_to(fixed.weights, R.shape), [fixed] * R.shape[0]
+    if rule == "gibbs":
+        h = -lam * R
+        if h.shape[-1] != logpi.size or not np.isfinite(h).all():
+            raise ValueError("h must be finite and match the support size")
+        w = _gibbs_weights(logpi, h)
+    else:
+        w = np.zeros(R.shape)
+        w[np.arange(R.shape[0]), R.argmin(axis=1)] = 1.0
+    _check_weights(w)
+    return w, DiscreteDistribution._rows(w)
 
 
 def violation_experiment(
@@ -610,15 +641,25 @@ def violation_experiment(
 ) -> ExperimentReport:
     """Estimate how often a bound's probability statement fails.
 
-    Each trial samples a fresh empirical-risk realization, forms the
-    posterior per ``posterior_rule`` ("gibbs", "erm_dirac", "fixed_rho"),
-    evaluates the bound, and compares against the exact E_rho[R] from the
-    task's closed form; a violation is E_rho[R] > corruption * bound.
-    ``corruption`` < 1 deliberately falsifies the certificate and serves as
-    a sensitivity control for the harness itself.
+    Trial t draws a fresh empirical-risk vector r from child_rng(seed, t),
+    forms the posterior per ``posterior_rule`` ("gibbs", "erm_dirac",
+    "fixed_rho", pi unless given), evaluates the bound, and compares it
+    against the exact E_rho[R] from the task's closed form; a violation is
+    E_rho[R] > corruption * bound.  ``corruption`` < 1 deliberately
+    falsifies the certificate and serves as a sensitivity control for the
+    harness itself.
+
+    The draws stay one per trial; they are stacked into (trials x M) blocks
+    of at most divergences._FAMILY_BLOCK entries.  In a block every
+    posterior is one row of one checked weight matrix, E_rho[r], E_rho[R]
+    and KL(rho || pi) are one pass each, and lambda_grid scores every
+    (trial, lambda) pair at once; only the certificate itself is evaluated
+    trial by trial.  Each row has the bits of the trial-by-trial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_support_size("pi", pi, task.m)
+    _check_support_size("fixed_rho", fixed_rho, task.m)
     pi = pi or DiscreteDistribution.uniform(task.m)
     R = task.true_risk
     # the oracle right-hand side is a lab-only case outside the catalog
@@ -633,6 +674,8 @@ def violation_experiment(
     # closed-form lambda and the vacuity threshold
     C = task.C if math.isfinite(task.C) else 1.0
     kind = "free" if oracle else entry.lam_kind
+    if kind != "grid" and posterior_rule not in ("gibbs", "erm_dirac", "fixed_rho"):
+        raise ValueError(f"unknown posterior rule {posterior_rule!r}")
     lam_value = None
     if kind == "free" or (posterior_rule == "gibbs" and kind != "grid"):
         # a data-free pick (the closed form at the Dirac complexity log M
@@ -648,29 +691,34 @@ def violation_experiment(
         grid = bounds.lambda_grid_geometric(n)
     logpi = _safe_log(pi.weights)
 
-    rows = []
-    for t in range(trials):
-        r = task.sample_emp_risk(n, child_rng(seed, t))
+    true, values = [], []
+    for risks in _stacked_draws(task, n, [(seed, t) for t in range(trials)]):
         if kind == "grid":
-            rho, cert = minimize_bound_grid(pi, RiskTable(r, n, C), grid, eps)
-            value = cert.value
+            bounds._check_inputs(n, None, C, risks.min(), risks.max())
+            scores = bounds._lambda_grid_values(grid, *_gibbs_grid(logpi, risks, grid), n, eps, C)
+            best = scores.argmin(axis=1)
+            w, _ = _posterior_rows("gibbs", logpi, risks, grid[best, None], None)
+            values += scores[np.arange(best.size), best].tolist()
         else:
-            rho = _build_posterior(posterior_rule, pi, r, lam_value, fixed_rho)
+            w, rhos = _posterior_rows(posterior_rule, logpi, risks, lam_value, fixed_rho or pi)
             if oracle:
-                value = oracle_value
+                values += [oracle_value] * len(rhos)
             else:
-                data = bounds.BoundData(r, n, eps, C, prior=pi, xi=xi,
-                                        kappa=getattr(task, "kappa", None))
-                emp, kl = float(np.dot(rho.weights, r)), _kl_log_prior(rho.weights, logpi)
-                value = entry.certify(data, rho, emp, kl, lam_bound).value
-        true = float(np.dot(rho.weights, R))
+                for r, rho, emp, kl in zip(risks, rhos, _row_dots(w, risks).tolist(),
+                                           _kl_log_prior(w, logpi).tolist()):
+                    data = bounds.BoundData(r, n, eps, C, prior=pi, xi=xi,
+                                            kappa=getattr(task, "kappa", None))
+                    values.append(entry.certify(data, rho, emp, kl, lam_bound).value)
+        true += _row_dots(w, R).tolist()
+    rows = []
+    for true_t, value in zip(true, values):
         corrupted = corruption * value
         rows.append({
             "n": n,
             "seed": seed,
-            "excess_risk": true - task.risk_star,
+            "excess_risk": true_t - task.risk_star,
             "bound_value": corrupted,
-            "violated": bool(true > corrupted),
+            "violated": bool(true_t > corrupted),
         })
     violations = sum(row["violated"] for row in rows)
     rate = violations / trials
@@ -701,13 +749,17 @@ def rate_experiment(
     """Measure the convergence rate of the Gibbs posterior's excess risk.
 
     For each n in the (geometric, >= 5 point) grid, averages the exact
-    excess risk E_{rho_lam}[R] - R* over ``reps`` fresh samples, with
-    lam = n/max(2K, C) under the fast rule or the closed-form slow lambda
-    (at the a-priori complexity log M) under the slow rule.  Returns the
-    least-squares slope of log(mean excess) against log(n); excess risks
-    are accumulated in the log domain, so exponentially small values do
-    not underflow.  A task with no excess risk anywhere yields the NaN
-    sentinel slope.
+    excess risk E_{rho_lam}[R] - R* over ``reps`` fresh samples, rep k of
+    grid point i drawn from child_rng(seed, i, k), with lam = n/max(2K, C)
+    under the fast rule or the closed-form slow lambda (at the a-priori
+    complexity log M) under the slow rule.  Returns the least-squares slope
+    of log(mean excess) against log(n); excess risks are accumulated in the
+    log domain, so exponentially small values do not underflow.  A task
+    with no excess risk anywhere yields the NaN sentinel slope.
+
+    The draws of one n are stacked into blocks as in violation_experiment,
+    and each block's log Gibbs weights and log excess risks are one matrix
+    pass each, every row with the bits of the rep-by-rep loop.
     """
     n_grid = [int(v) for v in n_grid]
     validate_geometric_grid(n_grid)
@@ -715,6 +767,7 @@ def rate_experiment(
         raise ValueError("rule must be 'fast' or 'slow'")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    _check_support_size("pi", pi, task.m)
     pi = pi or DiscreteDistribution.uniform(task.m)
     C = task.C
     if rule == "fast" and K is None:
@@ -722,7 +775,7 @@ def rate_experiment(
     logpi = _safe_log(pi.weights)
     gaps = task.gaps
     others = np.flatnonzero(np.arange(task.m) != task.theta_star)
-    log_gaps = _safe_log(gaps[others]) if others.size else None
+    log_gaps = _safe_log(gaps[others])
 
     rows = []
     log_means = []
@@ -733,13 +786,13 @@ def rate_experiment(
             else bounds.select_lambda_closed_form(math.log(task.m), n, eps, C)
         )
 
-        log_excess = []
-        for rep in range(reps):
-            r = task.sample_emp_risk(n, child_rng(seed, i, rep))
-            logw = _log_gibbs(logpi, -lam * r)
-            log_excess.append(-math.inf if log_gaps is None
-                              else _logsumexp(logw[others] + log_gaps))
-        if all(math.isinf(v) for v in log_excess):
+        if others.size:
+            log_excess = np.concatenate([
+                _logsumexp(_log_gibbs(logpi, -lam * risks)[:, others] + log_gaps)
+                for risks in _stacked_draws(task, n, [(seed, i, rep) for rep in range(reps)])])
+        else:
+            log_excess = np.full(reps, -math.inf)
+        if np.isinf(log_excess).all():
             log_mean = -math.inf
         else:
             log_mean = _logsumexp(log_excess) - math.log(reps)

@@ -117,12 +117,18 @@ def minimize_bound_grid(
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     r = risk_table.emp_risk
-    logpi = _safe_log(pi.weights)
-    emps, kls = (np.concatenate(c) for c in
-                 zip(*((emp, kl) for _, emp, kl in _gibbs_family(logpi, r, grid, logpi))))
-    entries = list(zip(grid.tolist(), emps.tolist(), kls.tolist()))
+    emps, kls = _gibbs_grid(_safe_log(pi.weights), r, grid)
+    entries = list(zip(grid.tolist(), emps[0].tolist(), kls[0].tolist()))
     cert = bounds.bound_lambda_grid(entries, risk_table.n, eps, risk_table.C)
     return gibbs_posterior(pi, r, cert.lam), cert
+
+
+def _gibbs_grid(logpi: np.ndarray, r: np.ndarray, grid: np.ndarray):
+    """E_rho[r] and KL(rho || pi) of the Gibbs posteriors pi_{-lam r}, as two
+    (rows of r) x (lams in grid) matrices; r is one risk vector or one per row."""
+    emps, kls = zip(*(stats for _, *stats in _gibbs_family(logpi, r, grid, logpi)))
+    shape = (-1, grid.size)
+    return np.concatenate(emps).reshape(shape), np.concatenate(kls).reshape(shape)
 
 
 def model_select(

@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's own code paths: grid
 scans instead of bisection, quadrature instead of closed forms, exhaustive
 enumeration and exact dynamic programming instead of analytic regret
 bounds, golden-section probes of stationary points instead of closed-form
-minimizers.
+minimizers.  The ``*_loop`` functions are the exception: they keep the
+one-at-a-time loops that library array passes replaced, some on the
+library's own primitives, so tests can hold each pass to its loop's values
+or bits.
 """
 
 import math
@@ -328,3 +331,147 @@ def bernstein_ratios_loop(gaps, second, theta_star):
         ratios[j] = second[j] / gaps[j]
         K = max(K, ratios[j])
     return float(K), ratios
+
+
+def _build_posterior_loop(rule, pi, r, lam_value, fixed_rho):
+    from pacbayes.divergences import DiscreteDistribution
+    from pacbayes.posteriors import gibbs_posterior
+
+    if rule == "gibbs":
+        return gibbs_posterior(pi, r, lam_value)
+    if rule == "erm_dirac":
+        return DiscreteDistribution.dirac(r.size, int(np.argmin(r)))
+    if rule == "fixed_rho":
+        return fixed_rho if fixed_rho is not None else pi
+    raise ValueError(f"unknown posterior rule {rule!r}")
+
+
+def violation_experiment_loop(task, bound_id, posterior_rule, n, eps, trials, seed, *,
+                              lam="closed_form", xi=0.0, pi=None, fixed_rho=None,
+                              corruption=1.0):
+    """oracle_lab.violation_experiment one trial at a time.
+
+    The loop the laboratory ran before its blocked pass: each trial builds
+    its posterior through the scalar path (gibbs_posterior, a Dirac, or
+    fixed_rho) and runs its own minimize_bound_grid for lambda_grid.
+    """
+    from pacbayes import bounds
+    from pacbayes._util import child_rng
+    from pacbayes.divergences import DiscreteDistribution, _kl_log_prior, _safe_log
+    from pacbayes.oracle_lab import ExperimentReport, oracle_bound_rhs
+    from pacbayes.posteriors import RiskTable, minimize_bound_grid
+
+    pi = pi or DiscreteDistribution.uniform(task.m)
+    R = task.true_risk
+    oracle = bound_id == "oracle_probability"
+    entry = None if oracle else bounds.BOUND_TABLE[bound_id]
+    C = task.C if math.isfinite(task.C) else 1.0
+    kind = "free" if oracle else entry.lam_kind
+    lam_value = None
+    if kind == "free" or (posterior_rule == "gibbs" and kind != "grid"):
+        lam_value = bounds.resolve_lambda(lam, math.log(task.m), n, eps, C)
+    lam_bound = lam_value if kind == "free" else (
+        None if lam in (None, "closed_form") else float(lam))
+    if oracle:
+        oracle_value = oracle_bound_rhs(task, pi, lam_value, "probability", n=n, eps=eps)
+    if kind == "grid":
+        grid = bounds.lambda_grid_geometric(n)
+    logpi = _safe_log(pi.weights)
+
+    rows = []
+    for t in range(trials):
+        r = task.sample_emp_risk(n, child_rng(seed, t))
+        if kind == "grid":
+            rho, cert = minimize_bound_grid(pi, RiskTable(r, n, C), grid, eps)
+            value = cert.value
+        else:
+            rho = _build_posterior_loop(posterior_rule, pi, r, lam_value, fixed_rho)
+            if oracle:
+                value = oracle_value
+            else:
+                data = bounds.BoundData(r, n, eps, C, prior=pi, xi=xi,
+                                        kappa=getattr(task, "kappa", None))
+                emp, kl = float(np.dot(rho.weights, r)), _kl_log_prior(rho.weights, logpi)
+                value = entry.certify(data, rho, emp, kl, lam_bound).value
+        true = float(np.dot(rho.weights, R))
+        corrupted = corruption * value
+        rows.append({
+            "n": n,
+            "seed": seed,
+            "excess_risk": true - task.risk_star,
+            "bound_value": corrupted,
+            "violated": bool(true > corrupted),
+        })
+    violations = sum(row["violated"] for row in rows)
+    rate = violations / trials
+    return ExperimentReport(
+        trials=trials,
+        violations=violations,
+        violation_rate=rate,
+        se=math.sqrt(rate * (1.0 - rate) / trials),
+        mean_bound=float(np.mean([row["bound_value"] for row in rows])),
+        mean_true_risk=float(np.mean([row["excess_risk"] + task.risk_star for row in rows])),
+        rows=rows,
+        details={"bound_id": bound_id, "posterior_rule": posterior_rule, "eps": eps,
+                 "lambda": lam_value, "corruption": corruption},
+    )
+
+
+def rate_experiment_loop(task, n_grid, reps, seed, *, rule="fast", eps=0.05, K=None, pi=None):
+    """oracle_lab.rate_experiment one rep at a time.
+
+    The loop the laboratory ran before its matrix pass: each rep's log Gibbs
+    weights and log excess risk are one vector call each.
+    """
+    from pacbayes import bounds
+    from pacbayes._util import child_rng
+    from pacbayes.divergences import DiscreteDistribution, _log_gibbs, _logsumexp, _safe_log
+    from pacbayes.oracle_lab import ExperimentReport, estimate_bernstein_constant
+
+    n_grid = [int(v) for v in n_grid]
+    pi = pi or DiscreteDistribution.uniform(task.m)
+    C = task.C
+    if rule == "fast" and K is None:
+        K = estimate_bernstein_constant(task).K
+    logpi = _safe_log(pi.weights)
+    others = np.flatnonzero(np.arange(task.m) != task.theta_star)
+    log_gaps = _safe_log(task.gaps[others]) if others.size else None
+
+    rows = []
+    log_means = []
+    for i, n in enumerate(n_grid):
+        lam = (n / max(2.0 * K, C) if rule == "fast"
+               else bounds.select_lambda_closed_form(math.log(task.m), n, eps, C))
+        log_excess = []
+        for rep in range(reps):
+            r = task.sample_emp_risk(n, child_rng(seed, i, rep))
+            logw = _log_gibbs(logpi, -lam * r)
+            log_excess.append(-math.inf if log_gaps is None
+                              else _logsumexp(logw[others] + log_gaps))
+        if all(math.isinf(v) for v in log_excess):
+            log_mean = -math.inf
+        else:
+            log_mean = _logsumexp(log_excess) - math.log(reps)
+        log_means.append(log_mean)
+        rows.append({
+            "n": n,
+            "seed": seed,
+            "excess_risk": math.exp(log_mean) if math.isfinite(log_mean) else 0.0,
+            "bound_value": math.nan,
+            "violated": math.nan,
+        })
+    if any(not math.isfinite(v) for v in log_means):
+        slope = math.nan
+    else:
+        slope = float(np.polyfit(np.log(np.asarray(n_grid, dtype=float)), log_means, 1)[0])
+    return ExperimentReport(
+        trials=len(n_grid) * reps,
+        violations=0,
+        violation_rate=0.0,
+        se=0.0,
+        mean_bound=math.nan,
+        mean_true_risk=float(np.mean([row["excess_risk"] for row in rows]) + task.risk_star),
+        rows=rows,
+        slope=slope,
+        details={"rule": rule, "log_mean_excess": log_means, "eps": eps},
+    )

@@ -2,10 +2,10 @@
 
 ``golden_demos.json`` maps each demo below to the stdout it printed when it
 was recorded.  Each demo runs in a fresh interpreter that imports pacbayes
-from this checkout's ``src``.  demos/03_violation_lab.py is left out: it
-takes about 5 s on its own, and the golden ``violate`` cases in
-test_cli_golden.py run the same experiments.  Re-record only the demos a
-deliberate output change touches, naming them (an unknown name exits
+from this checkout's ``src``.  demos/03_violation_lab.py, the slowest, runs
+its 16,000 violation trials in about 2 s since the lab stacks them into
+blocked array passes (about 4 s one trial at a time).  Re-record only the
+demos a deliberate output change touches, naming them (an unknown name exits
 non-zero and writes nothing); with no names every demo is re-recorded:
 
     python tests/test_demos.py DEMO ...
@@ -24,6 +24,7 @@ GOLDEN = Path(__file__).with_name("golden_demos.json")
 DEMOS = (
     "01_bound_catalog.py",
     "02_posterior_constructions.py",
+    "03_violation_lab.py",
     "04_rates_and_localization.py",
     "05_gaussian_variational.py",
     "06_online_forecaster.py",

@@ -45,6 +45,12 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([1.5, -0.5]))
 
+    def test_rows_of_a_checked_matrix(self):
+        w = np.array([[0.25, 0.75], [1.0, 0.0]])
+        rows = DiscreteDistribution._rows(w)
+        assert [rho.weights.tolist() for rho in rows] == w.tolist()
+        assert not any(rho.weights.flags.writeable for rho in rows)
+
     def test_uniform_and_dirac(self):
         u = DiscreteDistribution.uniform(4)
         assert np.allclose(u.weights, 0.25)
@@ -406,6 +412,23 @@ class TestLogSumExpRows:
         rows = _log_gibbs(logpi, finite)
         for row, h in zip(rows, finite):
             assert row.tobytes() == _log_gibbs(logpi, h).tobytes()
+
+    @given(lse_matrices())
+    @settings(max_examples=100)
+    def test_rows_of_any_memory_layout_match_the_vector_call(self, a):
+        # a Fortran-ordered matrix, and a fancy-indexed one plus a row vector
+        # as rate_experiment forms it, reduce row by row like a C-ordered one
+        others = np.arange(a.shape[1])[::-1]
+        for m in (np.asfortranarray(a), a[:, others] + np.linspace(0.0, 1.0, a.shape[1])):
+            rows = _logsumexp(m)
+            for row, value in zip(m, rows):
+                assert same_bits(value, _logsumexp(np.array(row)))
+
+    def test_fortran_ordered_rows(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a = np.asfortranarray(rng.normal(size=(30, 40)) * 10.0)
+            assert all(same_bits(v, _logsumexp(np.array(row))) for v, row in zip(_logsumexp(a), a))
 
     def test_batch_of_one_and_wide_rows(self):
         a = np.random.default_rng(9).normal(size=(3, 100_000)) * 40.0

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacbayes import divergences
+from pacbayes.bounds import BOUND_IDS
 from pacbayes._util import child_rng
 from pacbayes.divergences import DiscreteDistribution, gibbs_reweight, kl_discrete
 from pacbayes.oracle_lab import (
@@ -30,7 +31,12 @@ from pacbayes.oracle_lab import (
     _rho_family_inf,
 )
 
-from oracles import bernstein_ratios_loop, rho_family_inf_loop
+from oracles import (
+    bernstein_ratios_loop,
+    rate_experiment_loop,
+    rho_family_inf_loop,
+    violation_experiment_loop,
+)
 
 N_GRID = [100, 200, 400, 800, 1600]
 
@@ -603,6 +609,90 @@ class TestViolationExperiment:
             lam=80.0, xi=0.5,
         )
         assert broken.violation_rate > 0.5
+
+
+class TestSupportSize:
+    """A prior or fixed posterior of the wrong size is named, not a numpy error."""
+
+    task = make_synthetic_task("risk_table", {"p": [0.2, 0.4, 0.6, 0.8]}, 0)
+
+    @pytest.mark.parametrize("bound_id", ["mcallester", "lambda_grid"])
+    def test_violation_prior(self, bound_id):
+        with pytest.raises(ValueError, match="pi has 3 masses but the task has 4"):
+            violation_experiment(self.task, bound_id, "gibbs", 100, 0.1, 5, 0,
+                                 pi=DiscreteDistribution.uniform(3))
+
+    def test_violation_fixed_posterior(self):
+        with pytest.raises(ValueError, match="fixed_rho has 5 masses but the task has 4"):
+            violation_experiment(self.task, "mcallester", "fixed_rho", 100, 0.1, 5, 0,
+                                 fixed_rho=DiscreteDistribution.uniform(5))
+
+    def test_rate_prior(self):
+        with pytest.raises(ValueError, match="pi has 3 masses but the task has 4"):
+            rate_experiment(self.task, N_GRID, 5, 0, pi=DiscreteDistribution.uniform(3))
+
+
+class TestBlockedTrials:
+    """The blocked violation and rate passes give the rows of the trial-by-trial
+    loops they replaced, bit for bit, in one block or in many."""
+
+    P = np.linspace(0.3, 0.6, 20).tolist()
+    TASKS = {
+        "independent": make_synthetic_task("risk_table", {"p": P}, 0),
+        "shared": make_synthetic_task("risk_table", {"p": P, "shared_noise": True}, 0),
+        "margin": make_synthetic_task("threshold_margin",
+                                      {"tau": 0.2, "grid_size": 41, "star_index": 17}, 0),
+        "heavy": make_synthetic_task("heavy_tail", {"means": np.linspace(0.5, 0.9, 20).tolist(),
+                                                    "sds": 0.5}, 0),
+    }
+    # 60 entries: three trials of M = 20 per block, and lambda_grid's seven
+    # lambdas split over three blocks per trial
+    BLOCKS = pytest.mark.parametrize("block", [None, 60], ids=["one_block", "blocks"])
+
+    @staticmethod
+    def same(fast, loop) -> bool:
+        fields = ("trials", "violations", "violation_rate", "se", "mean_bound", "mean_true_risk",
+                  "rows", "slope", "details")
+        return all(repr(getattr(fast, f)) == repr(getattr(loop, f)) for f in fields)
+
+    def check(self, block, monkeypatch, task, *args, **kw):
+        if block is not None:
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+        fast = violation_experiment(self.TASKS[task], *args, **kw)
+        assert self.same(fast, violation_experiment_loop(self.TASKS[task], *args, **kw))
+
+    @BLOCKS
+    @pytest.mark.parametrize("bound_id", [b for b in BOUND_IDS if b not in ("chi_square",
+                                                                            "truncated")]
+                             + ["oracle_probability"])
+    def test_every_bound(self, bound_id, block, monkeypatch):
+        kw = {"thiemann": {"lam": 1.0}, "localized_empirical": {"lam": 5.0, "xi": 0.5},
+              "oracle_probability": {"lam": 100.0}}.get(bound_id, {})
+        self.check(block, monkeypatch, "independent", bound_id, "gibbs", 500, 0.05, 40, 3, **kw)
+
+    @BLOCKS
+    @pytest.mark.parametrize("task", ["independent", "shared", "margin"])
+    @pytest.mark.parametrize("rule", ["gibbs", "erm_dirac", "fixed_rho"])
+    def test_rules_tasks_and_corruption(self, rule, task, block, monkeypatch):
+        m = self.TASKS[task].m
+        rho = DiscreteDistribution.from_weights(np.random.default_rng(m).random(m))
+        for bound_id in ("seeger", "lambda_grid"):
+            self.check(block, monkeypatch, task, bound_id, rule, 300, 0.1, 25, 5,
+                       fixed_rho=rho, corruption=0.7)
+
+    @BLOCKS
+    @pytest.mark.parametrize("rule", ["gibbs", "fixed_rho"])
+    def test_heavy_tail_moment_bound(self, rule, block, monkeypatch):
+        self.check(block, monkeypatch, "heavy", "chi_square", rule, 300, 0.1, 40, 9)
+
+    @BLOCKS
+    @pytest.mark.parametrize("task", ["independent", "shared", "margin", "heavy"])
+    @pytest.mark.parametrize("rule", ["fast", "slow"])
+    def test_rates(self, rule, task, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+        args = (self.TASKS[task], N_GRID, 20, 4)
+        assert self.same(rate_experiment(*args, rule=rule), rate_experiment_loop(*args, rule=rule))
 
 
 class TestRateExperiment:

@@ -223,6 +223,21 @@ class TestGibbsFamily:
             assert np.count_nonzero(rows[-1]) == 1
 
     @pytest.mark.parametrize("name", ["full.json", "noiseless.json"])
+    @pytest.mark.parametrize("block", [None, 1, 50], ids=["one_block", "row_blocks", "blocks"])
+    def test_matrix_rows_match_the_vector_calls(self, name, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+        pi, r, doc = self.fixture(name)
+        risks = np.stack([r, r[::-1], np.roll(r, 3), np.sqrt(r)])
+        lams = np.append(lambda_grid_geometric(doc["n"]), 2500.0)
+        logpi = _safe_log(pi.weights)
+        matrix = [np.concatenate(c) for c in zip(*_gibbs_family(logpi, risks, lams, logpi))]
+        for t, risk in enumerate(risks):
+            vector = [np.concatenate(c) for c in zip(*_gibbs_family(logpi, risk, lams, logpi))]
+            for got, want in zip(matrix, vector):
+                assert got[t * lams.size:(t + 1) * lams.size].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["full.json", "noiseless.json"])
     def test_minimize_bound_grid_returns_the_posterior_at_its_lambda(self, name):
         pi, r, doc = self.fixture(name)
         grid = lambda_grid_geometric(doc["n"])
