@@ -15,9 +15,22 @@ Conventions
 * ``terms`` always sums exactly to ``value``; intermediate quantities that
   do not sum (budgets, Phi arguments) live in ``details``.
 * Bounds linear in 1/lambda (catoni_linear, subgaussian and the single-draw
-  certificate of ``posteriors``) share one evaluator, ``_linear``, which
+  certificate of ``posteriors``) share one formula, ``_linear``, which
   adds the lambda penalty and (complexity nats)/lambda to the empirical
   term; :func:`resolve_lambda` turns a lambda flag into a number.
+* Array formulas.  Each catalog row has one private formula,
+  ``formula(q, kl, lam, s, W)``, that maps a column q of E_rho[r] (on the
+  row's scale) and a column of KL(rho || pi), one lambda, the task scalars s
+  (n, eps, C, kappa) and, where the row needs them, the posteriors' weight
+  rows W to (values, terms, details), one entry per posterior.  W feeds
+  chi^2 for chi_square, W @ truncated_risks(lambda) for truncated and the
+  KL against pi_{-xi r} for localized_empirical, in row blocks of at most
+  ``divergences._FAMILY_BLOCK`` entries.  A public ``bound_*`` function is
+  the one-row case: it checks its input and builds its Certificate from
+  the formula at floats.  ``CatalogEntry.values`` makes certify's checks
+  once per column and returns the values of certify, bit for bit, one per
+  posterior; per-element math calls (the kl inverse, expm1) stay scalar
+  so their bits do not move.
 * Every bound assumes n i.i.d. losses in [0, C] and a confidence level eps.
   ``_check_inputs`` is the one check of these hypotheses: n an integer
   >= 1, eps in (0, 1), C > 0 and every risk in [0, C], NaN failing each test.
@@ -25,8 +38,8 @@ Conventions
   taking n, eps or risks without one; bad input raises ValueError.
 
 :data:`BOUND_TABLE` maps every catalog id to its required inputs, loss
-scale, lambda policy and evaluator; the CLI's certify and compare and the
-violation harness all dispatch through it.
+scale, lambda policy, one-posterior evaluator and array formula; the CLI's
+certify and compare and the violation harness all dispatch through it.
 """
 
 from __future__ import annotations
@@ -40,6 +53,12 @@ import numpy as np
 from .divergences import (
     DiscreteDistribution,
     _bisect_upper,
+    _chi2_rows,
+    _gibbs_weights,
+    _kl_log_prior,
+    _row_blocks,
+    _row_dots,
+    _safe_log,
     chi2_discrete,
     gibbs_reweight,
     kl_discrete,
@@ -147,15 +166,20 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
 
-def _certificate(bound_id, value, C, lam=None, terms=None, details=None) -> Certificate:
+def _certificate(bound_id, C, lam, value, terms, details=None) -> Certificate:
     return Certificate(
         bound_id=bound_id,
         value=float(value),
         lam=None if lam is None else float(lam),
-        terms=dict(terms or {}),
+        terms={k: float(v) for k, v in terms.items()},
         vacuous=bool(value >= C),
         details=dict(details or {}),
     )
+
+
+def _one(bound_id, formula, inp, lam=None) -> Certificate:
+    """The certificate of one posterior: formula at the one row (inp.emp_risk, inp.kl)."""
+    return _certificate(bound_id, inp.C, lam, *formula(inp.emp_risk, inp.kl, lam, inp))
 
 
 def _vacuous_at_infinite_kl(bound_id, emp_risk, C, lam=None, details=None) -> Certificate:
@@ -164,8 +188,13 @@ def _vacuous_at_infinite_kl(bound_id, emp_risk, C, lam=None, details=None) -> Ce
     Bounds whose closed-form lambda grows with KL would otherwise divide
     infinity by infinity; this is the certificate mcallester gives there.
     """
-    return _certificate(bound_id, math.inf, C, lam=lam, details=details,
-                        terms={"empirical": emp_risk, "complexity": math.inf, "slack": 0.0})
+    return _certificate(bound_id, C, lam, math.inf,
+                        {"empirical": emp_risk, "complexity": math.inf, "slack": 0.0}, details)
+
+
+def _unit_risk(bound_id, inp) -> None:
+    if not (0 <= inp.emp_risk <= 1):
+        raise ValueError(f"{bound_id} bound requires emp_risk in [0, 1]")
 
 
 def bernstein_g(x: float) -> float:
@@ -181,6 +210,11 @@ def bernstein_g(x: float) -> float:
     if abs(x) < 1e-4:
         return 0.5 + x / 6.0 + x * x / 24.0
     return (math.expm1(x) - x) / (x * x)
+
+
+def _union_finite(r_min, log_M, lam, s, W=None):
+    slack = s.C * math.sqrt((log_M + math.log(1.0 / s.eps)) / (2.0 * s.n))
+    return r_min + slack, {"empirical": r_min, "complexity": slack, "slack": 0.0}, {"log_M": log_M}
 
 
 def bound_union_finite(
@@ -203,38 +237,39 @@ def bound_union_finite(
         if not (M >= 1):
             raise ValueError(f"M must be >= 1, got {M!r}")
         log_M = math.log(M)
-    inp = BoundInput(r_min, log_M, n, eps, C)
-    slack = C * math.sqrt((log_M + inp.log_inv_eps) / (2.0 * n))
-    value = r_min + slack
-    return _certificate(
-        "union_finite",
-        value,
-        C,
-        terms={"empirical": r_min, "complexity": slack, "slack": 0.0},
-        details={"log_M": log_M},
-    )
+    return _one("union_finite", _union_finite, BoundInput(r_min, log_M, n, eps, C))
 
 
-def _linear(bound_id, emp, nats, lam, slack, C) -> Certificate:
-    """The certificate emp + slack + nats/lam of every bound linear in 1/lam.
+def _linear(emp, nats, lam, slack):
+    """emp + slack + nats/lam, the value of every bound linear in 1/lam.
 
     nats is the complexity numerator (a KL or log density ratio, plus
-    log(1/eps)) and slack the penalty growing in lam; an infinite numerator
-    gives the vacuous certificate.
+    log(1/eps)) and slack the penalty growing in lam.
     """
+    complexity = nats / lam
+    return emp + slack + complexity, {"empirical": emp, "complexity": complexity, "slack": slack}, {}
+
+
+def _catoni_linear(q, kl, lam, s, W=None):
+    return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * s.C**2 / (8.0 * s.n))
+
+
+def _subgaussian(q, kl, lam, s, W=None):
+    return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * s.C**2 / s.n)
+
+
+def _linear_certificate(bound_id, formula, inp: "BoundInput", lam) -> Certificate:
+    """formula's certificate at inp and lam; an infinite KL gives the vacuous one."""
     if not (lam > 0):
         raise ValueError("lambda must be positive")
-    if math.isinf(nats):
-        return _vacuous_at_infinite_kl(bound_id, emp, C, lam)
-    complexity = nats / lam
-    return _certificate(bound_id, emp + slack + complexity, C, lam=lam,
-                        terms={"empirical": emp, "complexity": complexity, "slack": slack})
+    if math.isinf(inp.kl):
+        return _vacuous_at_infinite_kl(bound_id, inp.emp_risk, inp.C, lam)
+    return _one(bound_id, formula, inp, lam)
 
 
 def bound_catoni_linear(inp: BoundInput, lam: float) -> Certificate:
     """Linear-in-lambda bound: emp + lam C^2/(8n) + (KL + log(1/eps))/lam."""
-    return _linear("catoni_linear", inp.emp_risk, inp.kl + inp.log_inv_eps, lam,
-                   lam * inp.C**2 / (8.0 * inp.n), inp.C)
+    return _linear_certificate("catoni_linear", _catoni_linear, inp, lam)
 
 
 def select_lambda_closed_form(kl: float, n: int, eps: float, C: float = 1.0) -> float:
@@ -278,15 +313,14 @@ def _lambda_grid_values(grid: np.ndarray, emps: np.ndarray, kls: np.ndarray, n, 
 
     emps and kls hold E_rho[r] and KL(rho || pi) of the posterior at each
     lambda in grid, in their last axis, for one sample or one per row; each
-    value has the bits of bound_catoni_linear at KL + log(card).
+    value is catoni_linear's formula at KL + log(card), with its bits.
     """
     _check_inputs(n, eps, C, emps.min(), emps.max())
     if not (grid > 0).all():
         raise ValueError("lambda must be positive")
     if not (kls >= 0).all():
         raise ValueError(f"kl must be nonnegative, got values down to {kls.min()!r}")
-    nats = kls + math.log(grid.size) + math.log(1.0 / eps)
-    return emps + grid * C**2 / (8.0 * n) + nats / grid
+    return _catoni_linear(emps, kls + math.log(grid.size), grid, BoundData(None, n, eps, C))[0]
 
 
 def bound_lambda_grid(
@@ -313,22 +347,26 @@ def bound_lambda_grid(
                    details={"grid_size": len(entries), "log_card": log_card})
 
 
+def _mcallester(q, kl, lam, s, W=None):
+    rad = np.sqrt((kl + math.log(1.0 / s.eps) + 2.5 * math.log(s.n) + 8.0) / (2.0 * s.n - 1.0))
+    return q + rad, {"empirical": q, "complexity": rad, "slack": 0.0}, {}
+
+
 def bound_mcallester_maurer(inp: BoundInput) -> Certificate:
     """McAllester-Maurer bound with the 5/2 log(n) + 8 complexity numerator."""
-    rad = math.sqrt(
-        (inp.kl + inp.log_inv_eps + 2.5 * math.log(inp.n) + 8.0) / (2.0 * inp.n - 1.0)
-    )
-    value = inp.emp_risk + rad
-    return _certificate(
-        "mcallester",
-        value,
-        inp.C,
-        terms={"empirical": inp.emp_risk, "complexity": rad, "slack": 0.0},
-    )
+    return _one("mcallester", _mcallester, inp)
 
 
-def _seeger_budget(inp: BoundInput) -> float:
-    return (inp.kl + math.log(2.0 * math.sqrt(inp.n) / inp.eps)) / inp.n
+def _seeger_nats(kl, s):
+    """KL + log(2 sqrt(n)/eps), the numerator of the kl-form budgets."""
+    return kl + math.log(2.0 * math.sqrt(s.n) / s.eps)
+
+
+def _seeger(q, kl, lam, s, W=None):
+    budget = _seeger_nats(kl, s) / s.n
+    # element by element, so each value has the bits of its one-posterior call
+    value = np.vectorize(kl_inverse_upper, otypes=[float])(q, budget)
+    return value, {"empirical": q, "complexity": value - q, "slack": 0.0}, {"budget": budget}
 
 
 def bound_seeger_maurer(inp: BoundInput) -> Certificate:
@@ -336,17 +374,16 @@ def bound_seeger_maurer(inp: BoundInput) -> Certificate:
 
     Requires the 0-1 loss scale emp_risk in [0, 1]; range-C callers rescale.
     """
-    if not (0 <= inp.emp_risk <= 1):
-        raise ValueError("seeger bound requires emp_risk in [0, 1]")
-    budget = _seeger_budget(inp)
-    value = kl_inverse_upper(inp.emp_risk, budget)
-    return _certificate(
-        "seeger",
-        value,
-        inp.C,
-        terms={"empirical": inp.emp_risk, "complexity": value - inp.emp_risk, "slack": 0.0},
-        details={"budget": budget},
-    )
+    _unit_risk("seeger", inp)
+    return _one("seeger", _seeger, inp)
+
+
+def _tolstikhin_seldin(q, kl, lam, s, W=None):
+    half_budget = _seeger_nats(kl, s) / (2.0 * s.n)
+    sqrt_term = np.sqrt(2.0 * q * half_budget)
+    lin_term = 2.0 * half_budget
+    return (q + sqrt_term + lin_term, {"empirical": q, "complexity": sqrt_term, "slack": lin_term},
+            {"half_budget": half_budget})
 
 
 def bound_tolstikhin_seldin(inp: BoundInput) -> Certificate:
@@ -355,38 +392,23 @@ def bound_tolstikhin_seldin(inp: BoundInput) -> Certificate:
     The budget is (KL + log(2 sqrt(n)/eps)) / (2n), exactly as displayed;
     at q = 0 the sqrt term vanishes and the bound is in 1/n.
     """
-    if not (0 <= inp.emp_risk <= 1):
-        raise ValueError("tolstikhin_seldin bound requires emp_risk in [0, 1]")
-    half_budget = (inp.kl + math.log(2.0 * math.sqrt(inp.n) / inp.eps)) / (2.0 * inp.n)
-    sqrt_term = math.sqrt(2.0 * inp.emp_risk * half_budget)
-    lin_term = 2.0 * half_budget
-    value = inp.emp_risk + sqrt_term + lin_term
-    return _certificate(
-        "tolstikhin_seldin",
-        value,
-        inp.C,
-        terms={"empirical": inp.emp_risk, "complexity": sqrt_term, "slack": lin_term},
-        details={"half_budget": half_budget},
-    )
+    _unit_risk("tolstikhin_seldin", inp)
+    return _one("tolstikhin_seldin", _tolstikhin_seldin, inp)
+
+
+def _thiemann(q, kl, lam, s, W=None):
+    shrink = 1.0 - lam / 2.0
+    emp_term = q / shrink
+    complexity = _seeger_nats(kl, s) / (s.n * lam * shrink)
+    return emp_term + complexity, {"empirical": emp_term, "complexity": complexity, "slack": 0.0}, {}
 
 
 def bound_thiemann(inp: BoundInput, lam: float) -> Certificate:
     """Thiemann et al. bound, valid for any fixed lambda in (0, 2)."""
     if not (0 < lam < 2):
         raise ValueError("lambda must lie in (0, 2)")
-    if not (0 <= inp.emp_risk <= 1):
-        raise ValueError("thiemann bound requires emp_risk in [0, 1]")
-    shrink = 1.0 - lam / 2.0
-    emp_term = inp.emp_risk / shrink
-    complexity = (inp.kl + math.log(2.0 * math.sqrt(inp.n) / inp.eps)) / (inp.n * lam * shrink)
-    value = emp_term + complexity
-    return _certificate(
-        "thiemann",
-        value,
-        inp.C,
-        lam=lam,
-        terms={"empirical": emp_term, "complexity": complexity, "slack": 0.0},
-    )
+    _unit_risk("thiemann", inp)
+    return _one("thiemann", _thiemann, inp, lam)
 
 
 def _phi_inverse(a: float, q: float) -> float:
@@ -394,6 +416,15 @@ def _phi_inverse(a: float, q: float) -> float:
     if a == 0.0:
         return q
     return -math.expm1(-a * q) / -math.expm1(-a)
+
+
+def _catoni_phi(q, kl, lam, s, W=None):
+    a = lam / s.n
+    arg = q + (kl + math.log(1.0 / s.eps)) / lam
+    value = np.vectorize(lambda x, k: math.inf if k == math.inf else _phi_inverse(a, x),
+                         otypes=[float])(arg, kl)
+    return (value, {"empirical": q, "complexity": value - q, "slack": 0.0},
+            {"a": a, "phi_arg": arg})
 
 
 def bound_catoni_phi(inp: BoundInput, lam: float) -> Certificate:
@@ -404,21 +435,10 @@ def bound_catoni_phi(inp: BoundInput, lam: float) -> Certificate:
     """
     if not (lam > 0):
         raise ValueError("lambda must be positive")
-    if not (0 <= inp.emp_risk <= 1):
-        raise ValueError("catoni_phi bound requires emp_risk in [0, 1]")
+    _unit_risk("catoni_phi", inp)
     if math.isinf(inp.kl):
         return _vacuous_at_infinite_kl("catoni_phi", inp.emp_risk, inp.C, lam)
-    a = lam / inp.n
-    arg = inp.emp_risk + (inp.kl + inp.log_inv_eps) / lam
-    value = _phi_inverse(a, arg)
-    return _certificate(
-        "catoni_phi",
-        value,
-        inp.C,
-        lam=lam,
-        terms={"empirical": inp.emp_risk, "complexity": value - inp.emp_risk, "slack": 0.0},
-        details={"a": a, "phi_arg": arg},
-    )
+    return _one("catoni_phi", _catoni_phi, inp, lam)
 
 
 def bound_germain_generic(
@@ -450,13 +470,8 @@ def bound_germain_generic(
         value = 1.0
     else:
         value = _bisect_upper(lambda q: D(p, q) <= budget, p, 1.0, tol)
-    return _certificate(
-        "germain_generic",
-        value,
-        1.0,
-        terms={"empirical": p, "complexity": value - p, "slack": 0.0},
-        details={"budget": budget},
-    )
+    return _certificate("germain_generic", 1.0, None, value,
+                        {"empirical": p, "complexity": value - p, "slack": 0.0}, {"budget": budget})
 
 
 def bound_subgaussian(inp: BoundInput, lam: float) -> Certificate:
@@ -465,8 +480,12 @@ def bound_subgaussian(inp: BoundInput, lam: float) -> Certificate:
     Here ``inp.C`` plays the role of the sub-Gaussian constant; the penalty
     is 8x the bounded-loss lam C^2/(8n) term.
     """
-    return _linear("subgaussian", inp.emp_risk, inp.kl + inp.log_inv_eps, lam,
-                   lam * inp.C**2 / inp.n, inp.C)
+    return _linear_certificate("subgaussian", _subgaussian, inp, lam)
+
+
+def _chi_square(q, chi2, lam, s, W=None):
+    slack = np.sqrt(s.kappa * (1.0 + chi2) / (s.n * s.eps))
+    return q + slack, {"empirical": q, "complexity": slack, "slack": 0.0}, {}
 
 
 def bound_chi_square(inp: BoundInput) -> Certificate:
@@ -477,14 +496,7 @@ def bound_chi_square(inp: BoundInput) -> Certificate:
     """
     if inp.kappa is None or inp.chi2 is None:
         raise ValueError("chi_square bound needs both kappa and chi2")
-    slack = math.sqrt(inp.kappa * (1.0 + inp.chi2) / (inp.n * inp.eps))
-    value = inp.emp_risk + slack
-    return _certificate(
-        "chi_square",
-        value,
-        inp.C,
-        terms={"empirical": inp.emp_risk, "complexity": slack, "slack": 0.0},
-    )
+    return _certificate("chi_square", inp.C, None, *_chi_square(inp.emp_risk, inp.chi2, None, inp))
 
 
 def psi_transform(alpha: float, u: float) -> float:
@@ -526,24 +538,35 @@ def bound_truncated(
     """
     if not (lam > 0):
         raise ValueError("lambda must be positive")
-    if not (trunc_emp_risk >= 0 and delta_tail >= 0):
+    return _certificate("truncated", inp.C, lam, *_truncated(trunc_emp_risk, inp.kl, lam, inp,
+                                                             delta_tail))
+
+
+def _truncated(trunc, kl, lam, s, delta_tail):
+    if not (np.all(trunc >= 0) and delta_tail >= 0):
         raise ValueError("trunc_emp_risk and delta_tail must be nonnegative")
-    alpha = lam / inp.n
-    arg = trunc_emp_risk + (inp.kl + inp.log_inv_eps) / lam
-    main = psi_inverse(alpha, arg)
-    value = main + delta_tail
-    return _certificate(
-        "truncated",
-        value,
-        inp.C,
-        lam=lam,
-        terms={
-            "empirical": trunc_emp_risk,
-            "complexity": main - trunc_emp_risk,
-            "slack": delta_tail,
-        },
-        details={"alpha": alpha, "psi_arg": arg},
-    )
+    alpha = lam / s.n
+    arg = trunc + (kl + math.log(1.0 / s.eps)) / lam
+    main = np.vectorize(psi_inverse, otypes=[float])(alpha, arg)
+    return (main + delta_tail, {"empirical": trunc, "complexity": main - trunc, "slack": delta_tail},
+            {"alpha": alpha, "psi_arg": arg})
+
+
+def _localized_checks(n, eps, lam, xi) -> None:
+    if not (0 <= xi < 1):
+        raise ValueError("xi must lie in [0, 1)")
+    if not (lam > 0):
+        raise ValueError("lambda must be positive")
+    _check_inputs(n, eps)
+
+
+def _localized(emp, kl_local, n, eps, lam, xi):
+    denom = (1.0 - xi) * lam + (1.0 + xi) * bernstein_g(lam / n) * lam**2 / n
+    conf = (1.0 + xi) * math.log(2.0 / eps)
+    terms = {"empirical": (1.0 - xi) * emp / denom, "complexity": kl_local / denom,
+             "slack": conf / denom}
+    return (((1.0 - xi) * emp + kl_local + conf) / denom, terms,
+            {"xi": xi, "kl_localized": kl_local, "denominator": denom})
 
 
 def bound_localized_empirical(
@@ -567,11 +590,7 @@ def bound_localized_empirical(
     superlinearly in lambda, so the bound is only trustworthy on the lambda
     range validated by the violation harness (see oracle_lab).
     """
-    if not (0 <= xi < 1):
-        raise ValueError("xi must lie in [0, 1)")
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
-    _check_inputs(n, eps)
+    _localized_checks(n, eps, lam, xi)
     r = np.asarray(emp_risk_vector, dtype=float)
     if r.shape != pi.weights.shape:
         raise ValueError("emp_risk_vector must match the prior support")
@@ -581,21 +600,21 @@ def bound_localized_empirical(
     if math.isinf(kl_local):
         return _vacuous_at_infinite_kl("localized_empirical", emp, 1.0, lam,
                                        details={"xi": xi, "kl_localized": kl_local})
-    denom = (1.0 - xi) * lam + (1.0 + xi) * bernstein_g(lam / n) * lam**2 / n
-    conf = (1.0 + xi) * math.log(2.0 / eps)
-    value = ((1.0 - xi) * emp + kl_local + conf) / denom
-    return _certificate(
-        "localized_empirical",
-        value,
-        1.0,
-        lam=lam,
-        terms={
-            "empirical": (1.0 - xi) * emp / denom,
-            "complexity": kl_local / denom,
-            "slack": conf / denom,
-        },
-        details={"xi": xi, "kl_localized": kl_local, "denominator": denom},
-    )
+    return _certificate("localized_empirical", 1.0, lam, *_localized(emp, kl_local, n, eps, lam, xi))
+
+
+def _localized_columns(q, kl, lam, d, W):
+    """The localized formula at every row of W, with E_rho[r] and KL(rho || pi_{-xi r})
+    read off W in row blocks; d.emp_risk is one risk vector or one per row of W."""
+    _localized_checks(d.n, d.eps, lam, d.xi)
+    r = np.asarray(d.emp_risk, dtype=float)
+    if r.shape[-1] != W.shape[-1] or not np.isfinite(r).all():
+        raise ValueError("emp_risk must be finite and match the prior support")
+    logpi = _safe_log(d.prior.weights)
+    emp, kl_local = (np.concatenate(c) for c in zip(*(
+        (_row_dots(wb, rb), _kl_log_prior(wb, _safe_log(_gibbs_weights(logpi, -d.xi * rb))))
+        for wb, rb in _row_blocks(W, r))))
+    return _localized(emp, kl_local, d.n, d.eps, lam, d.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +670,10 @@ class CatalogEntry:
                  range, only kappa (vacuous is judged against C)
     evaluate     evaluate(inp, data, rho, lam), inp the posterior's
                  BoundInput on that scale (None without one, or for "unit")
+    columns      columns(q, kl, lam, data, W): the row's formula, the one its
+                 bound_* function evaluates at one row, on columns q (E_rho[r]
+                 on the row's scale) and kl with one entry per weight row of W;
+                 returns (values, terms, details) (None for lambda_grid)
     lam_kind     "none"; "free" (any lambda in range, callers without one
                  use the closed-form pick); "fixed" (lam_default unless one
                  is given); "grid" (searches lambda_grid_geometric(n) itself
@@ -664,6 +687,7 @@ class CatalogEntry:
     requires: tuple
     scale: str
     evaluate: Callable
+    columns: Optional[Callable] = None
     lam_kind: str = "none"
     lam_default: Optional[float] = None
     lam_upper: Optional[float] = None
@@ -671,35 +695,44 @@ class CatalogEntry:
     search: Callable = lambda n, m, eps, C: [None]
 
     def missing(self, data: BoundData, rho=None) -> list:
-        """The required inputs that data and rho do not provide."""
+        """The required inputs that data and rho (a posterior or weight rows) do not provide."""
         def given(name):
             return (rho if name == "posterior" else getattr(data, name)) is not None
         return [r for r in self.requires if not any(map(given, r.split(" or ")))]
+
+    def _checked_lambda(self, data: BoundData, rho, lam):
+        """The lambda the bound runs at, after the input and lambda checks
+        certify and values share; None without a lambda policy."""
+        missing = self.missing(data, rho)
+        if missing:
+            raise ValueError(f"{self.bound_id} needs {' and '.join(missing)}")
+        if self.lam_kind in ("none", "grid"):
+            return None
+        lam = self.lam_default if lam is None else lam
+        if lam is None:
+            raise ValueError(f"{self.bound_id} needs a lambda")
+        upper = self.lam_upper
+        if not (lam > 0 and (upper is None or lam < upper)):
+            raise ValueError(f"lambda {lam!r} must lie in (0, {upper or math.inf:g})")
+        if self.tail_free and data.n / lam < data.C:
+            raise ValueError("n/lambda < C needs the truncation tail term; supply a "
+                             "lambda with n/lambda >= C so the tail vanishes")
+        return lam
+
+    def _scale(self, data: BoundData, emp):
+        """(risk, C) on the row's scale, or None where the row takes no BoundInput."""
+        if "posterior" not in self.requires or self.scale == "unit":
+            return None
+        scale_C = {"range": data.C, "kl": 1.0, "moment": math.inf}[self.scale]
+        return (emp / data.C if self.scale == "kl" else emp), scale_C
 
     def certify(self, data: BoundData, rho=None, emp=None, kl=None, lam=None) -> Certificate:
         """The certificate for posterior rho, whose E_rho[r] and KL are emp and kl.
 
         lam is ignored without a lambda policy; None selects lam_default."""
-        missing = self.missing(data, rho)
-        if missing:
-            raise ValueError(f"{self.bound_id} needs {' and '.join(missing)}")
-        if self.lam_kind in ("none", "grid"):
-            lam = None
-        else:
-            lam = self.lam_default if lam is None else lam
-            if lam is None:
-                raise ValueError(f"{self.bound_id} needs a lambda")
-            upper = self.lam_upper
-            if not (lam > 0 and (upper is None or lam < upper)):
-                raise ValueError(f"lambda {lam!r} must lie in (0, {upper or math.inf:g})")
-            if self.tail_free and data.n / lam < data.C:
-                raise ValueError("n/lambda < C needs the truncation tail term; supply a "
-                                 "lambda with n/lambda >= C so the tail vanishes")
-        inp = None
-        if "posterior" in self.requires and self.scale != "unit":
-            scale_C = {"range": data.C, "kl": 1.0, "moment": math.inf}[self.scale]
-            risk = emp / data.C if self.scale == "kl" else emp
-            inp = BoundInput(risk, kl, data.n, data.eps, scale_C)
+        lam = self._checked_lambda(data, rho, lam)
+        scaled = self._scale(data, emp)
+        inp = None if scaled is None else BoundInput(scaled[0], kl, data.n, data.eps, scaled[1])
         cert = self.evaluate(inp, data, rho, lam)
         if self.scale == "kl" and data.C != 1.0:
             return replace(cert, value=cert.value * data.C,
@@ -710,12 +743,49 @@ class CatalogEntry:
             return replace(cert, vacuous=bool(cert.value >= data.C))
         return cert
 
+    def values(self, emp, kl, lam=None, W=None, **fields) -> np.ndarray:
+        """certify(BoundData(**fields), rho_i, emp[i], kl[i], lam).value for every
+        posterior rho_i, row i of the weight matrix W, in one pass.
+
+        The checks certify makes per posterior are made once for the whole
+        column, and each value has the bits of its certify call.  A row with
+        no posterior (union_finite) gives one value per row of emp_risk.
+        """
+        data = BoundData(**fields)
+        lam = self._checked_lambda(data, W, lam)
+        q, scaled = emp, self._scale(data, np.asarray(emp, dtype=float))
+        if scaled is not None:
+            (q, scale_C), kl = scaled, np.asarray(kl, dtype=float)
+            _check_inputs(data.n, data.eps, scale_C, q.min(), q.max())
+            if not (kl >= 0).all():
+                raise ValueError(f"kl must be nonnegative, got values down to {kl.min()!r}")
+        value = np.asarray(self.columns(q, kl, lam, data, W)[0], dtype=float)
+        return value * data.C if self.scale == "kl" else value
+
+
+def _union_inputs(d: BoundData):
+    """(r_min, log M) of a task: the smallest risk, one per row of a risk matrix."""
+    r_min = 0.0 if d.emp_risk is None else d.emp_risk.min(axis=-1)
+    return r_min, math.log(d.emp_risk.shape[-1]) if d.log_M is None else d.log_M
+
 
 def _union(inp, d, rho, lam):
-    r_min = 0.0 if d.emp_risk is None else float(d.emp_risk.min())
-    if d.log_M is not None:
-        return bound_union_finite(r_min, d.n, d.eps, d.C, log_M=d.log_M)
-    return bound_union_finite(r_min, d.n, d.eps, d.C, M=d.emp_risk.size)
+    r_min, log_M = _union_inputs(d)
+    return bound_union_finite(float(r_min), d.n, d.eps, d.C, log_M=log_M)
+
+
+def _union_columns(q, kl, lam, d, W):
+    r_min, log_M = _union_inputs(d)
+    _check_inputs(d.n, d.eps, d.C, np.min(r_min), np.max(r_min))
+    if not (log_M >= 0):
+        raise ValueError(f"kl must be nonnegative, got {log_M!r}")
+    return _union_finite(r_min, log_M, lam, d)
+
+
+def _chi_square_columns(q, kl, lam, d, W):
+    if not (d.kappa > 0):
+        raise ValueError("kappa must be positive")
+    return _chi_square(q, _chi2_rows(W, d.prior.weights), lam, d)
 
 
 def _lambda_grid(inp, d, rho, lam):
@@ -731,39 +801,43 @@ def _geometric(n, m, eps, C):
 
 #: The catalog, keyed by bound id; compare lists tied bounds in this order.
 BOUND_TABLE = {entry.bound_id: entry for entry in (
-    CatalogEntry("union_finite", ("emp_risk or log_M",), "range", _union),
+    CatalogEntry("union_finite", ("emp_risk or log_M",), "range", _union, _union_columns),
     # lambda_grid is this bound searched over lambda, so compare leaves it out
     CatalogEntry("catoni_linear", ("posterior",), "range",
-                 lambda inp, d, rho, lam: bound_catoni_linear(inp, lam),
+                 lambda inp, d, rho, lam: bound_catoni_linear(inp, lam), _catoni_linear,
                  lam_kind="free", search=lambda n, m, eps, C: []),
     CatalogEntry("lambda_grid", ("emp_risk", "prior"), "range", _lambda_grid, lam_kind="grid"),
     CatalogEntry("mcallester", ("posterior",), "range",
-                 lambda inp, d, rho, lam: bound_mcallester_maurer(inp)),
+                 lambda inp, d, rho, lam: bound_mcallester_maurer(inp), _mcallester),
     CatalogEntry("seeger", ("posterior",), "kl",
-                 lambda inp, d, rho, lam: bound_seeger_maurer(inp)),
+                 lambda inp, d, rho, lam: bound_seeger_maurer(inp), _seeger),
     CatalogEntry("tolstikhin_seldin", ("posterior",), "kl",
-                 lambda inp, d, rho, lam: bound_tolstikhin_seldin(inp)),
+                 lambda inp, d, rho, lam: bound_tolstikhin_seldin(inp), _tolstikhin_seldin),
     CatalogEntry("thiemann", ("posterior",), "kl",
-                 lambda inp, d, rho, lam: bound_thiemann(inp, lam),
+                 lambda inp, d, rho, lam: bound_thiemann(inp, lam), _thiemann,
                  lam_kind="fixed", lam_default=1.0, lam_upper=2.0,
                  search=lambda n, m, eps, C: [float(g) for g in np.linspace(0.1, 1.9, 19)]),
     CatalogEntry("catoni_phi", ("posterior",), "kl",
-                 lambda inp, d, rho, lam: bound_catoni_phi(inp, lam),
+                 lambda inp, d, rho, lam: bound_catoni_phi(inp, lam), _catoni_phi,
                  lam_kind="free", search=_geometric),
     CatalogEntry("subgaussian", ("posterior",), "range",
-                 lambda inp, d, rho, lam: bound_subgaussian(inp, lam),
+                 lambda inp, d, rho, lam: bound_subgaussian(inp, lam), _subgaussian,
                  lam_kind="free", search=_geometric),
     CatalogEntry("chi_square", ("posterior", "prior", "kappa"), "moment",
                  lambda inp, d, rho, lam: bound_chi_square(
-                     replace(inp, chi2=chi2_discrete(rho, d.prior), kappa=d.kappa))),
+                     replace(inp, chi2=chi2_discrete(rho, d.prior), kappa=d.kappa)),
+                 _chi_square_columns),
     CatalogEntry("truncated", ("posterior", "losses"), "range",
                  lambda inp, d, rho, lam: bound_truncated(
                      inp, lam, float(np.dot(rho.weights, d.truncated_risks(lam))), 0.0),
+                 lambda q, kl, lam, d, W: _truncated(
+                     _row_dots(W, d.truncated_risks(lam)), kl, lam, d, 0.0),
                  lam_kind="free", tail_free=True,
                  search=lambda n, m, eps, C: [g for g in _geometric(n, m, eps, C) if n / g >= C]),
     CatalogEntry("localized_empirical", ("posterior", "prior"), "unit",
                  lambda inp, d, rho, lam: bound_localized_empirical(
                      d.emp_risk, rho, d.prior, d.n, d.eps, lam, d.xi),
+                 _localized_columns,
                  lam_kind="free", search=lambda n, m, eps, C: [min(
                      max(math.log(m / eps), LOCALIZED_LAMBDA_RANGE[0]),
                      LOCALIZED_LAMBDA_RANGE[1])]),

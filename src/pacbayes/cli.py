@@ -24,7 +24,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -134,6 +133,8 @@ def load_task_file(path: str) -> dict:
     else:
         out["log_prior"] = None
 
+    _require(emp is not None or raw.get("losses") is None, "losses",
+             "needs the emp_risk field, whose values its column means must reproduce")
     if emp is not None:
         _require(bool(np.all((emp >= 0) & (emp <= out["C"]))), "emp_risk",
                  "entries must lie in [0, C]")
@@ -223,6 +224,14 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
     return rho, bounds.resolve_lambda(lam_flag, kl, task["n"], task["eps"], task["C"])
 
 
+def _bound_fields(task: dict, prior, xi: float) -> dict:
+    """The BoundData fields of a task, as keyword arguments."""
+    rt = task.get("risk_table")
+    return {"emp_risk": task["emp_risk"], "n": task["n"], "eps": task["eps"], "C": task["C"],
+            "prior": prior, "kappa": task["kappa"], "losses": None if rt is None else rt.losses,
+            "log_M": task["log_M"], "xi": xi}
+
+
 def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Certificate:
     """Evaluate one catalog bound for posterior rho (None for bounds that take none)."""
     entry = _catalog_entry(bound_id)
@@ -230,15 +239,9 @@ def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Cert
     if "posterior" in entry.requires and rho is not None:
         emp = float(np.dot(rho.weights, task["emp_risk"]))
         kl = _kl_log_prior(rho.weights, _log_prior(task))
-    rt = task.get("risk_table")
-    data = bounds.BoundData(
-        task["emp_risk"], task["n"], task["eps"], task["C"],
-        prior=_prior_distribution(task) if "prior" in entry.requires else None,
-        kappa=task["kappa"], losses=None if rt is None else rt.losses,
-        log_M=task["log_M"], xi=xi,
-    )
+    prior = _prior_distribution(task) if "prior" in entry.requires else None
     try:
-        return entry.certify(data, rho, emp, kl, lam)
+        return entry.certify(bounds.BoundData(**_bound_fields(task, prior, xi)), rho, emp, kl, lam)
     except ValueError as exc:
         raise SemanticError(str(exc))
 
@@ -312,7 +315,10 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     KL are skipped.  Each bound is minimized over the candidates and over
     the lambdas its catalog policy searches, paying the log(card) union
     price over those lambdas by splitting eps; the localized empirical
-    bound only enters at its harness-validated lambda range.
+    bound only enters at its harness-validated lambda range.  A bound
+    scores the candidates at one lambda with one ``CatalogEntry.values``
+    call per row block of them; the first minimum in (lambda, candidate)
+    order wins, and only it is certified, for its terms.
     """
     if eps is not None:
         task = {**task, "eps": eps}
@@ -323,30 +329,38 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     pi = _prior_distribution(task)
     m = emp_vec.size
     logpi = task["log_prior"]
+    # the candidates stay in the row blocks _gibbs_family yields, then the ERM
+    # Dirac, with infinite-KL candidates dropped: at M = 1e5 one matrix of
+    # them all is an 8.8 MB heap chunk that stayed resident after compare
+    # and raised the benchmark's peak RSS by as much
+    blocks = list(_gibbs_family(_safe_log(pi.weights), emp_vec,
+                                bounds.lambda_grid_geometric(n), logpi))
     erm = int(np.argmin(emp_vec))
-    dirac = DiscreteDistribution.dirac(m, erm)
-    stats = [(DiscreteDistribution(row), emp, kl)
-             for w, emps, kls in _gibbs_family(_safe_log(pi.weights), emp_vec,
-                                               bounds.lambda_grid_geometric(n), logpi)
-             for row, emp, kl in zip(w, emps.tolist(), kls.tolist())]
-    stats.append((dirac, float(emp_vec[erm]), _kl_log_prior(dirac.weights, logpi)))
-    stats = [s for s in stats if not math.isinf(s[2])]
-    rt = task["risk_table"]
-    data = bounds.BoundData(emp_vec, n, eps, C, prior=pi, kappa=task["kappa"],
-                            losses=None if rt is None else rt.losses, log_M=task["log_M"],
-                            xi=bounds.LOCALIZED_XI_DEFAULT)
+    dirac = DiscreteDistribution.dirac(m, erm).weights[None, :]
+    blocks.append((dirac, emp_vec[[erm]], np.array([_kl_log_prior(dirac[0], logpi)])))
+    blocks = [b if keep.all() else tuple(x[keep] for x in b)
+              for b in blocks for keep in [~np.isinf(b[2])] if keep.any()]
+    rows = [row for w, _, _ in blocks for row in w]
+    emp, kl = (np.concatenate([b[i] for b in blocks]) for i in (1, 2))
+    fields = _bound_fields(task, pi, bounds.LOCALIZED_XI_DEFAULT)
+    data = bounds.BoundData(**fields)
 
     results = []
     for entry in bounds.BOUND_TABLE.values():
         lams = entry.search(n, m, eps, C)
-        if not lams or entry.missing(data, dirac):
+        if not lams or entry.missing(data, rows):
             continue
-        priced = replace(data, eps=eps / len(lams))
-        posts = stats if "posterior" in entry.requires else [(None, None, None)]
-        results.append(min(
-            (entry.certify(priced, rho, emp, kl, lam) for lam in lams for rho, emp, kl in posts),
-            key=lambda c: c.value,
-        ))
+        priced = {**fields, "eps": eps / len(lams)}
+        if "posterior" not in entry.requires:
+            results.append(entry.certify(bounds.BoundData(**priced)))
+            continue
+        # every candidate at each lambda, one values call per block; the first
+        # minimum in (lambda, candidate) order wins, as min() over the grid takes
+        scores = [np.concatenate([entry.values(e, k, lam, w, **priced) for w, e, k in blocks])
+                  for lam in lams]
+        j, i = divmod(int(np.argmin(scores)), len(rows))
+        results.append(entry.certify(bounds.BoundData(**priced), DiscreteDistribution(rows[i]),
+                                     float(emp[i]), float(kl[i]), lams[j]))
     results.sort(key=lambda c: c.value)
     return results
 
@@ -555,6 +569,12 @@ def _check_flags(args) -> None:
     posterior = getattr(args, "posterior", "gibbs")
     if entry and posterior != "gibbs" and "posterior" not in entry.requires:
         raise SchemaError("--posterior", f"{entry.bound_id} takes no posterior, got {posterior!r}")
+    if entry and entry.lam_kind == "grid":
+        rule = getattr(args, "posterior_rule", "gibbs")
+        _require(rule == "gibbs", "--posterior-rule",
+                 f"{entry.bound_id} searches Gibbs posteriors only, got {rule!r}")
+        _require(not isinstance(args.lam, float), "--lambda",
+                 f"{entry.bound_id} searches its own lambda grid, got {args.lam!r}")
 
 
 def main(argv=None) -> int:

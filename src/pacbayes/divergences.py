@@ -75,18 +75,6 @@ class DiscreteDistribution:
         return cls(w)
 
     @classmethod
-    def _rows(cls, w: np.ndarray) -> list:
-        """One distribution per row of a weight matrix _check_weights has passed,
-        without checking each row again."""
-        w.flags.writeable = False
-        rows = []
-        for row in w:
-            rho = object.__new__(cls)
-            object.__setattr__(rho, "weights", row)
-            rows.append(rho)
-        return rows
-
-    @classmethod
     def from_weights(cls, weights) -> "DiscreteDistribution":
         """Normalize an arbitrary nonnegative weight vector."""
         w = np.asarray(weights, dtype=float)
@@ -276,6 +264,21 @@ def _gibbs_family(logpi: np.ndarray, r: np.ndarray, lams, logq: np.ndarray):
             yield w, emp, _kl_log_prior(w, logq)
 
 
+def _row_blocks(w: np.ndarray, *xs):
+    """Consecutive row blocks of the matrix w, each of at most _FAMILY_BLOCK
+    entries (at least one row), with the matching rows of each matrix in xs; a
+    vector in xs goes whole with every block."""
+    step = max(1, _FAMILY_BLOCK // max(1, w.shape[1]))
+    for i in range(0, w.shape[0], step):
+        yield (w[i:i + step], *(x[i:i + step] if np.ndim(x) == 2 else x for x in xs))
+
+
+def _row_dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The dot product of each row of w with x, or with the matching row of x,
+    each with the bits of np.dot on that row (a gemv or einsum would differ)."""
+    return np.matmul(w[:, None, :], x[..., None])[:, 0, 0]
+
+
 def _kl_log_prior(r: np.ndarray, logp: np.ndarray):
     """KL(rho || pi) = sum over r > 0 of r (log r - logp), from rho's weights r
     and pi's log masses logp; +inf where logp = -inf.  No ratio r/p can overflow.
@@ -298,14 +301,26 @@ def kl_discrete(rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:
     return _kl_log_prior(rho.weights, _safe_log(pi.weights))
 
 
+def _chi2_rows(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """chi^2(rho || pi) for each row rho of the weight matrix w, pi with masses p;
+    +inf where a row charges an index where pi vanishes.  Row blocks bound the
+    temporaries, and each support slice is made C-contiguous, so every row is
+    summed in the order of its own vector."""
+    mask = p > 0
+    pm = p[mask]
+    base = np.sum(pm)
+    out = []
+    for wb, in _row_blocks(w):
+        sq = np.ascontiguousarray(wb[:, mask]) ** 2 / pm
+        chi2 = np.maximum(sq.sum(axis=-1) - base, 0.0)
+        out.append(np.where((wb[:, ~mask] > 0).any(axis=-1), math.inf, chi2))
+    return np.concatenate(out)
+
+
 def chi2_discrete(rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:
     """Chi-square divergence chi^2(rho || pi) = sum pi [(rho/pi)^2 - 1]."""
     _check_same_support(rho, pi)
-    r, p = rho.weights, pi.weights
-    if np.any(r[p == 0] > 0):
-        return math.inf
-    mask = p > 0
-    return max(float(np.sum(r[mask] ** 2 / p[mask]) - np.sum(p[mask])), 0.0)
+    return float(_chi2_rows(rho.weights[None, :], pi.weights)[0])
 
 
 def kl_gaussian_diag(rho: DiagonalGaussian, prior_std: float) -> float:

@@ -30,6 +30,7 @@ from .divergences import (
     _kl_log_prior,
     _log_gibbs,
     _logsumexp,
+    _row_dots,
     _safe_log,
 )
 from .posteriors import _gibbs_grid
@@ -600,18 +601,12 @@ def _stacked_draws(task: SyntheticTask, n: int, keys: list):
                        dtype=float)
 
 
-def _row_dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The dot product of each row of w with x, or with the matching row of x,
-    each with the bits of np.dot on that row (a gemv or einsum would differ)."""
-    return np.matmul(w[:, None, :], x[..., None])[:, 0, 0]
-
-
-def _posterior_rows(rule: str, logpi: np.ndarray, R: np.ndarray, lam, fixed):
-    """One posterior per row r of R under a violation_experiment rule, with the
-    checks of the one-posterior constructors: the weight matrix and each row's
-    DiscreteDistribution.  A gibbs lam is one value or a column of one per row."""
+def _posterior_rows(rule: str, logpi: np.ndarray, R: np.ndarray, lam, fixed) -> np.ndarray:
+    """The weight matrix of one posterior per row r of R under a
+    violation_experiment rule, with the checks of the one-posterior
+    constructors.  A gibbs lam is one value or a column of one per row."""
     if rule == "fixed_rho":
-        return np.broadcast_to(fixed.weights, R.shape), [fixed] * R.shape[0]
+        return np.broadcast_to(fixed.weights, R.shape)
     if rule == "gibbs":
         h = -lam * R
         if h.shape[-1] != logpi.size or not np.isfinite(h).all():
@@ -621,7 +616,7 @@ def _posterior_rows(rule: str, logpi: np.ndarray, R: np.ndarray, lam, fixed):
         w = np.zeros(R.shape)
         w[np.arange(R.shape[0]), R.argmin(axis=1)] = 1.0
     _check_weights(w)
-    return w, DiscreteDistribution._rows(w)
+    return w
 
 
 def violation_experiment(
@@ -652,9 +647,11 @@ def violation_experiment(
     The draws stay one per trial; they are stacked into (trials x M) blocks
     of at most divergences._FAMILY_BLOCK entries.  In a block every
     posterior is one row of one checked weight matrix, E_rho[r], E_rho[R]
-    and KL(rho || pi) are one pass each, and lambda_grid scores every
-    (trial, lambda) pair at once; only the certificate itself is evaluated
-    trial by trial.  Each row has the bits of the trial-by-trial loop.
+    and KL(rho || pi) are one pass each, the certificates are one
+    ``CatalogEntry.values`` call, and lambda_grid scores every (trial,
+    lambda) pair at once.  Each row has the bits of the trial-by-trial loop.
+    lambda_grid searches its own Gibbs posteriors and lambdas, so it takes
+    only the "gibbs" rule and no numeric lam.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -674,8 +671,14 @@ def violation_experiment(
     # closed-form lambda and the vacuity threshold
     C = task.C if math.isfinite(task.C) else 1.0
     kind = "free" if oracle else entry.lam_kind
-    if kind != "grid" and posterior_rule not in ("gibbs", "erm_dirac", "fixed_rho"):
+    if posterior_rule not in ("gibbs", "erm_dirac", "fixed_rho"):
         raise ValueError(f"unknown posterior rule {posterior_rule!r}")
+    if kind == "grid" and posterior_rule != "gibbs":
+        raise ValueError(f"{bound_id} searches Gibbs posteriors only; posterior_rule must be "
+                         f"'gibbs', got {posterior_rule!r}")
+    if kind == "grid" and lam not in (None, "closed_form"):
+        raise ValueError(f"{bound_id} searches its own lambda grid; lam must be None or "
+                         f"'closed_form', got {lam!r}")
     lam_value = None
     if kind == "free" or (posterior_rule == "gibbs" and kind != "grid"):
         # a data-free pick (the closed form at the Dirac complexity log M
@@ -697,18 +700,16 @@ def violation_experiment(
             bounds._check_inputs(n, None, C, risks.min(), risks.max())
             scores = bounds._lambda_grid_values(grid, *_gibbs_grid(logpi, risks, grid), n, eps, C)
             best = scores.argmin(axis=1)
-            w, _ = _posterior_rows("gibbs", logpi, risks, grid[best, None], None)
+            w = _posterior_rows("gibbs", logpi, risks, grid[best, None], None)
             values += scores[np.arange(best.size), best].tolist()
         else:
-            w, rhos = _posterior_rows(posterior_rule, logpi, risks, lam_value, fixed_rho or pi)
+            w = _posterior_rows(posterior_rule, logpi, risks, lam_value, fixed_rho or pi)
             if oracle:
-                values += [oracle_value] * len(rhos)
+                values += [oracle_value] * w.shape[0]
             else:
-                for r, rho, emp, kl in zip(risks, rhos, _row_dots(w, risks).tolist(),
-                                           _kl_log_prior(w, logpi).tolist()):
-                    data = bounds.BoundData(r, n, eps, C, prior=pi, xi=xi,
-                                            kappa=getattr(task, "kappa", None))
-                    values.append(entry.certify(data, rho, emp, kl, lam_bound).value)
+                values += entry.values(_row_dots(w, risks), _kl_log_prior(w, logpi), lam_bound, w,
+                                       emp_risk=risks, n=n, eps=eps, C=C, prior=pi, xi=xi,
+                                       kappa=getattr(task, "kappa", None)).tolist()
         true += _row_dots(w, R).tolist()
     rows = []
     for true_t, value in zip(true, values):

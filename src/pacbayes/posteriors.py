@@ -205,10 +205,13 @@ def single_draw_certificate(
         raise ValueError("theta_idx lies outside the posterior's support")
     if pi.weights[theta_idx] <= 0:
         raise ValueError("theta_idx lies outside the prior's support")
+    if not (lam > 0):
+        raise ValueError("lambda must be positive")
     log_ratio = math.log(rho.weights[theta_idx] / pi.weights[theta_idx])
-    cert = bounds._linear("single_draw", emp_risk_theta, log_ratio + math.log(1.0 / eps), lam,
-                          lam * C**2 / (8.0 * n), C)
-    return replace(cert, details={"log_density_ratio": log_ratio, "theta_idx": theta_idx})
+    value, terms, _ = bounds._catoni_linear(emp_risk_theta, log_ratio, lam,
+                                            bounds.BoundData(None, n, eps, C))
+    return bounds._certificate("single_draw", C, lam, value, terms,
+                               {"log_density_ratio": log_ratio, "theta_idx": theta_idx})
 
 
 # ---------------------------------------------------------------------------

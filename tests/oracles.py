@@ -311,6 +311,57 @@ def truncated_risks_loop(losses, n, lam):
     return np.array([truncated_empirical_risk(column, n, lam) for column in losses.T])
 
 
+def compare_bounds_loop(task, eps=None):
+    """cli.compare_bounds one certificate at a time.
+
+    The loop compare ran before its column pass: every (lambda, candidate)
+    pair of a bound is certified on its own, each candidate a
+    DiscreteDistribution, and min() keeps the first smallest certificate.
+    """
+    from dataclasses import replace
+
+    from pacbayes import bounds
+    from pacbayes.cli import SemanticError, _prior_distribution
+    from pacbayes.divergences import (DiscreteDistribution, _gibbs_family, _kl_log_prior,
+                                      _safe_log)
+
+    if eps is not None:
+        task = {**task, "eps": eps}
+    n, eps, C = task["n"], task["eps"], task["C"]
+    emp_vec = task["emp_risk"]
+    if emp_vec is None:
+        raise SemanticError("compare needs the emp_risk field")
+    pi = _prior_distribution(task)
+    m = emp_vec.size
+    logpi = task["log_prior"]
+    erm = int(np.argmin(emp_vec))
+    dirac = DiscreteDistribution.dirac(m, erm)
+    stats = [(DiscreteDistribution(row), emp, kl)
+             for w, emps, kls in _gibbs_family(_safe_log(pi.weights), emp_vec,
+                                               bounds.lambda_grid_geometric(n), logpi)
+             for row, emp, kl in zip(w, emps.tolist(), kls.tolist())]
+    stats.append((dirac, float(emp_vec[erm]), _kl_log_prior(dirac.weights, logpi)))
+    stats = [s for s in stats if not math.isinf(s[2])]
+    rt = task["risk_table"]
+    data = bounds.BoundData(emp_vec, n, eps, C, prior=pi, kappa=task["kappa"],
+                            losses=None if rt is None else rt.losses, log_M=task["log_M"],
+                            xi=bounds.LOCALIZED_XI_DEFAULT)
+
+    results = []
+    for entry in bounds.BOUND_TABLE.values():
+        lams = entry.search(n, m, eps, C)
+        if not lams or entry.missing(data, dirac):
+            continue
+        priced = replace(data, eps=eps / len(lams))
+        posts = stats if "posterior" in entry.requires else [(None, None, None)]
+        results.append(min(
+            (entry.certify(priced, rho, emp, kl, lam) for lam in lams for rho, emp, kl in posts),
+            key=lambda c: c.value,
+        ))
+    results.sort(key=lambda c: c.value)
+    return results
+
+
 def bernstein_ratios_loop(gaps, second, theta_star):
     """(K, ratios) of the Bernstein condition, one hypothesis at a time.
 

@@ -666,3 +666,82 @@ class TestCatalogTable:
             # the lambda-policy and loss-scale cells open with the table's keyword
             assert re.match(r"\w+", policy).group() == entry.lam_kind, bound_id
             assert re.match(r"\w+", scale).group() == entry.scale, bound_id
+
+
+def _same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestColumns:
+    """Row i of every row's array formula is the certify value of posterior i,
+    to the bit, on every scale, at C = 1 and 2, with infinite KLs among the rows."""
+
+    @staticmethod
+    def instance(seed, C, inf_kl):
+        rng = np.random.default_rng(seed)
+        m, n, T = int(rng.integers(2, 7)), int(rng.integers(5, 300)), int(rng.integers(1, 6))
+        losses = C * rng.random((n, m))
+        prior = rng.random(m) + 0.05
+        if inf_kl:
+            prior[0] = 0.0
+        prior = DiscreteDistribution(prior / prior.sum())
+        W = rng.dirichlet(np.ones(m), size=T)
+        W[0] = np.eye(m)[int(rng.integers(m))]  # a Dirac row
+        if not inf_kl:
+            W[:, prior.weights == 0] = 0.0
+            W /= W.sum(axis=1, keepdims=True)
+        fields = {"emp_risk": losses.mean(axis=0), "n": n, "eps": float(rng.uniform(0.01, 0.5)),
+                  "C": C, "prior": prior, "kappa": float(rng.uniform(0.05, 2.0)),
+                  "losses": losses, "xi": float(rng.uniform(0.0, 0.95))}
+        lams = {"free": float(rng.uniform(0.5, n / C)), "fixed": float(rng.uniform(0.05, 1.95))}
+        return W, fields, lams
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), C=st.sampled_from([1.0, 2.0]), inf_kl=st.booleans())
+    def test_row_i_is_certify_of_posterior_i(self, seed, C, inf_kl):
+        W, fields, lams = self.instance(seed, C, inf_kl)
+        emp = W @ fields["emp_risk"]
+        kl = np.array([kl_discrete(DiscreteDistribution(w), fields["prior"]) for w in W])
+        data = BoundData(**fields)
+        for bound_id, entry in BOUND_TABLE.items():
+            if "posterior" not in entry.requires:
+                continue
+            lam = lams.get(entry.lam_kind)
+            values = entry.values(emp, kl, lam, W, **fields)
+            assert values.shape == (len(W),), bound_id
+            for i, w in enumerate(W):
+                cert = entry.certify(data, DiscreteDistribution(w), float(emp[i]), float(kl[i]),
+                                     lam)
+                assert _same(values[i], cert.value), (bound_id, i, values[i], cert.value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), C=st.sampled_from([1.0, 2.0]))
+    def test_union_row_per_risk_row(self, seed, C):
+        rng = np.random.default_rng(seed)
+        R = C * rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 9))))
+        fields = {"n": int(rng.integers(1, 500)), "eps": float(rng.uniform(0.01, 0.5)), "C": C}
+        entry = BOUND_TABLE["union_finite"]
+        values = entry.values(None, None, None, None, emp_risk=R, **fields)
+        for r, value in zip(R, values):
+            assert value == entry.certify(BoundData(r, **fields)).value
+
+    @pytest.mark.parametrize("emp, kl, match", [
+        ([0.2, 1.5], [0.1, 0.2], "emp_risk must lie in"),
+        ([0.2, 0.3], [0.1, math.nan], "kl must be nonnegative"),
+        ([0.2, 0.3], [0.1, -0.2], "kl must be nonnegative"),
+    ])
+    def test_the_block_check_refuses_what_certify_refuses(self, emp, kl, match):
+        W = np.full((2, 2), 0.5)
+        fields = {"emp_risk": np.array([0.2, 0.3]), "n": 50, "eps": 0.1, "C": 1.0,
+                  "prior": DiscreteDistribution.uniform(2)}
+        for bound_id in ("mcallester", "seeger"):
+            with pytest.raises(ValueError, match=match):
+                BOUND_TABLE[bound_id].values(np.array(emp), np.array(kl), None, W, **fields)
+
+    def test_the_block_check_refuses_a_lambda_out_of_range(self):
+        fields = {"emp_risk": np.array([0.2, 0.3]), "n": 50, "eps": 0.1}
+        with pytest.raises(ValueError, match="must lie in"):
+            BOUND_TABLE["thiemann"].values(np.array([0.2]), np.array([0.1]), 2.5,
+                                           np.full((1, 2), 0.5), **fields)
+        with pytest.raises(ValueError, match="needs posterior"):
+            BOUND_TABLE["mcallester"].values(np.array([0.2]), np.array([0.1]), **fields)

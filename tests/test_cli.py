@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import cli
+from pacbayes import cli, divergences
 from pacbayes.bounds import (
     BoundInput,
     bound_seeger_maurer,
@@ -18,6 +18,9 @@ from pacbayes.bounds import (
 )
 from pacbayes.divergences import DiscreteDistribution
 from pacbayes.posteriors import gibbs_posterior
+
+from oracles import compare_bounds_loop
+from test_cli_golden import FIXTURES
 
 
 def write_json(path, doc):
@@ -133,6 +136,16 @@ class TestTaskFileSchema:
         })
         with pytest.raises(cli.SchemaError):
             cli.load_task_file(path)
+
+    def test_losses_without_emp_risk_names_losses(self, tmp_path, capsys):
+        # the loss matrix was dropped with the emp_risk block, and truncated
+        # then exited 3 with "truncated needs posterior and losses"
+        path = write_json(tmp_path / "bad.json", {
+            "schema": 1, "n": 4, "eps": 0.1, "C": 1.0, "prior": [0.5, 0.5],
+            "losses": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
+        })
+        assert cli.main(["certify", path, "--bound", "truncated", "--lambda", "2"]) == 2
+        assert "field 'losses'" in capsys.readouterr().err
 
     def test_losses_check_names_losses_at_the_risk_table_tolerance(self, tmp_path, capsys):
         # a 3e-10 gap passed a 1e-9 check here and was then rejected by
@@ -317,10 +330,17 @@ class TestCertify:
      "--posterior"),
     ("small_instance", ["certify", "--bound", "union_finite", "--posterior", "dirac:0"],
      "--posterior"),
+    # lambda_grid searches its own Gibbs posteriors and lambdas
+    ("generative_instance", ["violate", "--bound", "lambda_grid", "--trials", "5",
+                             "--posterior-rule", "erm_dirac"], "--posterior-rule"),
+    ("generative_instance", ["violate", "--bound", "lambda_grid", "--trials", "5",
+                             "--lambda", "7"], "--lambda"),
+    ("small_instance", ["certify", "--bound", "lambda_grid", "--lambda", "7"], "--lambda"),
 ], ids=["lambda_nan", "lambda_negative", "thiemann_lambda_5", "xi_1.5", "compare_eps_1.5",
         "violate_eps_nan", "rates_eps_1.5", "rates_reps_0", "violate_trials_0",
         "violate_corruption_nan", "violate_thiemann_lambda_5", "lambda_grid_dirac",
-        "union_finite_dirac"])
+        "union_finite_dirac", "violate_lambda_grid_erm_dirac", "violate_lambda_grid_lambda_7",
+        "certify_lambda_grid_lambda_7"])
 def test_out_of_range_flag_exit_2(fixture, argv, field, request, capsys):
     command, *flags = argv
     rc = cli.main([command, request.getfixturevalue(fixture), *flags])
@@ -394,6 +414,47 @@ class TestCompare:
         v1 = json.loads(out1.read_text())["results"][0]["value"]
         v2 = json.loads(out2.read_text())["results"][0]["value"]
         assert v2 > v1  # tighter confidence costs slack
+
+
+class TestCompareColumns:
+    """compare scores each bound's (lambda x candidate) grid as columns and gives
+    the certificates of the loop that certified every pair, by repr."""
+
+    @staticmethod
+    def task(tmp_path, doc):
+        return cli.load_task_file(write_json(tmp_path / "t.json", doc))
+
+    def same(self, task, eps=None):
+        assert repr(cli.compare_bounds(task, eps)) == repr(compare_bounds_loop(task, eps))
+
+    @pytest.mark.parametrize("name", ["full.json", "range2.json", "noiseless.json",
+                                      "generative.json"])
+    @pytest.mark.parametrize("block", [None, 3], ids=["one_block", "blocks"])
+    def test_golden_fixtures(self, name, block, tmp_path, monkeypatch):
+        # full.json: the ERM Dirac charges a zero prior mass (infinite KL);
+        # range2.json: C = 2; block 3: one weight row per block
+        if block is not None:
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+        task = self.task(tmp_path, FIXTURES[name])
+        self.same(task)
+        self.same(task, eps=0.01)
+
+    @pytest.mark.parametrize("C", [1.0, 2.0])
+    def test_exact_ties(self, C, tmp_path, monkeypatch):
+        # equal risks under a uniform prior: every Gibbs candidate is the
+        # prior, so each bound ties across all of them and every lambda
+        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", 10)
+        task = self.task(tmp_path, {"schema": 1, "n": 300, "eps": 0.05, "C": C, "kappa": 0.3,
+                                    "prior": [0.2] * 5, "emp_risk": [0.4 * C] * 5})
+        self.same(task)
+
+    def test_losses_and_skipped_dirac(self, tmp_path):
+        losses = (np.random.default_rng(3).random((50, 6)) < 0.4).astype(float)
+        task = self.task(tmp_path, {"schema": 1, "n": 50, "eps": 0.1, "C": 1.0, "kappa": 0.5,
+                                    "prior": [0.0, 0.3, 0.2, 0.2, 0.2, 0.1],
+                                    "emp_risk": losses.mean(axis=0).tolist(),
+                                    "losses": losses.tolist()})
+        self.same(task)
 
 
 class TestViolate:

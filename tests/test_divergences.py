@@ -45,12 +45,6 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([1.5, -0.5]))
 
-    def test_rows_of_a_checked_matrix(self):
-        w = np.array([[0.25, 0.75], [1.0, 0.0]])
-        rows = DiscreteDistribution._rows(w)
-        assert [rho.weights.tolist() for rho in rows] == w.tolist()
-        assert not any(rho.weights.flags.writeable for rho in rows)
-
     def test_uniform_and_dirac(self):
         u = DiscreteDistribution.uniform(4)
         assert np.allclose(u.weights, 0.25)

@@ -594,6 +594,15 @@ class TestViolationExperiment:
         with pytest.raises(ValueError, match=f"{bound_id} needs a bounded loss range.*heavy_tail"):
             violation_experiment(ht, bound_id, "gibbs", 300, 0.1, 10, 0)
 
+    @pytest.mark.parametrize("rule, lam, name", [("erm_dirac", "closed_form", "posterior_rule"),
+                                                 ("fixed_rho", "closed_form", "posterior_rule"),
+                                                 ("gibbs", 7.0, "lam")])
+    def test_lambda_grid_takes_only_its_own_search(self, rule, lam, name):
+        # the grid row searches Gibbs posteriors over its own lambdas; another
+        # rule or a lambda was ignored while the report named it
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            violation_experiment(self.task, "lambda_grid", rule, 500, 0.05, 5, 0, lam=lam)
+
     def test_localized_empirical_validated_range(self):
         # the displayed formula's denominator grows superlinearly in lambda;
         # inside the validated range the guarantee holds with margin, while
@@ -677,8 +686,12 @@ class TestBlockedTrials:
         m = self.TASKS[task].m
         rho = DiscreteDistribution.from_weights(np.random.default_rng(m).random(m))
         for bound_id in ("seeger", "lambda_grid"):
-            self.check(block, monkeypatch, task, bound_id, rule, 300, 0.1, 25, 5,
-                       fixed_rho=rho, corruption=0.7)
+            args = (block, monkeypatch, task, bound_id, rule, 300, 0.1, 25, 5)
+            if bound_id == "lambda_grid" and rule != "gibbs":  # the grid searches Gibbs rows only
+                with pytest.raises(ValueError, match="posterior_rule must be 'gibbs'"):
+                    self.check(*args, fixed_rho=rho, corruption=0.7)
+                continue
+            self.check(*args, fixed_rho=rho, corruption=0.7)
 
     @BLOCKS
     @pytest.mark.parametrize("rule", ["gibbs", "fixed_rho"])
