@@ -380,7 +380,9 @@ def bound_seeger_maurer(inp: BoundInput) -> Certificate:
 
 def _tolstikhin_seldin(q, kl, lam, s, W=None):
     half_budget = _seeger_nats(kl, s) / (2.0 * s.n)
-    sqrt_term = np.sqrt(2.0 * q * half_budget)
+    # an infinite KL makes every term +inf, the sqrt one too at q = 0 (0 * inf)
+    with np.errstate(invalid="ignore"):
+        sqrt_term = np.where(np.isinf(half_budget), math.inf, np.sqrt(2.0 * q * half_budget))
     lin_term = 2.0 * half_budget
     return (q + sqrt_term + lin_term, {"empirical": q, "complexity": sqrt_term, "slack": lin_term},
             {"half_budget": half_budget})
@@ -605,15 +607,15 @@ def bound_localized_empirical(
 
 def _localized_columns(q, kl, lam, d, W):
     """The localized formula at every row of W, with E_rho[r] and KL(rho || pi_{-xi r})
-    read off W in row blocks; d.emp_risk is one risk vector or one per row of W."""
+    read off W in row blocks; d.emp_risk is one risk vector or one per row of W,
+    and d keeps log pi_{-xi r} for every call that shares it."""
     _localized_checks(d.n, d.eps, lam, d.xi)
     r = np.asarray(d.emp_risk, dtype=float)
     if r.shape[-1] != W.shape[-1] or not np.isfinite(r).all():
         raise ValueError("emp_risk must be finite and match the prior support")
-    logpi = _safe_log(d.prior.weights)
     emp, kl_local = (np.concatenate(c) for c in zip(*(
-        (_row_dots(wb, rb), _kl_log_prior(wb, _safe_log(_gibbs_weights(logpi, -d.xi * rb))))
-        for wb, rb in _row_blocks(W, r))))
+        (_row_dots(wb, rb), _kl_log_prior(wb, lb))
+        for wb, rb, lb in _row_blocks(W, r, d.localized_log_prior()))))
     return _localized(emp, kl_local, d.n, d.eps, lam, d.xi)
 
 
@@ -648,6 +650,7 @@ class BoundData:
     log_M: Optional[float] = None
     xi: float = 0.0
     _truncated: dict = field(default_factory=dict, init=False, repr=False)
+    _local_log_prior: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def truncated_risks(self, lam: float) -> np.ndarray:
         """Per-hypothesis truncated empirical risks at lam, computed once per lam."""
@@ -655,6 +658,13 @@ class BoundData:
             self._truncated[lam] = truncated_empirical_risk(
                 np.ascontiguousarray(self.losses.T), self.n, lam)
         return self._truncated[lam]
+
+    def localized_log_prior(self) -> np.ndarray:
+        """log pi_{-xi r}, one row per row of emp_risk, computed once."""
+        if self._local_log_prior is None:
+            self._local_log_prior = _safe_log(_gibbs_weights(
+                _safe_log(self.prior.weights), -self.xi * np.asarray(self.emp_risk, dtype=float)))
+        return self._local_log_prior
 
 
 @dataclass(frozen=True)
@@ -743,15 +753,16 @@ class CatalogEntry:
             return replace(cert, vacuous=bool(cert.value >= data.C))
         return cert
 
-    def values(self, emp, kl, lam=None, W=None, **fields) -> np.ndarray:
-        """certify(BoundData(**fields), rho_i, emp[i], kl[i], lam).value for every
-        posterior rho_i, row i of the weight matrix W, in one pass.
+    def values(self, data: BoundData, W=None, emp=None, kl=None, lam=None) -> np.ndarray:
+        """certify(data, rho_i, emp[i], kl[i], lam).value for every posterior
+        rho_i, row i of the weight matrix W, in one pass.
 
         The checks certify makes per posterior are made once for the whole
-        column, and each value has the bits of its certify call.  A row with
-        no posterior (union_finite) gives one value per row of emp_risk.
+        column, and each value has the bits of its certify call.  Calls that
+        share data share its per-lambda truncated risks and its localized
+        prior.  A row with no posterior (union_finite) gives one value per row
+        of data.emp_risk.
         """
-        data = BoundData(**fields)
         lam = self._checked_lambda(data, W, lam)
         q, scaled = emp, self._scale(data, np.asarray(emp, dtype=float))
         if scaled is not None:

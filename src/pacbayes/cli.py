@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -224,12 +225,12 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
     return rho, bounds.resolve_lambda(lam_flag, kl, task["n"], task["eps"], task["C"])
 
 
-def _bound_fields(task: dict, prior, xi: float) -> dict:
-    """The BoundData fields of a task, as keyword arguments."""
+def _bound_data(task: dict, prior, xi: float) -> bounds.BoundData:
+    """The BoundData of a task."""
     rt = task.get("risk_table")
-    return {"emp_risk": task["emp_risk"], "n": task["n"], "eps": task["eps"], "C": task["C"],
-            "prior": prior, "kappa": task["kappa"], "losses": None if rt is None else rt.losses,
-            "log_M": task["log_M"], "xi": xi}
+    return bounds.BoundData(task["emp_risk"], task["n"], task["eps"], task["C"], prior=prior,
+                            kappa=task["kappa"], losses=None if rt is None else rt.losses,
+                            log_M=task["log_M"], xi=xi)
 
 
 def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Certificate:
@@ -241,7 +242,7 @@ def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Cert
         kl = _kl_log_prior(rho.weights, _log_prior(task))
     prior = _prior_distribution(task) if "prior" in entry.requires else None
     try:
-        return entry.certify(bounds.BoundData(**_bound_fields(task, prior, xi)), rho, emp, kl, lam)
+        return entry.certify(_bound_data(task, prior, xi), rho, emp, kl, lam)
     except ValueError as exc:
         raise SemanticError(str(exc))
 
@@ -342,24 +343,25 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
               for b in blocks for keep in [~np.isinf(b[2])] if keep.any()]
     rows = [row for w, _, _ in blocks for row in w]
     emp, kl = (np.concatenate([b[i] for b in blocks]) for i in (1, 2))
-    fields = _bound_fields(task, pi, bounds.LOCALIZED_XI_DEFAULT)
-    data = bounds.BoundData(**fields)
+    data = _bound_data(task, pi, bounds.LOCALIZED_XI_DEFAULT)
 
     results = []
     for entry in bounds.BOUND_TABLE.values():
         lams = entry.search(n, m, eps, C)
         if not lams or entry.missing(data, rows):
             continue
-        priced = {**fields, "eps": eps / len(lams)}
+        # one BoundData per bound at its priced eps, so its values calls share
+        # the truncated risks of each lambda and the localized prior
+        priced = replace(data, eps=eps / len(lams))
         if "posterior" not in entry.requires:
-            results.append(entry.certify(bounds.BoundData(**priced)))
+            results.append(entry.certify(priced))
             continue
         # every candidate at each lambda, one values call per block; the first
         # minimum in (lambda, candidate) order wins, as min() over the grid takes
-        scores = [np.concatenate([entry.values(e, k, lam, w, **priced) for w, e, k in blocks])
+        scores = [np.concatenate([entry.values(priced, w, e, k, lam) for w, e, k in blocks])
                   for lam in lams]
         j, i = divmod(int(np.argmin(scores)), len(rows))
-        results.append(entry.certify(bounds.BoundData(**priced), DiscreteDistribution(rows[i]),
+        results.append(entry.certify(priced, DiscreteDistribution(rows[i]),
                                      float(emp[i]), float(kl[i]), lams[j]))
     results.sort(key=lambda c: c.value)
     return results

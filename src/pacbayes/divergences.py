@@ -235,9 +235,14 @@ def _gibbs_weights(logpi: np.ndarray, h) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-#: Weight-matrix entries per block of Gibbs candidates in _gibbs_family;
-#: bounds its temporaries to a few MB each whatever M is.
-_FAMILY_BLOCK = 1 << 18
+#: Entries per row block of every blocked pass (Gibbs families, weight rows,
+#: stacked trials, the pi-dimension grid scan), whatever M is.  2^16 float64
+#: entries make each temporary 512 KB, which stays in a 2 MB per-core L2.
+#: Medians of 7 on a 2-CPU Xeon host, 2^15 / 2^16 / 2^18: the M = 1e4
+#: pi-dimension scan 160 / 143 / 165 ms (one scalar call per grid point:
+#: 166 ms); lambda_grid on an M = 1e5 task 34.5 / 31.7 / 33.1 ms; a 50-trial
+#: violation block at M = 1001, which 2^15 splits in two, 16.9 / 15.3 / 16.2 ms.
+_FAMILY_BLOCK = 1 << 16
 
 
 def _gibbs_family(logpi: np.ndarray, r: np.ndarray, lams, logq: np.ndarray):

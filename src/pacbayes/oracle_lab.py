@@ -341,10 +341,11 @@ def estimate_bernstein_constant(
     if mode == "exact":
         second = task.second_moments_vs_star()
     elif mode == "statistical":
-        rng = child_rng(seed, 0)
-        losses = task.sample_losses(samples, rng)
-        diff = losses - losses[:, [task.theta_star]]
-        second = (diff**2).mean(axis=0)
+        # the fresh draw is differenced and squared in place: no (samples x M)
+        # temporaries beside it, and the bits of (losses - losses*)**2
+        losses = task.sample_losses(samples, child_rng(seed, 0))
+        losses -= losses[:, [task.theta_star]]
+        second = np.square(losses, out=losses).mean(axis=0)
     else:
         raise ValueError("mode must be 'exact' or 'statistical'")
     gaps = task.gaps
@@ -370,7 +371,7 @@ def _rho_family_inf(pi: DiscreteDistribution, R: np.ndarray, extra_betas, object
     exact minimizer of E_rho[R] + c KL(rho||pi) for every c > 0, so with the
     matching beta among ``extra_betas`` the infimum is exact, not a heuristic.
     The family is evaluated as arrays: the Gibbs candidates as (beta x M)
-    weight matrices, one when M <= 1800, and the Diracs in closed form,
+    weight matrices, one when M <= 450, and the Diracs in closed form,
     E_delta_j[R] = R_j and KL(delta_j || q) = log(1/q_j); ``objective``
     takes arrays.
     """
@@ -462,11 +463,14 @@ def pi_dimension(
 
     A 1000-point log-grid scan of [1e-6, 1e8] picks the best grid point, and
     one golden-section search on log(beta) refines it, to relative tolerance
-    1e-6, between that point's two grid neighbours.  A multimodal objective
-    is handled as long as its highest peak is wider than one grid step (a
-    factor of 1.033 in beta).  Every value returned is the objective at some
-    beta the search visited, so d_pi is a lower estimate of the supremum: up
-    to the rounding of one evaluation it can undershoot, never overshoot.
+    1e-6, between that point's two grid neighbours.  The scan is one array
+    pass per row block of at most divergences._FAMILY_BLOCK entries, one
+    Gibbs measure per beta row, and each row has the bits of the scalar
+    objective the search calls.  A multimodal objective is handled as long
+    as its highest peak is wider than one grid step (a factor of 1.033 in
+    beta).  Every value returned is the objective at some beta the search
+    visited, so d_pi is a lower estimate of the supremum: up to the rounding
+    of one evaluation it can undershoot, never overshoot.
     Returns (d_pi, beta_star); all-equal risks give (0, NaN).
     """
     R = np.asarray(true_risk, dtype=float)
@@ -481,7 +485,10 @@ def pi_dimension(
         return beta * float(np.dot(np.exp(_log_gibbs(logpi, -beta * gaps)), gaps))
 
     grid = np.geomspace(1e-6, 1e8, 1000)
-    grid_vals = np.array([objective(b) for b in grid])
+    step = max(1, divergences._FAMILY_BLOCK // gaps.size)
+    grid_vals = np.concatenate([
+        b * _row_dots(np.exp(_log_gibbs(logpi, -b[:, None] * gaps)), gaps)
+        for b in (grid[i:i + step] for i in range(0, grid.size, step))])
     k = int(np.argmax(grid_vals))
     beta_g, val_g = _golden_max(objective, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
     if grid_vals[k] > val_g:
@@ -707,9 +714,10 @@ def violation_experiment(
             if oracle:
                 values += [oracle_value] * w.shape[0]
             else:
-                values += entry.values(_row_dots(w, risks), _kl_log_prior(w, logpi), lam_bound, w,
-                                       emp_risk=risks, n=n, eps=eps, C=C, prior=pi, xi=xi,
-                                       kappa=getattr(task, "kappa", None)).tolist()
+                data = bounds.BoundData(risks, n, eps, C, prior=pi, xi=xi,
+                                        kappa=getattr(task, "kappa", None))
+                values += entry.values(data, w, _row_dots(w, risks), _kl_log_prior(w, logpi),
+                                       lam_bound).tolist()
         true += _row_dots(w, R).tolist()
     rows = []
     for true_t, value in zip(true, values):

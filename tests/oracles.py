@@ -189,6 +189,35 @@ def rho_family_inf_loop(pi, R, extra_betas, objective, against=None) -> float:
     return best
 
 
+def pi_dimension_loop(pi, true_risk, C):
+    """oracle_lab.pi_dimension with one scalar objective call per grid point.
+
+    The scan pi_dimension ran before its blocked row pass, on the library's
+    own primitives: the same 1000-point grid, the same golden-section
+    refinement and the same "never overshoots" pick.  pi is a
+    DiscreteDistribution.
+    """
+    from pacbayes.divergences import _log_gibbs, _safe_log
+    from pacbayes.oracle_lab import _golden_max
+
+    R = np.asarray(true_risk, dtype=float)
+    gaps = R - R.min()
+    if np.all(gaps == 0):
+        return 0.0, math.nan
+    logpi = _safe_log(pi.weights)
+
+    def objective(beta):
+        return beta * float(np.dot(np.exp(_log_gibbs(logpi, -beta * gaps)), gaps))
+
+    grid = np.geomspace(1e-6, 1e8, 1000)
+    grid_vals = np.array([objective(b) for b in grid])
+    k = int(np.argmax(grid_vals))
+    beta_g, val_g = _golden_max(objective, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
+    if grid_vals[k] > val_g:
+        beta_g, val_g = float(grid[k]), float(grid_vals[k])
+    return float(val_g), float(beta_g)
+
+
 def mp_union_bound_value(log_M, n, eps, digits: int = 60):
     """Arbitrary-precision sqrt((log M + log(1/eps)) / (2n)) via mpmath."""
     import mpmath as mp

@@ -616,28 +616,33 @@ class TestCatalogTable:
     @pytest.mark.parametrize("C", [1.0, 2.0])
     @pytest.mark.parametrize("bound_id", BOUND_IDS)
     def test_no_nan_at_infinite_kl(self, bound_id, C):
-        # rho charges index 2, where the prior vanishes: KL(rho || pi) = inf,
-        # and the closed-form lambda sqrt(8 n (KL + log(1/eps)))/C is inf too
+        # each rho charges an index where the prior vanishes: KL(rho || pi) = inf,
+        # and the closed-form lambda sqrt(8 n (KL + log(1/eps)))/C is inf too;
+        # the second sits on hypothesis 3, which never errs, so E_rho[r] = 0
         n, eps = 40, 0.05
-        losses = C * (np.arange(n)[:, None] % np.array([5, 3, 4]) == 0)
+        losses = C * (np.arange(n)[:, None] % np.array([5, 3, 4, n + 1]) == 0)
+        losses[0, 3] = 0.0
         emp_risk = losses.mean(axis=0)
-        prior = DiscreteDistribution(np.array([0.5, 0.5, 0.0]))
-        rho = DiscreteDistribution(np.array([0.5, 0.0, 0.5]))
+        prior = DiscreteDistribution(np.array([0.5, 0.5, 0.0, 0.0]))
+        rhos = [DiscreteDistribution(np.array([0.5, 0.0, 0.5, 0.0])),
+                DiscreteDistribution.dirac(4, 3)]
         data = BoundData(emp_risk, n, eps, C, prior=prior, kappa=0.25, losses=losses)
-        emp = float(rho.weights @ emp_risk)
+        emps = np.array([rho.weights for rho in rhos]) @ emp_risk
+        assert emps[1] == 0.0
         entry = BOUND_TABLE[bound_id]
         lams = {"free": [select_lambda_closed_form(math.inf, n, eps, C), 5.0],
                 "fixed": [None, 1.5]}.get(entry.lam_kind, [None])
         for lam in lams:
-            if entry.tail_free and n / lam < C:
-                with pytest.raises(ValueError):  # refused, never a NaN certificate
-                    entry.certify(data, rho, emp, math.inf, lam)
-                continue
-            cert = entry.certify(data, rho, emp, math.inf, lam)
-            assert not math.isnan(cert.value), (bound_id, lam)
-            assert not any(math.isnan(v) for v in cert.terms.values()), (bound_id, lam)
-            if "posterior" in entry.requires:
-                assert cert.vacuous, (bound_id, lam)
+            for rho, emp in zip(rhos, emps.tolist()):
+                if entry.tail_free and n / lam < C:
+                    with pytest.raises(ValueError):  # refused, never a NaN certificate
+                        entry.certify(data, rho, emp, math.inf, lam)
+                    continue
+                cert = entry.certify(data, rho, emp, math.inf, lam)
+                assert not math.isnan(cert.value), (bound_id, lam, emp)
+                assert not any(math.isnan(v) for v in cert.terms.values()), (bound_id, lam, emp)
+                if "posterior" in entry.requires:
+                    assert cert.vacuous, (bound_id, lam, emp)
 
     @pytest.mark.parametrize("bound_id", [b for b in BOUND_IDS if "posterior" in
                                           BOUND_TABLE[b].requires and BOUND_TABLE[b].scale != "unit"])
@@ -707,7 +712,7 @@ class TestColumns:
             if "posterior" not in entry.requires:
                 continue
             lam = lams.get(entry.lam_kind)
-            values = entry.values(emp, kl, lam, W, **fields)
+            values = entry.values(data, W, emp, kl, lam)
             assert values.shape == (len(W),), bound_id
             for i, w in enumerate(W):
                 cert = entry.certify(data, DiscreteDistribution(w), float(emp[i]), float(kl[i]),
@@ -721,7 +726,7 @@ class TestColumns:
         R = C * rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 9))))
         fields = {"n": int(rng.integers(1, 500)), "eps": float(rng.uniform(0.01, 0.5)), "C": C}
         entry = BOUND_TABLE["union_finite"]
-        values = entry.values(None, None, None, None, emp_risk=R, **fields)
+        values = entry.values(BoundData(R, **fields))
         for r, value in zip(R, values):
             assert value == entry.certify(BoundData(r, **fields)).value
 
@@ -736,12 +741,13 @@ class TestColumns:
                   "prior": DiscreteDistribution.uniform(2)}
         for bound_id in ("mcallester", "seeger"):
             with pytest.raises(ValueError, match=match):
-                BOUND_TABLE[bound_id].values(np.array(emp), np.array(kl), None, W, **fields)
+                BOUND_TABLE[bound_id].values(BoundData(**fields), W, np.array(emp), np.array(kl))
 
     def test_the_block_check_refuses_a_lambda_out_of_range(self):
         fields = {"emp_risk": np.array([0.2, 0.3]), "n": 50, "eps": 0.1}
         with pytest.raises(ValueError, match="must lie in"):
-            BOUND_TABLE["thiemann"].values(np.array([0.2]), np.array([0.1]), 2.5,
-                                           np.full((1, 2), 0.5), **fields)
+            BOUND_TABLE["thiemann"].values(BoundData(**fields), np.full((1, 2), 0.5),
+                                           np.array([0.2]), np.array([0.1]), 2.5)
         with pytest.raises(ValueError, match="needs posterior"):
-            BOUND_TABLE["mcallester"].values(np.array([0.2]), np.array([0.1]), **fields)
+            BOUND_TABLE["mcallester"].values(BoundData(**fields), None, np.array([0.2]),
+                                             np.array([0.1]))

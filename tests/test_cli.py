@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import cli, divergences
+from pacbayes import bounds, cli, divergences
 from pacbayes.bounds import (
     BoundInput,
     bound_seeger_maurer,
@@ -455,6 +455,24 @@ class TestCompareColumns:
                                     "emp_risk": losses.mean(axis=0).tolist(),
                                     "losses": losses.tolist()})
         self.same(task)
+
+    def test_truncated_risks_once_per_lambda(self, tmp_path, monkeypatch):
+        # one weight row per block: every block's values call and the winner's
+        # certify share the bound's BoundData, so each lambda's truncated
+        # risks are computed once
+        losses = (np.random.default_rng(4).random((60, 5)) < 0.3).astype(float)
+        task = self.task(tmp_path, {"schema": 1, "n": 60, "eps": 0.1, "C": 1.0,
+                                    "prior": [0.2] * 5, "emp_risk": losses.mean(axis=0).tolist(),
+                                    "losses": losses.tolist()})
+        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", 5)
+        calls = []
+        real = bounds.truncated_empirical_risk
+        monkeypatch.setattr(bounds, "truncated_empirical_risk",
+                            lambda losses, n, lam: calls.append(lam) or real(losses, n, lam))
+        cli.compare_bounds(task)
+        lams = bounds.BOUND_TABLE["truncated"].search(60, 5, 0.1, 1.0)
+        assert len(lams) > 1
+        assert sorted(calls) == sorted(lams)
 
 
 class TestViolate:

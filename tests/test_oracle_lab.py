@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacbayes import divergences
+from pacbayes import divergences, oracle_lab
 from pacbayes.bounds import BOUND_IDS
 from pacbayes._util import child_rng
 from pacbayes.divergences import DiscreteDistribution, gibbs_reweight, kl_discrete
@@ -33,6 +33,7 @@ from pacbayes.oracle_lab import (
 
 from oracles import (
     bernstein_ratios_loop,
+    pi_dimension_loop,
     rate_experiment_loop,
     rho_family_inf_loop,
     violation_experiment_loop,
@@ -331,6 +332,23 @@ class TestBernsteinConstant:
         assert np.array_equal(est.ratios, ratios, equal_nan=True)
         assert est.ratios[1] == 0.3 / 0.2 and math.isnan(est.ratios[2])
 
+    @pytest.mark.parametrize("kind, params", [
+        ("risk_table", {"p": [0.1, 0.2, 0.6, 0.35]}),
+        ("risk_table", {"p": [0.1, 0.2, 0.6, 0.35], "shared_noise": True}),
+        ("threshold_margin", {"tau": 0.25, "grid_size": 11}),
+        ("heavy_tail", {"means": [0.2, 0.5, 0.9], "sds": [0.5, 1.0, 2.0]}),
+    ])
+    def test_statistical_moments_keep_their_bits(self, kind, params):
+        # the in-place difference and square give the bits of the formula
+        # (losses - losses[:, [star]])**2 on the same seeded draw
+        task = make_synthetic_task(kind, params, 0)
+        est = estimate_bernstein_constant(task, "statistical", 5_000, seed=3)
+        losses = task.sample_losses(5_000, child_rng(3, 0))
+        second = ((losses - losses[:, [task.theta_star]]) ** 2).mean(axis=0)
+        K, ratios = bernstein_ratios_loop(task.gaps, second, task.theta_star)
+        assert repr(est.K) == repr(K)
+        assert est.ratios.tobytes() == ratios.tobytes()
+
 
 class TestOracleBoundRhs:
     def setup_method(self):
@@ -450,6 +468,27 @@ class TestPiDimension:
                 w = np.exp(logw)
                 w /= w.sum()
                 assert d >= b * float(w @ gaps) - 1e-9
+
+    @pytest.mark.parametrize("m", [2, 20, 41, 1001])
+    @pytest.mark.parametrize("prior", ["uniform", "random", "zero_masses"])
+    def test_blocked_scan_matches_the_loop(self, m, prior, monkeypatch):
+        # every grid row of the blocked scan has the bits of the scalar
+        # objective, so (d, beta) are the loop's, by repr, in one block, one row
+        # per block or three; with the refinement made to lose, d is the best
+        # grid value itself
+        rng = np.random.default_rng(m)
+        risks = rng.uniform(0.0, 1.0, m)
+        w = {"uniform": np.ones(m), "random": rng.random(m) + 0.05,
+             "zero_masses": np.where(np.arange(m) % 3 == 0, 0.0, rng.random(m) + 0.05)}[prior]
+        pi = DiscreteDistribution.from_weights(w)
+        blocks = (divergences._FAMILY_BLOCK, m, 3 * m)
+        for lose in (False, True):
+            if lose:
+                monkeypatch.setattr(oracle_lab, "_golden_max", lambda fn, lo, hi: (lo, -math.inf))
+            want = repr(pi_dimension_loop(pi, risks, 1.0))
+            for block in blocks:
+                monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+                assert repr(pi_dimension(pi, risks, 1.0)) == want, (lose, block)
 
     def test_log_mgf_dimension_inequality(self):
         # -log E_pi e^{-beta gap} <= d_pi log(e C beta / d_pi), provable for
