@@ -192,6 +192,15 @@ def _vacuous_at_infinite_kl(bound_id, emp_risk, C, lam=None, details=None) -> Ce
                         {"empirical": emp_risk, "complexity": math.inf, "slack": 0.0}, details)
 
 
+def _vacuous_rows_at_infinite_kl(kl, formula, *args):
+    """formula(*args) on columns, with the value of every row at KL = inf set
+    to the +inf certificate of _vacuous_at_infinite_kl, as the row's one-row
+    bound_* function gives there; the formula's own inf/inf is not reported."""
+    with np.errstate(invalid="ignore"):
+        value, terms, details = formula(*args)
+    return np.where(np.isinf(kl), math.inf, value), terms, details
+
+
 def _unit_risk(bound_id, inp) -> None:
     if not (0 <= inp.emp_risk <= 1):
         raise ValueError(f"{bound_id} bound requires emp_risk in [0, 1]")
@@ -423,8 +432,7 @@ def _phi_inverse(a: float, q: float) -> float:
 def _catoni_phi(q, kl, lam, s, W=None):
     a = lam / s.n
     arg = q + (kl + math.log(1.0 / s.eps)) / lam
-    value = np.vectorize(lambda x, k: math.inf if k == math.inf else _phi_inverse(a, x),
-                         otypes=[float])(arg, kl)
+    value = np.vectorize(lambda x: _phi_inverse(a, x), otypes=[float])(arg)
     return (value, {"empirical": q, "complexity": value - q, "slack": 0.0},
             {"a": a, "phi_arg": arg})
 
@@ -616,7 +624,7 @@ def _localized_columns(q, kl, lam, d, W):
     emp, kl_local = (np.concatenate(c) for c in zip(*(
         (_row_dots(wb, rb), _kl_log_prior(wb, lb))
         for wb, rb, lb in _row_blocks(W, r, d.localized_log_prior()))))
-    return _localized(emp, kl_local, d.n, d.eps, lam, d.xi)
+    return _vacuous_rows_at_infinite_kl(kl_local, _localized, emp, kl_local, d.n, d.eps, lam, d.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +823,9 @@ BOUND_TABLE = {entry.bound_id: entry for entry in (
     CatalogEntry("union_finite", ("emp_risk or log_M",), "range", _union, _union_columns),
     # lambda_grid is this bound searched over lambda, so compare leaves it out
     CatalogEntry("catoni_linear", ("posterior",), "range",
-                 lambda inp, d, rho, lam: bound_catoni_linear(inp, lam), _catoni_linear,
+                 lambda inp, d, rho, lam: bound_catoni_linear(inp, lam),
+                 lambda q, kl, lam, d, W: _vacuous_rows_at_infinite_kl(
+                     kl, _catoni_linear, q, kl, lam, d),
                  lam_kind="free", search=lambda n, m, eps, C: []),
     CatalogEntry("lambda_grid", ("emp_risk", "prior"), "range", _lambda_grid, lam_kind="grid"),
     CatalogEntry("mcallester", ("posterior",), "range",
@@ -829,10 +839,14 @@ BOUND_TABLE = {entry.bound_id: entry for entry in (
                  lam_kind="fixed", lam_default=1.0, lam_upper=2.0,
                  search=lambda n, m, eps, C: [float(g) for g in np.linspace(0.1, 1.9, 19)]),
     CatalogEntry("catoni_phi", ("posterior",), "kl",
-                 lambda inp, d, rho, lam: bound_catoni_phi(inp, lam), _catoni_phi,
+                 lambda inp, d, rho, lam: bound_catoni_phi(inp, lam),
+                 lambda q, kl, lam, d, W: _vacuous_rows_at_infinite_kl(
+                     kl, _catoni_phi, q, kl, lam, d),
                  lam_kind="free", search=_geometric),
     CatalogEntry("subgaussian", ("posterior",), "range",
-                 lambda inp, d, rho, lam: bound_subgaussian(inp, lam), _subgaussian,
+                 lambda inp, d, rho, lam: bound_subgaussian(inp, lam),
+                 lambda q, kl, lam, d, W: _vacuous_rows_at_infinite_kl(
+                     kl, _subgaussian, q, kl, lam, d),
                  lam_kind="free", search=_geometric),
     CatalogEntry("chi_square", ("posterior", "prior", "kappa"), "moment",
                  lambda inp, d, rho, lam: bound_chi_square(

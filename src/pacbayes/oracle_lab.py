@@ -12,6 +12,7 @@ Every experiment derives per-trial RNG streams deterministically from
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,7 +35,7 @@ from .divergences import (
     _safe_log,
 )
 from .posteriors import _gibbs_grid
-from ._util import child_rng
+from ._util import child_rng, child_rngs
 
 __all__ = [
     "SyntheticTask",
@@ -598,14 +599,13 @@ def _check_support_size(name: str, dist: Optional[DiscreteDistribution], m: int)
         raise ValueError(f"{name} has {dist.size} masses but the task has {m} hypotheses")
 
 
-def _stacked_draws(task: SyntheticTask, n: int, keys: list):
-    """task.sample_emp_risk(n, child_rng(*key)) for each key, stacked in order
-    into C-contiguous (draws x M) blocks of at most _FAMILY_BLOCK entries, at
-    least one draw each."""
+def _stacked_draws(task: SyntheticTask, n: int, rngs):
+    """task.sample_emp_risk(n, rng) for each generator of the iterator rngs,
+    stacked in order into C-contiguous (draws x M) blocks of at most
+    _FAMILY_BLOCK entries, at least one draw each."""
     rows = max(1, divergences._FAMILY_BLOCK // task.m)
-    for i in range(0, len(keys), rows):
-        yield np.array([task.sample_emp_risk(n, child_rng(*key)) for key in keys[i:i + rows]],
-                       dtype=float)
+    while block := [task.sample_emp_risk(n, rng) for rng in itertools.islice(rngs, rows)]:
+        yield np.array(block, dtype=float)
 
 
 def _posterior_rows(rule: str, logpi: np.ndarray, R: np.ndarray, lam, fixed) -> np.ndarray:
@@ -651,8 +651,9 @@ def violation_experiment(
     falsifies the certificate and serves as a sensitivity control for the
     harness itself.
 
-    The draws stay one per trial; they are stacked into (trials x M) blocks
-    of at most divergences._FAMILY_BLOCK entries.  In a block every
+    The draws stay one per trial, their generators seeded in one
+    child_rngs pass, and are stacked into (trials x M) blocks of at most
+    divergences._FAMILY_BLOCK entries.  In a block every
     posterior is one row of one checked weight matrix, E_rho[r], E_rho[R]
     and KL(rho || pi) are one pass each, the certificates are one
     ``CatalogEntry.values`` call, and lambda_grid scores every (trial,
@@ -702,7 +703,7 @@ def violation_experiment(
     logpi = _safe_log(pi.weights)
 
     true, values = [], []
-    for risks in _stacked_draws(task, n, [(seed, t) for t in range(trials)]):
+    for risks in _stacked_draws(task, n, child_rngs(seed, np.arange(trials)[:, None])):
         if kind == "grid":
             bounds._check_inputs(n, None, C, risks.min(), risks.max())
             scores = bounds._lambda_grid_values(grid, *_gibbs_grid(logpi, risks, grid), n, eps, C)
@@ -786,6 +787,8 @@ def rate_experiment(
     others = np.flatnonzero(np.arange(task.m) != task.theta_star)
     log_gaps = _safe_log(gaps[others])
 
+    # every n's reps come from one seeding pass, rep k of grid point i at key (i, k)
+    draws = child_rngs(seed, [(i, rep) for i in range(len(n_grid)) for rep in range(reps)])
     rows = []
     log_means = []
     for i, n in enumerate(n_grid):
@@ -798,7 +801,7 @@ def rate_experiment(
         if others.size:
             log_excess = np.concatenate([
                 _logsumexp(_log_gibbs(logpi, -lam * risks)[:, others] + log_gaps)
-                for risks in _stacked_draws(task, n, [(seed, i, rep) for rep in range(reps)])])
+                for risks in _stacked_draws(task, n, itertools.islice(draws, reps))])
         else:
             log_excess = np.full(reps, -math.inf)
         if np.isinf(log_excess).all():

@@ -632,17 +632,28 @@ class TestCatalogTable:
         entry = BOUND_TABLE[bound_id]
         lams = {"free": [select_lambda_closed_form(math.inf, n, eps, C), 5.0],
                 "fixed": [None, 1.5]}.get(entry.lam_kind, [None])
+        W = np.array([rho.weights for rho in rhos])
+        kls = np.full(len(rhos), math.inf)
         for lam in lams:
-            for rho, emp in zip(rhos, emps.tolist()):
-                if entry.tail_free and n / lam < C:
+            if entry.tail_free and n / lam < C:
+                for rho, emp in zip(rhos, emps.tolist()):
                     with pytest.raises(ValueError):  # refused, never a NaN certificate
                         entry.certify(data, rho, emp, math.inf, lam)
-                    continue
-                cert = entry.certify(data, rho, emp, math.inf, lam)
-                assert not math.isnan(cert.value), (bound_id, lam, emp)
-                assert not any(math.isnan(v) for v in cert.terms.values()), (bound_id, lam, emp)
+                with pytest.raises(ValueError):
+                    entry.values(data, W, emps, kls, lam)
+                continue
+            certs = [entry.certify(data, rho, emp, math.inf, lam)
+                     for rho, emp in zip(rhos, emps.tolist())]
+            for cert in certs:
+                assert not math.isnan(cert.value), (bound_id, lam)
+                assert not any(math.isnan(v) for v in cert.terms.values()), (bound_id, lam)
                 if "posterior" in entry.requires:
-                    assert cert.vacuous, (bound_id, lam, emp)
+                    assert cert.vacuous, (bound_id, lam)
+            if "posterior" in entry.requires and entry.columns is not None:
+                # the values column keeps certify's bits here too (at lam = inf
+                # the free-lambda formulas would read inf/inf = NaN)
+                values = entry.values(data, W, emps, kls, lam)
+                assert values.tolist() == [cert.value for cert in certs], (bound_id, lam)
 
     @pytest.mark.parametrize("bound_id", [b for b in BOUND_IDS if "posterior" in
                                           BOUND_TABLE[b].requires and BOUND_TABLE[b].scale != "unit"])
