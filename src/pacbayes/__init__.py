@@ -1,6 +1,7 @@
 """PAC-Bayes certificates, bound-minimizing posteriors, and a verification lab.
 
-The package splits into four layers plus a command-line front end:
+The package splits into four layers plus a command-line front end,
+``pacbayes.cli``, which the package does not import itself:
 
 ``divergences``
     Binary kl and its upper inverse, discrete KL / chi-square, Gaussian and
@@ -18,7 +19,7 @@ The package splits into four layers plus a command-line front end:
     exponential-moment experiments.
 """
 
-from . import bounds, cli, divergences, oracle_lab, posteriors
+from . import bounds, divergences, oracle_lab, posteriors
 from .bounds import BoundInput, Certificate
 from .divergences import DiagonalGaussian, DiscreteDistribution
 from .posteriors import RiskTable, VariationalConfig
@@ -27,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bounds",
-    "cli",
     "divergences",
     "oracle_lab",
     "posteriors",

@@ -63,7 +63,7 @@ def _state_words(seed: int, keys) -> np.ndarray:
     .generate_state(4, uint64) gives for each row key of keys."""
     seed = operator.index(seed)
     if seed < 0:
-        raise ValueError("expected non-negative integer")
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     try:
         keys = np.asarray(keys, dtype=np.int64)
     except OverflowError:

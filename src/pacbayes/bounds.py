@@ -31,11 +31,14 @@ Conventions
   once per column and returns the values of certify, bit for bit, one per
   posterior; per-element math calls (the kl inverse, expm1) stay scalar
   so their bits do not move.
-* Every bound assumes n i.i.d. losses in [0, C] and a confidence level eps.
-  ``_check_inputs`` is the one check of these hypotheses: n an integer
-  >= 1, eps in (0, 1), C > 0 and every risk in [0, C], NaN failing each test.
-  :class:`BoundInput` runs it (and adds KL >= 0), as does every entry point
-  taking n, eps or risks without one; bad input raises ValueError.
+* Every bound is a theorem for n i.i.d. losses in [0, C], a confidence
+  level eps, a fixed lambda > 0 and KL >= 0.  Three checks state these
+  hypotheses once each, NaN failing every test: ``_check_inputs`` (n an
+  integer >= 1, eps in (0, 1), C > 0, every risk in [0, C]), ``_check_kl``
+  (+inf allowed) and ``_check_lambda`` (lambda in (0, upper); +inf only
+  where every KL given is +inf).  :class:`BoundInput` runs the first two,
+  and every entry point taking any of these without one runs the checks it
+  needs; bad input raises ValueError.
 
 :data:`BOUND_TABLE` maps every catalog id to its required inputs, loss
 scale, lambda policy, one-posterior evaluator and array formula; the CLI's
@@ -113,6 +116,21 @@ def _check_inputs(n, eps, C=1.0, lo=0.0, hi=None, name="emp_risk") -> None:
         raise ValueError(f"{name} must lie in [0, C] = [0, {C!r}], got {got}")
 
 
+def _check_kl(kl) -> None:
+    """The one KL check: KL(rho || pi) in nats is >= 0, +inf allowed and NaN
+    failing; kl is one number (tested without numpy) or an array."""
+    if not ((kl >= 0).all() if isinstance(kl, np.ndarray) else kl >= 0):
+        raise ValueError(f"kl must be nonnegative, got {float(np.min(kl))!r}")
+
+
+def _check_lambda(lam, upper=math.inf, kl=0.0) -> None:
+    """The one lambda check: lam in (0, upper), NaN failing.  lam = +inf, the
+    closed-form lambda of an infinite KL, passes only when upper and every KL
+    in kl are +inf; there each row returns its vacuous certificate."""
+    if not (0 < lam < upper or (lam == upper == math.inf and np.isinf(kl).all())):
+        raise ValueError(f"lambda must lie in (0, {upper:g}), got {lam!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class BoundInput:
     """Sufficient statistics consumed by the bound catalog.
@@ -136,16 +154,11 @@ class BoundInput:
 
     def __post_init__(self):
         _check_inputs(self.n, self.eps, self.C, self.emp_risk)
-        if not (self.kl >= 0):
-            raise ValueError(f"kl must be nonnegative, got {self.kl!r}")
+        _check_kl(self.kl)
         if self.chi2 is not None and not (self.chi2 >= 0):
             raise ValueError("chi2 must be nonnegative")
         if self.kappa is not None and not (self.kappa > 0):
             raise ValueError("kappa must be positive")
-
-    @property
-    def log_inv_eps(self) -> float:
-        return math.log(1.0 / self.eps)
 
 
 @dataclass(frozen=True)
@@ -201,24 +214,22 @@ def _vacuous_rows_at_infinite_kl(kl, formula, *args):
     return np.where(np.isinf(kl), math.inf, value), terms, details
 
 
-def _unit_risk(bound_id, inp) -> None:
-    if not (0 <= inp.emp_risk <= 1):
-        raise ValueError(f"{bound_id} bound requires emp_risk in [0, 1]")
-
-
 def bernstein_g(x: float) -> float:
     """Bernstein's MGF function g(x) = (e^x - 1 - x) / x^2, with g(0) = 1.
 
     The g(0) = 1 convention matches how the bounds below are stated, even
     though the continuous limit is 1/2; in practice the function is only
     ever called with x > 0.  A series expansion avoids cancellation for
-    small |x|.
+    small |x|.  Beyond the range of expm1 (x > 709.78) g is +inf.
     """
     if x == 0.0:
         return 1.0
     if abs(x) < 1e-4:
         return 0.5 + x / 6.0 + x * x / 24.0
-    return (math.expm1(x) - x) / (x * x)
+    try:
+        return (math.expm1(x) - x) / (x * x)
+    except OverflowError:
+        return math.inf
 
 
 def _union_finite(r_min, log_M, lam, s, W=None):
@@ -267,10 +278,9 @@ def _subgaussian(q, kl, lam, s, W=None):
     return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * s.C**2 / s.n)
 
 
-def _linear_certificate(bound_id, formula, inp: "BoundInput", lam) -> Certificate:
+def _lambda_certificate(bound_id, formula, inp: "BoundInput", lam) -> Certificate:
     """formula's certificate at inp and lam; an infinite KL gives the vacuous one."""
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
+    _check_lambda(lam, kl=inp.kl)
     if math.isinf(inp.kl):
         return _vacuous_at_infinite_kl(bound_id, inp.emp_risk, inp.C, lam)
     return _one(bound_id, formula, inp, lam)
@@ -278,7 +288,7 @@ def _linear_certificate(bound_id, formula, inp: "BoundInput", lam) -> Certificat
 
 def bound_catoni_linear(inp: BoundInput, lam: float) -> Certificate:
     """Linear-in-lambda bound: emp + lam C^2/(8n) + (KL + log(1/eps))/lam."""
-    return _linear_certificate("catoni_linear", _catoni_linear, inp, lam)
+    return _lambda_certificate("catoni_linear", _catoni_linear, inp, lam)
 
 
 def select_lambda_closed_form(kl: float, n: int, eps: float, C: float = 1.0) -> float:
@@ -295,12 +305,12 @@ def select_lambda_closed_form(kl: float, n: int, eps: float, C: float = 1.0) -> 
 
 def resolve_lambda(spec, kl: float, n: int, eps: float, C: float = 1.0) -> float:
     """The lambda a --lambda value names: None and "closed_form" pick
-    select_lambda_closed_form(kl, n, eps, C); any other value must be positive."""
+    select_lambda_closed_form(kl, n, eps, C); any other value must pass
+    _check_lambda at kl."""
     if spec is None or spec == "closed_form":
         return select_lambda_closed_form(kl, n, eps, C)
     lam = float(spec)
-    if not (lam > 0):
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+    _check_lambda(lam, kl=kl)
     return lam
 
 
@@ -322,13 +332,13 @@ def _lambda_grid_values(grid: np.ndarray, emps: np.ndarray, kls: np.ndarray, n, 
 
     emps and kls hold E_rho[r] and KL(rho || pi) of the posterior at each
     lambda in grid, in their last axis, for one sample or one per row; each
-    value is catoni_linear's formula at KL + log(card), with its bits.
+    value is catoni_linear's formula at KL + log(card), with its bits.  A
+    grid is data-free, so it takes no lambda = +inf.
     """
     _check_inputs(n, eps, C, emps.min(), emps.max())
-    if not (grid > 0).all():
-        raise ValueError("lambda must be positive")
-    if not (kls >= 0).all():
-        raise ValueError(f"kl must be nonnegative, got values down to {kls.min()!r}")
+    for lam in (grid.min(), grid.max()):
+        _check_lambda(float(lam))
+    _check_kl(kls)
     return _catoni_linear(emps, kls + math.log(grid.size), grid, BoundData(None, n, eps, C))[0]
 
 
@@ -383,7 +393,7 @@ def bound_seeger_maurer(inp: BoundInput) -> Certificate:
 
     Requires the 0-1 loss scale emp_risk in [0, 1]; range-C callers rescale.
     """
-    _unit_risk("seeger", inp)
+    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk)
     return _one("seeger", _seeger, inp)
 
 
@@ -403,8 +413,12 @@ def bound_tolstikhin_seldin(inp: BoundInput) -> Certificate:
     The budget is (KL + log(2 sqrt(n)/eps)) / (2n), exactly as displayed;
     at q = 0 the sqrt term vanishes and the bound is in 1/n.
     """
-    _unit_risk("tolstikhin_seldin", inp)
+    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk)
     return _one("tolstikhin_seldin", _tolstikhin_seldin, inp)
+
+
+#: Thiemann's bound holds for every fixed lambda in (0, THIEMANN_LAMBDA_UPPER).
+THIEMANN_LAMBDA_UPPER = 2.0
 
 
 def _thiemann(q, kl, lam, s, W=None):
@@ -416,9 +430,8 @@ def _thiemann(q, kl, lam, s, W=None):
 
 def bound_thiemann(inp: BoundInput, lam: float) -> Certificate:
     """Thiemann et al. bound, valid for any fixed lambda in (0, 2)."""
-    if not (0 < lam < 2):
-        raise ValueError("lambda must lie in (0, 2)")
-    _unit_risk("thiemann", inp)
+    _check_lambda(lam, THIEMANN_LAMBDA_UPPER)
+    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk)
     return _one("thiemann", _thiemann, inp, lam)
 
 
@@ -443,12 +456,8 @@ def bound_catoni_phi(inp: BoundInput, lam: float) -> Certificate:
     The Phi^{-1} argument may exceed 1; the displayed formula then saturates
     on its own.
     """
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
-    _unit_risk("catoni_phi", inp)
-    if math.isinf(inp.kl):
-        return _vacuous_at_infinite_kl("catoni_phi", inp.emp_risk, inp.C, lam)
-    return _one("catoni_phi", _catoni_phi, inp, lam)
+    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk)
+    return _lambda_certificate("catoni_phi", _catoni_phi, inp, lam)
 
 
 def bound_germain_generic(
@@ -472,7 +481,7 @@ def bound_germain_generic(
     and has no catalog row.
     """
     inp = BoundInput(p, kl, n, eps)
-    budget = (kl + log_moment + inp.log_inv_eps) / n
+    budget = (kl + log_moment + math.log(1.0 / inp.eps)) / n
     if not (D(p, p) <= budget):
         raise ValueError("bracketing failure: D(p, p) is not within the budget (a NaN input, "
                          "or D is not a nonnegative nondecreasing divergence on [p, 1])")
@@ -490,7 +499,7 @@ def bound_subgaussian(inp: BoundInput, lam: float) -> Certificate:
     Here ``inp.C`` plays the role of the sub-Gaussian constant; the penalty
     is 8x the bounded-loss lam C^2/(8n) term.
     """
-    return _linear_certificate("subgaussian", _subgaussian, inp, lam)
+    return _lambda_certificate("subgaussian", _subgaussian, inp, lam)
 
 
 def _chi_square(q, chi2, lam, s, W=None):
@@ -544,10 +553,10 @@ def bound_truncated(
     value = Psi^{-1}_{lam/n}(trunc_emp_risk + (KL + log(1/eps))/lam) + delta_tail.
     The caller computes trunc_emp_risk via :func:`truncated_empirical_risk`
     and the tail term E_rho[Delta_{n,lam}]; for a bounded loss with
-    n/lam >= C both truncation and the tail term are inactive.
+    n/lam >= C both truncation and the tail term are inactive.  Its value
+    at an infinite KL is n/lam, so it takes no lambda = +inf.
     """
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
+    _check_lambda(lam)
     return _certificate("truncated", inp.C, lam, *_truncated(trunc_emp_risk, inp.kl, lam, inp,
                                                              delta_tail))
 
@@ -562,16 +571,16 @@ def _truncated(trunc, kl, lam, s, delta_tail):
             {"alpha": alpha, "psi_arg": arg})
 
 
-def _localized_checks(n, eps, lam, xi) -> None:
+def _localized_checks(n, eps, xi) -> None:
     if not (0 <= xi < 1):
         raise ValueError("xi must lie in [0, 1)")
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
     _check_inputs(n, eps)
 
 
 def _localized(emp, kl_local, n, eps, lam, xi):
     denom = (1.0 - xi) * lam + (1.0 + xi) * bernstein_g(lam / n) * lam**2 / n
+    if math.isinf(denom) and lam < math.inf:
+        raise ValueError(f"lambda = {lam!r} overflows the localized bound's denominator")
     conf = (1.0 + xi) * math.log(2.0 / eps)
     terms = {"empirical": (1.0 - xi) * emp / denom, "complexity": kl_local / denom,
              "slack": conf / denom}
@@ -600,12 +609,13 @@ def bound_localized_empirical(
     superlinearly in lambda, so the bound is only trustworthy on the lambda
     range validated by the violation harness (see oracle_lab).
     """
-    _localized_checks(n, eps, lam, xi)
+    _localized_checks(n, eps, xi)
     r = np.asarray(emp_risk_vector, dtype=float)
     if r.shape != pi.weights.shape:
         raise ValueError("emp_risk_vector must match the prior support")
     local_prior = gibbs_reweight(pi, -xi * r)
     kl_local = kl_discrete(rho, local_prior)
+    _check_lambda(lam, kl=kl_local)
     emp = float(np.dot(rho.weights, r))
     if math.isinf(kl_local):
         return _vacuous_at_infinite_kl("localized_empirical", emp, 1.0, lam,
@@ -617,13 +627,14 @@ def _localized_columns(q, kl, lam, d, W):
     """The localized formula at every row of W, with E_rho[r] and KL(rho || pi_{-xi r})
     read off W in row blocks; d.emp_risk is one risk vector or one per row of W,
     and d keeps log pi_{-xi r} for every call that shares it."""
-    _localized_checks(d.n, d.eps, lam, d.xi)
+    _localized_checks(d.n, d.eps, d.xi)
     r = np.asarray(d.emp_risk, dtype=float)
     if r.shape[-1] != W.shape[-1] or not np.isfinite(r).all():
         raise ValueError("emp_risk must be finite and match the prior support")
     emp, kl_local = (np.concatenate(c) for c in zip(*(
         (_row_dots(wb, rb), _kl_log_prior(wb, lb))
         for wb, rb, lb in _row_blocks(W, r, d.localized_log_prior()))))
+    _check_lambda(lam, kl=kl_local)
     return _vacuous_rows_at_infinite_kl(kl_local, _localized, emp, kl_local, d.n, d.eps, lam, d.xi)
 
 
@@ -708,7 +719,7 @@ class CatalogEntry:
     columns: Optional[Callable] = None
     lam_kind: str = "none"
     lam_default: Optional[float] = None
-    lam_upper: Optional[float] = None
+    lam_upper: float = math.inf
     tail_free: bool = False
     search: Callable = lambda n, m, eps, C: [None]
 
@@ -718,9 +729,10 @@ class CatalogEntry:
             return (rho if name == "posterior" else getattr(data, name)) is not None
         return [r for r in self.requires if not any(map(given, r.split(" or ")))]
 
-    def _checked_lambda(self, data: BoundData, rho, lam):
+    def _checked_lambda(self, data: BoundData, rho, lam, kl):
         """The lambda the bound runs at, after the input and lambda checks
-        certify and values share; None without a lambda policy."""
+        certify and values share, kl the row's KL (or column of them); None
+        without a lambda policy."""
         missing = self.missing(data, rho)
         if missing:
             raise ValueError(f"{self.bound_id} needs {' and '.join(missing)}")
@@ -729,9 +741,7 @@ class CatalogEntry:
         lam = self.lam_default if lam is None else lam
         if lam is None:
             raise ValueError(f"{self.bound_id} needs a lambda")
-        upper = self.lam_upper
-        if not (lam > 0 and (upper is None or lam < upper)):
-            raise ValueError(f"lambda {lam!r} must lie in (0, {upper or math.inf:g})")
+        _check_lambda(lam, self.lam_upper, 0.0 if kl is None else kl)
         if self.tail_free and data.n / lam < data.C:
             raise ValueError("n/lambda < C needs the truncation tail term; supply a "
                              "lambda with n/lambda >= C so the tail vanishes")
@@ -748,7 +758,7 @@ class CatalogEntry:
         """The certificate for posterior rho, whose E_rho[r] and KL are emp and kl.
 
         lam is ignored without a lambda policy; None selects lam_default."""
-        lam = self._checked_lambda(data, rho, lam)
+        lam = self._checked_lambda(data, rho, lam, kl)
         scaled = self._scale(data, emp)
         inp = None if scaled is None else BoundInput(scaled[0], kl, data.n, data.eps, scaled[1])
         cert = self.evaluate(inp, data, rho, lam)
@@ -771,13 +781,12 @@ class CatalogEntry:
         prior.  A row with no posterior (union_finite) gives one value per row
         of data.emp_risk.
         """
-        lam = self._checked_lambda(data, W, lam)
+        lam = self._checked_lambda(data, W, lam, kl)
         q, scaled = emp, self._scale(data, np.asarray(emp, dtype=float))
         if scaled is not None:
             (q, scale_C), kl = scaled, np.asarray(kl, dtype=float)
             _check_inputs(data.n, data.eps, scale_C, q.min(), q.max())
-            if not (kl >= 0).all():
-                raise ValueError(f"kl must be nonnegative, got values down to {kl.min()!r}")
+            _check_kl(kl)
         value = np.asarray(self.columns(q, kl, lam, data, W)[0], dtype=float)
         return value * data.C if self.scale == "kl" else value
 
@@ -796,8 +805,7 @@ def _union(inp, d, rho, lam):
 def _union_columns(q, kl, lam, d, W):
     r_min, log_M = _union_inputs(d)
     _check_inputs(d.n, d.eps, d.C, np.min(r_min), np.max(r_min))
-    if not (log_M >= 0):
-        raise ValueError(f"kl must be nonnegative, got {log_M!r}")
+    _check_kl(log_M)
     return _union_finite(r_min, log_M, lam, d)
 
 
@@ -836,7 +844,7 @@ BOUND_TABLE = {entry.bound_id: entry for entry in (
                  lambda inp, d, rho, lam: bound_tolstikhin_seldin(inp), _tolstikhin_seldin),
     CatalogEntry("thiemann", ("posterior",), "kl",
                  lambda inp, d, rho, lam: bound_thiemann(inp, lam), _thiemann,
-                 lam_kind="fixed", lam_default=1.0, lam_upper=2.0,
+                 lam_kind="fixed", lam_default=1.0, lam_upper=THIEMANN_LAMBDA_UPPER,
                  search=lambda n, m, eps, C: [float(g) for g in np.linspace(0.1, 1.9, 19)]),
     CatalogEntry("catoni_phi", ("posterior",), "kl",
                  lambda inp, d, rho, lam: bound_catoni_phi(inp, lam),

@@ -115,11 +115,9 @@ def load_task_file(path: str) -> dict:
     emp = vector("emp_risk")
     prior = vector("prior")
     log_prior_mass = vector("log_prior_mass")
-    true_risk = vector("true_risk")
 
     lengths = {name: a.size for name, a in
-               (("emp_risk", emp), ("prior", prior),
-                ("log_prior_mass", log_prior_mass), ("true_risk", true_risk))
+               (("emp_risk", emp), ("prior", prior), ("log_prior_mass", log_prior_mass))
                if a is not None}
     if len(set(lengths.values())) > 1:
         raise SchemaError("/".join(lengths), f"array lengths disagree: {lengths}")
@@ -158,7 +156,6 @@ def load_task_file(path: str) -> dict:
         except ValueError as exc:
             raise SchemaError("emp_risk", str(exc))
     out["emp_risk"] = emp
-    out["true_risk"] = true_risk
 
     out["kappa"] = scalar("kappa") if "kappa" in raw else None
     _require(out["kappa"] is None or out["kappa"] > 0, "kappa", "must be positive")
@@ -544,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Numeric flags with the range each must lie in: attribute -> (flag, test, range).
 _FLAG_RANGES = {
-    "lam": ("--lambda", lambda v: 0 < v < math.inf, "(0, inf)"),
     "eps": ("--eps", lambda v: 0 < v < 1, "(0, 1)"),
     "xi": ("--xi", lambda v: 0 <= v < 1, "[0, 1)"),
     "trials": ("--trials", lambda v: v >= 1, "[1, inf)"),
@@ -555,19 +551,19 @@ _FLAG_RANGES = {
 
 def _check_flags(args) -> None:
     """Parse --lambda and range-check the numeric flags before any work."""
-    if getattr(args, "lam", None) not in (None, "closed_form"):
+    entry = bounds.BOUND_TABLE.get(getattr(args, "bound", None))
+    lam, upper = getattr(args, "lam", None), getattr(entry, "lam_upper", math.inf)
+    if lam not in (None, "closed_form"):
         try:
-            args.lam = float(args.lam)
+            args.lam = float(lam)
+            bounds._check_lambda(args.lam, upper)
         except ValueError:
-            raise SchemaError("--lambda", f"must be a number or 'closed_form', got {args.lam!r}")
+            raise SchemaError("--lambda", f"must be 'closed_form' or a number in (0, {upper:g}), "
+                                          f"got {lam!r}")
     for attr, (flag, ok, interval) in _FLAG_RANGES.items():
         value = getattr(args, attr, None)
         _require(not isinstance(value, (int, float)) or ok(value), flag,
                  f"must lie in {interval}, got {value!r}")
-    entry = bounds.BOUND_TABLE.get(getattr(args, "bound", None))
-    if isinstance(getattr(args, "lam", None), float) and entry and entry.lam_upper is not None:
-        _require(args.lam < entry.lam_upper, "--lambda",
-                 f"must lie in (0, {entry.lam_upper:g}) for {args.bound}")
     posterior = getattr(args, "posterior", "gibbs")
     if entry and posterior != "gibbs" and "posterior" not in entry.requires:
         raise SchemaError("--posterior", f"{entry.bound_id} takes no posterior, got {posterior!r}")

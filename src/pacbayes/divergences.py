@@ -146,13 +146,13 @@ def kl_bernoulli(p: float, q: float) -> float:
     return max(out, 0.0)
 
 
-def kl_inverse_upper(q: float, b: float, tol: float = 1e-9) -> float:
+def kl_inverse_upper(q: float, b: float) -> float:
     """Largest p in [q, 1] with kl(q|p) <= b, by bisection, rounded up.
 
     This is the inversion used to turn Seeger-style statements
     kl(emp | true) <= b into explicit risk bounds.  kl(q|.) is continuous
-    and increasing on [q, 1), which makes bisection exact up to ``tol``;
-    the result is never below the true inverse and at most ``tol`` above.
+    and increasing on [q, 1), which makes bisection exact up to 1e-9;
+    the result is never below the true inverse and at most 1e-9 above.
     """
     q = _check_probability("q", q)
     b = float(b)
@@ -160,7 +160,7 @@ def kl_inverse_upper(q: float, b: float, tol: float = 1e-9) -> float:
         raise ValueError(f"budget b must be nonnegative, got {b!r}")
     if b == 0.0 or q == 1.0:
         return q if q < 1.0 else 1.0
-    return _bisect_upper(lambda p: kl_bernoulli(q, p) <= b, q, 1.0, tol)
+    return _bisect_upper(lambda p: kl_bernoulli(q, p) <= b, q, 1.0, 1e-9)
 
 
 def _bisect_upper(ok, lo: float, hi: float, tol: float) -> float:

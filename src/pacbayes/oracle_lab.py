@@ -301,7 +301,7 @@ def make_synthetic_task(kind: str, params: dict, seed: int = 0) -> SyntheticTask
     if kind == "heavy_tail":
         return HeavyTailTask(
             params["means"],
-            params.get("sds", params.get("sd", 1.0)),
+            params.get("sds", 1.0),
             tail_shape=params.get("tail_shape", 2.5),
             seed=seed,
         )
@@ -418,8 +418,9 @@ def oracle_bound_rhs(
             lambda risk, kl: np.maximum(risk - task.risk_star, 0.0) + scale * kl / n,
         )
         return 2.0 * best
-    if lam is None or not (lam > 0):
-        raise ValueError("lam must be positive for this variant")
+    if lam is None:
+        raise ValueError(f"the {variant!r} variant needs a lambda")
+    bounds._check_lambda(lam)
     if variant == "expectation":
         const = lam * C**2 / (8.0 * n)
         kl_coef, kl_shift = 1.0 / lam, 0.0
@@ -437,14 +438,15 @@ def oracle_bound_rhs(
     )
 
 
-def _golden_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section maximization of fn over log-spaced [lo, hi]."""
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of fn over log-spaced [lo, hi], to a
+    bracket 1e-6 wide in log."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(math.exp(c)), fn(math.exp(d))
-    while (b - a) > rel_tol:
+    while (b - a) > 1e-6:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

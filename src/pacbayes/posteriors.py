@@ -82,10 +82,6 @@ class RiskTable:
             ell.flags.writeable = False
             object.__setattr__(self, "losses", ell)
 
-    @property
-    def m(self) -> int:
-        return int(self.emp_risk.size)
-
 
 def gibbs_posterior(pi: DiscreteDistribution, emp_risk, lam: float) -> DiscreteDistribution:
     """The Gibbs posterior with weights proportional to pi(theta) e^{-lam r(theta)}.
@@ -148,8 +144,7 @@ def model_select(
         raise ValueError("models must be nonempty")
     if p.size != len(models):
         raise ValueError("p must weight exactly the given models")
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
+    bounds._check_lambda(lam)
     n, C = models[0][1].n, models[0][1].C
     if any(rt.n != n or rt.C != C for _, rt in models):
         raise ValueError("all models must share the same n and C")
@@ -205,8 +200,7 @@ def single_draw_certificate(
         raise ValueError("theta_idx lies outside the posterior's support")
     if pi.weights[theta_idx] <= 0:
         raise ValueError("theta_idx lies outside the prior's support")
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
+    bounds._check_lambda(lam)
     log_ratio = math.log(rho.weights[theta_idx] / pi.weights[theta_idx])
     value, terms, _ = bounds._catoni_linear(emp_risk_theta, log_ratio, lam,
                                             bounds.BoundData(None, n, eps, C))
@@ -340,10 +334,11 @@ class LogisticSurrogate:
     def subset(self, idx) -> "LogisticSurrogate":
         return LogisticSurrogate(self.x[idx], self.y[idx])
 
-    def prior_mean(self, steps: int = 25, step_size: float = 0.5) -> np.ndarray:
+    def prior_mean(self) -> np.ndarray:
+        """theta after 25 gradient steps of size 0.5 from zero."""
         theta = np.zeros((1, self.dim))
-        for _ in range(steps):
-            theta = theta - step_size * self.loss_grad(theta)[1]
+        for _ in range(25):
+            theta = theta - 0.5 * self.loss_grad(theta)[1]
         return theta[0]
 
 
@@ -389,9 +384,6 @@ class GaussianQuadraticTask:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.center + self.spread * rng.standard_normal(n)
-
-    def surrogate(self, x) -> QuadraticSurrogate:
-        return QuadraticSurrogate(x)
 
     @staticmethod
     def _clipped_square_mean(mu: float, var: float) -> float:
@@ -453,8 +445,7 @@ def optimize_gaussian_posterior(
     """
     if not (prior_std > 0):
         raise ValueError("prior_std must be positive")
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
+    bounds._check_lambda(lam)
     if certificate not in ("linear", "seeger"):
         raise ValueError("certificate must be 'linear' or 'seeger'")
     d = objective_data.dim

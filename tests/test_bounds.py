@@ -554,6 +554,17 @@ class TestLocalizedEmpirical:
         with pytest.raises(ValueError):
             bound_localized_empirical(self.r, self.rho, self.pi, 100, 0.05, 10.0, 1.0)
 
+    def test_lambda_beyond_the_range_of_expm1_is_refused(self):
+        # g(lambda/n) overflowed (an OverflowError) past 709.78; a +inf
+        # denominator would certify 0
+        assert bernstein_g(709.0) < math.inf and bernstein_g(710.0) == math.inf
+        data = BoundData(self.r, 100, 0.05, prior=self.pi, xi=0.5)
+        with pytest.raises(ValueError, match="lambda = 100000.0"):
+            bound_localized_empirical(self.r, self.rho, self.pi, 100, 0.05, 1e5, 0.5)
+        with pytest.raises(ValueError, match="lambda = 100000.0"):
+            BOUND_TABLE["localized_empirical"].values(data, self.rho.weights[None, :],
+                                                      np.array([0.1]), np.array([0.0]), 1e5)
+
     @pytest.mark.parametrize("n", [0, -5, 1.5])
     def test_sample_size_domain(self, n):
         # n = 0 once divided by zero and n = -5 certified a negative value
@@ -682,6 +693,62 @@ class TestCatalogTable:
             # the lambda-policy and loss-scale cells open with the table's keyword
             assert re.match(r"\w+", policy).group() == entry.lam_kind, bound_id
             assert re.match(r"\w+", scale).group() == entry.scale, bound_id
+
+
+class TestLambdaGate:
+    """Every bound is a theorem for a fixed lambda > 0: at a finite KL each
+    lambda-taking entry point refuses lambda in {0, -1, NaN, +inf}, and
+    lambda = +inf, the closed form at KL = +inf, gives the vacuous certificate."""
+
+    BAD = [0.0, -1.0, math.nan, math.inf]
+    CALLS = {
+        "catoni_linear": lambda lam: bound_catoni_linear(make_input(), lam),
+        "subgaussian": lambda lam: bound_subgaussian(make_input(), lam),
+        "thiemann": lambda lam: bound_thiemann(make_input(), lam),
+        # at E_rho[r] = 0 and lambda = +inf this once certified NaN
+        "catoni_phi": lambda lam: bound_catoni_phi(make_input(emp=0.0), lam),
+        # at lambda = +inf this once certified 0.0, below its empirical risk
+        "truncated": lambda lam: bound_truncated(make_input(0.1, 1.0, 100), lam, 0.1, 0.0),
+        "localized_empirical": lambda lam: bound_localized_empirical(
+            [0.0, 0.2, 0.4], DiscreteDistribution.dirac(3, 0), DiscreteDistribution.uniform(3),
+            100, 0.05, lam, 0.5),
+        "resolve_lambda": lambda lam: resolve_lambda(lam, LOG100, 1000, 0.05),
+        "lambda_grid": lambda lam: bound_lambda_grid([(5.0, 0.2, 1.5), (lam, 0.2, 1.5)], 400,
+                                                     0.1),
+    }
+
+    @pytest.mark.parametrize("lam", BAD)
+    @pytest.mark.parametrize("name", CALLS)
+    def test_refused_at_a_finite_kl(self, name, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            self.CALLS[name](lam)
+
+    @pytest.mark.parametrize("lam", BAD)
+    @pytest.mark.parametrize("bound_id", [b for b in BOUND_IDS
+                                          if BOUND_TABLE[b].lam_kind in ("free", "fixed")])
+    def test_rows_refuse_it_at_a_finite_kl(self, bound_id, lam):
+        n = 40
+        losses = (np.arange(n)[:, None] % np.array([5, 3, 4]) == 0).astype(float)
+        prior = DiscreteDistribution.uniform(3)
+        data = BoundData(losses.mean(axis=0), n, 0.05, prior=prior, kappa=0.25, losses=losses)
+        entry = BOUND_TABLE[bound_id]
+        with pytest.raises(ValueError, match="lambda"):
+            entry.certify(data, prior, 0.2, 0.5, lam)
+        # one finite KL in a column is enough to refuse lambda = +inf
+        W = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+        with pytest.raises(ValueError, match="lambda"):
+            entry.values(data, W, W @ data.emp_risk, np.array([math.inf, 0.5]), lam)
+
+    def test_infinite_lambda_at_infinite_kl_is_vacuous(self):
+        inp = make_input(emp=0.0, kl=math.inf)
+        for bound in (bound_catoni_linear, bound_subgaussian, bound_catoni_phi):
+            cert = bound(inp, math.inf)
+            assert cert.value == math.inf and cert.vacuous, cert.bound_id
+        pi = DiscreteDistribution(np.array([0.5, 0.5, 0.0]))
+        cert = bound_localized_empirical([0.1, 0.3, 0.0], DiscreteDistribution.dirac(3, 2), pi,
+                                         100, 0.05, math.inf, 0.5)
+        assert cert.value == math.inf and cert.vacuous
+        assert resolve_lambda(math.inf, math.inf, 1000, 0.05) == math.inf
 
 
 def _same(a, b) -> bool:

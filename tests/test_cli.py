@@ -4,6 +4,10 @@ behavior of certify/compare/violate/rates on reference instances."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,7 +309,21 @@ class TestCertify:
         assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("fixture, argv, field", [
+def task_path(task, request, tmp_path) -> str:
+    """The path of the fixture named task, else of a file holding the JSON
+    document task (None: a path with no file)."""
+    if task in ("small_instance", "generative_instance"):
+        return request.getfixturevalue(task)
+    path = tmp_path / "odd.json"
+    if task is not None:
+        path.write_text(json.dumps(task))
+    return str(path)
+
+
+SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
+
+
+@pytest.mark.parametrize("task, argv, field", [
     ("small_instance", ["certify", "--bound", "catoni_linear", "--posterior", "dirac:0",
                         "--lambda", "nan"], "--lambda"),
     ("small_instance", ["certify", "--bound", "catoni_linear", "--posterior", "dirac:0",
@@ -336,18 +354,73 @@ class TestCertify:
     ("generative_instance", ["violate", "--bound", "lambda_grid", "--trials", "5",
                              "--lambda", "7"], "--lambda"),
     ("small_instance", ["certify", "--bound", "lambda_grid", "--lambda", "7"], "--lambda"),
+    ("small_instance", ["certify", "--bound", "catoni_linear", "--lambda", "abc"], "--lambda"),
+    ("small_instance", ["certify", "--bound", "catoni_linear", "--lambda", "inf"], "--lambda"),
+    # task files that break the schema
+    (None, ["certify", "--bound", "seeger"], "file"),
+    ([0.1, 0.2], ["certify", "--bound", "seeger"], "file"),
+    ({**SCALARS, "prior": [0.5, 0.5], "emp_risk": ["a", "b"]}, ["certify", "--bound", "seeger"],
+     "emp_risk"),
+    ({**SCALARS, "n": 1, "emp_risk": [0.5], "losses": [["a"]]}, ["certify", "--bound", "seeger"],
+     "losses"),
+    ({**SCALARS, "task": {"kind": "wat"}}, ["violate", "--bound", "seeger", "--trials", "5"],
+     "task"),
+    # posteriors that name no distribution
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "dirac:x"], "--posterior"),
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{tmp}/none.json"],
+     "--posterior"),
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{task}"],
+     "--posterior"),
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "uniform"], "--posterior"),
+    ("generative_instance", ["rates", "--n-grid", "100,2x0,400,800,1600", "--reps", "5"],
+     "--n-grid"),
 ], ids=["lambda_nan", "lambda_negative", "thiemann_lambda_5", "xi_1.5", "compare_eps_1.5",
         "violate_eps_nan", "rates_eps_1.5", "rates_reps_0", "violate_trials_0",
         "violate_corruption_nan", "violate_thiemann_lambda_5", "lambda_grid_dirac",
         "union_finite_dirac", "violate_lambda_grid_erm_dirac", "violate_lambda_grid_lambda_7",
-        "certify_lambda_grid_lambda_7"])
-def test_out_of_range_flag_exit_2(fixture, argv, field, request, capsys):
+        "certify_lambda_grid_lambda_7", "lambda_abc", "lambda_inf", "missing_task_file",
+        "task_file_not_an_object", "emp_risk_not_numbers", "losses_not_numbers",
+        "unknown_task_kind", "dirac_not_an_index", "missing_weights_file",
+        "weights_not_an_array", "unknown_posterior", "n_grid_not_integers"])
+def test_out_of_range_flag_exit_2(task, argv, field, request, tmp_path, capsys):
+    path = task_path(task, request, tmp_path)
     command, *flags = argv
-    rc = cli.main([command, request.getfixturevalue(fixture), *flags])
+    rc = cli.main([command, path, *(f.format(task=path, tmp=tmp_path) for f in flags)])
     err = capsys.readouterr().err
     assert rc == 2
     assert f"field '{field}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("task, argv, named", [
+    # lambda/n beyond expm1's range overflows the localized denominator
+    ("small_instance", ["certify", "--bound", "localized_empirical", "--lambda", "1e6"],
+     "lambda = 1000000.0"),
+    ("generative_instance", ["violate", "--bound", "localized_empirical", "--lambda", "1e6",
+                             "--trials", "5"], "lambda = 1000000.0"),
+    ({**SCALARS, "prior": [0.5, 0.5]}, ["compare"], "emp_risk"),
+    ("generative_instance", ["rates", "--n-grid", "100,200,400,800,1600", "--reps", "5",
+                             "--seed", "-1"], "seed"),
+], ids=["certify_localized_lambda_1e6", "violate_localized_lambda_1e6", "compare_no_emp_risk",
+        "rates_seed_negative"])
+def test_semantic_error_exit_3(task, argv, named, request, tmp_path, capsys):
+    command, *flags = argv
+    rc = cli.main([command, task_path(task, request, tmp_path), *flags])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_run_as_a_module_warns_nothing(small_instance):
+    # runpy warns when the package import has already loaded pacbayes.cli
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pacbayes.cli", "certify", small_instance,
+                           "--bound", "seeger"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
 
 
 class TestCompare:

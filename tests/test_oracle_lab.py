@@ -355,6 +355,13 @@ class TestOracleBoundRhs:
         self.task = make_synthetic_task("risk_table", {"p": [0.1, 0.3, 0.6]}, 0)
         self.pi = DiscreteDistribution.uniform(3)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, None])
+    @pytest.mark.parametrize("variant", ["expectation", "probability"])
+    def test_lambda_is_checked(self, variant, lam):
+        # the KL to pi is finite, so lambda = +inf is refused too; None is for "fast" only
+        with pytest.raises(ValueError, match="lambda"):
+            oracle_bound_rhs(self.task, self.pi, lam, variant, n=100, eps=0.05)
+
     def _family_scan(self, objective):
         # independent exhaustive evaluation over the same rho family:
         # coarse geometric scan, then a fine scan around the coarse argmin

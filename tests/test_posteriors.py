@@ -299,6 +299,22 @@ class TestModelSelect:
             model_select([(pi, rt_a), (pi, rt_b)], DiscreteDistribution.uniform(2), 10.0, 0.05)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("construct", [
+    lambda lam: model_select([(DiscreteDistribution.uniform(3), RiskTable(RISKS3, 100))],
+                             DiscreteDistribution.dirac(1, 0), lam, 0.05),
+    lambda lam: single_draw_certificate(DiscreteDistribution.uniform(3),
+                                        DiscreteDistribution.uniform(3), 2, 0.3, 100, 0.05, 1.0,
+                                        lam),
+    lambda lam: optimize_gaussian_posterior(ConstantSurrogate(0.25, 100), 1.0,
+                                            VariationalConfig(max_iters=1), lam, 0.05),
+], ids=["model_select", "single_draw_certificate", "optimize_gaussian_posterior"])
+def test_lambda_is_checked(construct, lam):
+    # every KL here is finite, so lambda = +inf is refused with the rest
+    with pytest.raises(ValueError, match="lambda"):
+        construct(lam)
+
+
 class TestAggregatePrediction:
     def test_dirac_returns_member(self):
         rho = DiscreteDistribution.dirac(4, 2)
