@@ -1,7 +1,9 @@
 """PAC-Bayes certificates, bound-minimizing posteriors, and a verification lab.
 
 The package splits into four layers plus a command-line front end,
-``pacbayes.cli``, which the package does not import itself:
+``pacbayes.cli``, which the package does not import itself.  ``oracle_lab``
+loads on first access (``pacbayes.oracle_lab`` or an import of it), so a
+certificate never pays for the laboratory:
 
 ``divergences``
     Binary kl and its upper inverse, discrete KL / chi-square, Gaussian and
@@ -19,7 +21,9 @@ The package splits into four layers plus a command-line front end,
     exponential-moment experiments.
 """
 
-from . import bounds, divergences, oracle_lab, posteriors
+import importlib
+
+from . import bounds, divergences, posteriors
 from .bounds import BoundInput, Certificate
 from .divergences import DiagonalGaussian, DiscreteDistribution
 from .posteriors import RiskTable, VariationalConfig
@@ -39,3 +43,9 @@ __all__ = [
     "VariationalConfig",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "oracle_lab":
+        return importlib.import_module(f"{__name__}.oracle_lab")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

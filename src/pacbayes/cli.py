@@ -9,6 +9,9 @@ machine-readable reports:
   violate   Monte Carlo violation experiment on a generative task -> CSV
   rates     excess-risk rate measurement over an n-grid -> CSV
 
+The laboratory (``oracle_lab``) is imported only by the commands that run
+it, violate and rates.
+
 Exit codes: 0 success, 2 schema violation (malformed file or flags, with a
 field diagnostic), 3 semantic mismatch (e.g. a bound whose required inputs
 are absent).  All randomness flows from --seed.  Certificates are strict JSON
@@ -32,15 +35,13 @@ import numpy as np
 from . import bounds
 from .bounds import Certificate
 from .divergences import DiscreteDistribution, _gibbs_family, _kl_log_prior, _logsumexp, _safe_log
-from .oracle_lab import (
-    make_synthetic_task,
-    rate_experiment,
-    validate_geometric_grid,
-    violation_experiment,
-)
 from .posteriors import LOSS_MEAN_TOL, RiskTable, gibbs_posterior
 
 SCHEMA_VERSION = 1
+
+#: The top-level fields of a task file; any other key is refused.
+_TASK_FILE_FIELDS = ("schema", "n", "eps", "C", "emp_risk", "prior", "log_prior_mass", "losses",
+                    "kappa", "log_M", "task")
 
 
 class SchemaError(Exception):
@@ -70,7 +71,9 @@ def load_task_file(path: str) -> dict:
 
     Returns a dict with numpy arrays for vector fields, plus derived
     entries: "log_prior" (normalized log prior masses) when a prior is
-    expressible, and "risk_table" when emp_risk is present.
+    expressible, and "risk_table" when emp_risk is present.  A key outside
+    _TASK_FILE_FIELDS is refused; the parameters of the "task" object are
+    checked against its kind when violate or rates builds it.
     """
     try:
         with open(path) as fh:
@@ -81,6 +84,9 @@ def load_task_file(path: str) -> dict:
         raise SchemaError("file", f"invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise SchemaError("file", "top-level JSON value must be an object")
+    for key in raw:
+        _require(key in _TASK_FILE_FIELDS, key,
+                 "unknown field; a task file takes " + ", ".join(_TASK_FILE_FIELDS))
 
     out = {"schema": raw.get("schema", 1)}
     _require(out["schema"] == SCHEMA_VERSION, "schema", f"expected {SCHEMA_VERSION}")
@@ -383,13 +389,17 @@ def cmd_compare(args) -> int:
 
 
 def _build_task(task: dict):
+    from .oracle_lab import make_synthetic_task
+
     spec = task["task"]
     if spec is None:
         raise SemanticError("this command needs a generative 'task' object")
     params = {k: v for k, v in spec.items() if k != "kind"}
     try:
         return make_synthetic_task(spec["kind"], params, seed=0)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise SchemaError(f"task.{exc.args[0]}", "required parameter is missing")
+    except (TypeError, ValueError) as exc:
         raise SchemaError("task", str(exc))
 
 
@@ -420,6 +430,8 @@ def _write_csv(rows, summary_lines, out: Optional[str]) -> None:
 
 
 def cmd_violate(args) -> int:
+    from .oracle_lab import violation_experiment
+
     task_doc = load_task_file(args.task_file)
     task = _build_task(task_doc)
     eps = args.eps if args.eps is not None else task_doc["eps"]
@@ -449,6 +461,8 @@ def cmd_violate(args) -> int:
 
 
 def _parse_n_grid(text: str):
+    from .oracle_lab import validate_geometric_grid
+
     try:
         grid = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -461,6 +475,8 @@ def _parse_n_grid(text: str):
 
 
 def cmd_rates(args) -> int:
+    from .oracle_lab import rate_experiment
+
     task_doc = load_task_file(args.task_file)
     grid = _parse_n_grid(args.n_grid)
     task = _build_task(task_doc)

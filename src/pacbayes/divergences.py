@@ -153,6 +153,12 @@ def kl_inverse_upper(q: float, b: float) -> float:
     kl(emp | true) <= b into explicit risk bounds.  kl(q|.) is continuous
     and increasing on [q, 1), which makes bisection exact up to 1e-9;
     the result is never below the true inverse and at most 1e-9 above.
+
+    This is the scalar path: one Python kl_bernoulli call per bisection
+    step, about 30 per call.  ``_kl_inverse_upper_columns`` is its array
+    twin, one masked bisection over columns of (q, b) with the bits of this
+    function element by element; ``bounds._seeger`` switches to it for
+    columns of at least ``bounds._KL_INVERSE_COLUMN_MIN`` posteriors.
     """
     q = _check_probability("q", q)
     b = float(b)
@@ -161,6 +167,66 @@ def kl_inverse_upper(q: float, b: float) -> float:
     if b == 0.0 or q == 1.0:
         return q if q < 1.0 else 1.0
     return _bisect_upper(lambda p: kl_bernoulli(q, p) <= b, q, 1.0, 1e-9)
+
+
+def _kl_bernoulli_at_most(p, one_minus_p, q, b) -> np.ndarray:
+    """kl_bernoulli(p[i], q[i]) <= b[i] for each i, for p < 1, p <= q <= 1 and b > 0.
+
+    The kl takes kl_bernoulli's branch and float operations element by
+    element (a term at p = 0 is 0).  numpy's vectorized log and log1p may
+    round an ulp away from libm's, which moves each term by a few ulps; so
+    where the kl lies within 2^-48 (|t1| + |t2|) of b, kl_bernoulli itself
+    makes the test again, and every answer is the scalar path's.
+    """
+    one_minus_q = 1.0 - q
+    d = p - q
+    near = np.abs(d) <= 0.5 * np.minimum(q, one_minus_q)
+    # a finished element's mid may round to 1, making its kl and b both +inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(near, p * np.log1p(d / q), p * np.log(p / q))
+        t2 = np.where(near, one_minus_p * np.log1p(-d / one_minus_q),
+                      one_minus_p * np.log(one_minus_p / one_minus_q))
+        t1[p == 0.0] = 0.0
+        kl = t1 + t2
+        # q >= p makes t1 <= 0 <= t2, so t2 - t1 is |t1| + |t2|
+        close = np.abs(kl - b) <= 2.0**-48 * (t2 - t1)
+    ok = kl <= b
+    for i in np.flatnonzero(close):
+        ok[i] = kl_bernoulli(p[i], q[i]) <= b[i]
+    return ok
+
+
+def _kl_inverse_upper_columns(q, b) -> np.ndarray:
+    """kl_inverse_upper(q[i], b[i]) for every element of the broadcast (q, b),
+    bit for bit, as one masked bisection.
+
+    Each element starts from the bracket [q, 1], halves it at
+    mid = 0.5 * (lo + hi) on the test of ``_kl_bernoulli_at_most``, stops
+    once its own hi - lo <= 1e-9 and returns hi; b = 0 and q = 1 return q,
+    and a q outside [0, 1] or a b below 0 or NaN raises the scalar path's
+    ValueError.  Its cost is about 30 steps of whole-array passes whatever
+    the size, so the scalar path wins on short columns.
+    """
+    q, b = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(b, dtype=float))
+    q_ok = (q >= 0.0) & (q <= 1.0)
+    if not q_ok.all():
+        _check_probability("q", q[~q_ok][0])
+    if not (b >= 0.0).all():
+        raise ValueError(f"budget b must be nonnegative, got {float(b[~(b >= 0.0)][0])!r}")
+    out = q.copy()
+    todo = (b != 0.0) & (q != 1.0)
+    p, budget = q[todo], b[todo]
+    one_minus_p = 1.0 - p
+    lo, hi = p, np.ones_like(p)
+    live = hi - lo > 1e-9
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        lower = live & _kl_bernoulli_at_most(p, one_minus_p, mid, budget)
+        lo = np.where(lower, mid, lo)
+        hi = np.where(live ^ lower, mid, hi)
+        live = hi - lo > 1e-9
+    out[todo] = hi
+    return out
 
 
 def _bisect_upper(ok, lo: float, hi: float, tol: float) -> float:

@@ -189,9 +189,13 @@ class ThresholdMarginTask(SyntheticTask):
             raise ValueError("thresholds must be a nonempty vector")
         if np.unique(thr).size != thr.size:
             raise ValueError("thresholds must be distinct")
+        if star_index is None:
+            star_index = thr.size // 2
+        if not (star_index % 1 == 0 and 0 <= star_index < thr.size):
+            raise ValueError(f"star_index must be an integer in [0, {thr.size}), got {star_index!r}")
         self.tau = float(tau)
         self.thresholds = thr
-        self.star_index = thr.size // 2 if star_index is None else int(star_index)
+        self.star_index = int(star_index)
         self.seed = seed
         dist = np.abs(thr - thr[self.star_index])
         self.true_risk = (0.5 - tau) + 2.0 * tau * dist
@@ -209,15 +213,16 @@ class ThresholdMarginTask(SyntheticTask):
         return (pred != y[:, None]).astype(float)
 
     def sample_emp_risk(self, n, rng):
-        # Threshold j errs on the k_j = #{x_i < theta_j} inputs below it that
-        # carry label 1 and on the inputs above it that carry label 0, so one
-        # sort of x and a prefix count of y give every error count exactly.
+        # Threshold j errs on the below_j inputs under it (x_i < theta_j) that
+        # carry label 1 and on the inputs at or above it that carry label 0.
+        # k_j = #{x_i < theta_j} and below_j come from searching the sorted x
+        # and the sorted label-1 inputs; the counts are integers, so the error
+        # rates are exact, and only the searched arrays need sorting.
         x, y = self._sample_xy(n, rng)
-        order = np.argsort(x)
-        k = np.searchsorted(x[order], self.thresholds, side="left")
-        ones = np.concatenate(([0], np.cumsum(y[order])))
-        below = ones[k]
-        return ((n - k) - (ones[-1] - below) + below) / n
+        ones = x[y]
+        k = np.sort(x).searchsorted(self.thresholds)
+        below = np.sort(ones).searchsorted(self.thresholds)
+        return ((n - k) - (ones.size - below) + below) / n
 
     def second_moments_vs_star(self):
         # losses differ exactly on the disagreement region of the two thresholds
@@ -279,18 +284,38 @@ class HeavyTailTask(SyntheticTask):
         return dm**2 + ds**2
 
 
+#: The parameters make_synthetic_task accepts for each task kind.
+_TASK_PARAMS = {
+    "risk_table": ("p", "shared_noise"),
+    "threshold_margin": ("tau", "grid_size", "thresholds", "star_index"),
+    "heavy_tail": ("means", "sds", "tail_shape"),
+}
+
+
 def make_synthetic_task(kind: str, params: dict, seed: int = 0) -> SyntheticTask:
     """Build a synthetic task from a JSON-friendly parameter dict.
 
     kinds and parameters:
       risk_table       {"p": [...], "shared_noise": bool?}
-      threshold_margin {"tau": float, "grid_size": int} or {"tau", "thresholds": [...]}
+      threshold_margin {"tau": float, "grid_size": int} or {"tau", "thresholds": [...]},
+                       "star_index": int?
       heavy_tail       {"means": [...], "sds": [...] or float, "tail_shape": float?}
+
+    A parameter the kind does not take raises ValueError naming it, so a
+    misspelt key cannot silently leave its default in place.
     """
     params = dict(params)
+    if kind not in _TASK_PARAMS:
+        raise ValueError(f"unknown task kind {kind!r}")
+    for key in params:
+        if key not in _TASK_PARAMS[kind]:
+            raise ValueError(f"unknown {kind} task parameter {key!r}; it takes "
+                             + ", ".join(_TASK_PARAMS[kind]))
     if kind == "risk_table":
         return RiskTableTask(params["p"], shared_noise=params.get("shared_noise", False), seed=seed)
     if kind == "threshold_margin":
+        if ("thresholds" in params) == ("grid_size" in params):
+            raise ValueError("a threshold_margin task takes exactly one of grid_size and thresholds")
         if "thresholds" in params:
             thr = params["thresholds"]
         else:
@@ -305,7 +330,6 @@ def make_synthetic_task(kind: str, params: dict, seed: int = 0) -> SyntheticTask
             tail_shape=params.get("tail_shape", 2.5),
             seed=seed,
         )
-    raise ValueError(f"unknown task kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

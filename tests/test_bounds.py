@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pacbayes import bounds
 from pacbayes.bounds import (
     BOUND_IDS,
     BOUND_TABLE,
@@ -796,6 +797,32 @@ class TestColumns:
                 cert = entry.certify(data, DiscreteDistribution(w), float(emp[i]), float(kl[i]),
                                      lam)
                 assert _same(values[i], cert.value), (bound_id, i, values[i], cert.value)
+
+    @pytest.mark.parametrize("C", [1.0, 2.0])
+    @pytest.mark.parametrize("size, scalar_calls", [
+        (bounds._KL_INVERSE_COLUMN_MIN - 1, bounds._KL_INVERSE_COLUMN_MIN - 1),
+        (bounds._KL_INVERSE_COLUMN_MIN, 0),
+    ], ids=["below_the_switch", "at_the_switch"])
+    def test_seeger_column_on_both_sides_of_the_switch(self, size, scalar_calls, C, monkeypatch):
+        # a column below the switch inverts element by element, one at it in
+        # one array pass; either way value i is C times bound_seeger_maurer's
+        rng = np.random.default_rng(size)
+        m, n, eps = 6, 200, 0.05
+        prior = DiscreteDistribution.uniform(m)
+        W = rng.dirichlet(np.ones(m), size=size)
+        W[:3] = np.eye(m)[:3]
+        risks = C * rng.random(m)
+        risks[0] = 0.0
+        emp, kl = W @ risks, np.array([kl_discrete(DiscreteDistribution(w), prior) for w in W])
+        kl[3] = math.inf
+        calls = []
+        monkeypatch.setattr(bounds, "kl_inverse_upper",
+                            lambda q, b: calls.append(q) or kl_inverse_upper(q, b))
+        values = BOUND_TABLE["seeger"].values(BoundData(risks, n, eps, C, prior=prior), W, emp, kl)
+        assert len(calls) == scalar_calls
+        for i in range(size):
+            want = C * bound_seeger_maurer(BoundInput(emp[i] / C, kl[i], n, eps)).value
+            assert values[i].tobytes() == np.float64(want).tobytes(), i
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), C=st.sampled_from([1.0, 2.0]))

@@ -365,6 +365,16 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
      "losses"),
     ({**SCALARS, "task": {"kind": "wat"}}, ["violate", "--bound", "seeger", "--trials", "5"],
      "task"),
+    ({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 11,
+                          "star_index": 50}}, ["violate", "--bound", "seeger", "--trials", "5"],
+     "task"),
+    ({**SCALARS, "task": {"kind": "threshold_margin", "tau": "0.2", "grid_size": 11}},
+     ["violate", "--bound", "seeger", "--trials", "5"], "task"),
+    ({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 11,
+                          "thresholds": [0.1, 0.9]}},
+     ["violate", "--bound", "seeger", "--trials", "5"], "task"),
+    ({**SCALARS, "task": {"kind": "risk_table"}},
+     ["violate", "--bound", "seeger", "--trials", "5"], "task.p"),
     # posteriors that name no distribution
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "dirac:x"], "--posterior"),
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{tmp}/none.json"],
@@ -380,7 +390,8 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
         "union_finite_dirac", "violate_lambda_grid_erm_dirac", "violate_lambda_grid_lambda_7",
         "certify_lambda_grid_lambda_7", "lambda_abc", "lambda_inf", "missing_task_file",
         "task_file_not_an_object", "emp_risk_not_numbers", "losses_not_numbers",
-        "unknown_task_kind", "dirac_not_an_index", "missing_weights_file",
+        "unknown_task_kind", "star_index_out_of_range", "tau_a_string",
+        "grid_size_and_thresholds", "task_without_p", "dirac_not_an_index", "missing_weights_file",
         "weights_not_an_array", "unknown_posterior", "n_grid_not_integers"])
 def test_out_of_range_flag_exit_2(task, argv, field, request, tmp_path, capsys):
     path = task_path(task, request, tmp_path)
@@ -410,6 +421,50 @@ def test_semantic_error_exit_3(task, argv, named, request, tmp_path, capsys):
     assert rc == 3
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, argv, named", [
+    ({**SCALARS, "log_M": 1.0, "true_risk": [0.5]}, ["certify", "--bound", "union_finite"],
+     "field 'true_risk': unknown field"),
+    ({**SCALARS, "prior": [0.5, 0.5], "emp_risk": [0.1, 0.2], "Eps": 0.1}, ["compare"],
+     "field 'Eps': unknown field"),
+    ({**SCALARS, "task": {"kind": "heavy_tail", "means": [0.5, 0.6], "sd": 0.01}},
+     ["violate", "--bound", "chi_square", "--trials", "5"],
+     "unknown heavy_tail task parameter 'sd'"),
+    ({**SCALARS, "task": {"kind": "risk_table", "p": [0.2, 0.4], "shared": True}},
+     ["violate", "--bound", "seeger", "--trials", "5"],
+     "unknown risk_table task parameter 'shared'"),
+    ({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 11,
+                          "star": 3}},
+     ["rates", "--n-grid", "100,200,400,800,1600", "--reps", "5"],
+     "unknown threshold_margin task parameter 'star'"),
+], ids=["top_level_true_risk", "top_level_Eps", "heavy_tail_sd", "risk_table_shared",
+        "threshold_margin_star"])
+def test_unknown_keys_exit_2(doc, argv, named, tmp_path, capsys):
+    # a misspelt key is refused by name instead of leaving its default in place
+    command, *flags = argv
+    rc = cli.main([command, write_json(tmp_path / "t.json", doc), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["certify", "{task}", "--bound", "seeger"], False),
+    (["compare", "{task}"], False),
+    (["violate", "{gen}", "--bound", "seeger", "--trials", "3"], True),
+], ids=["certify", "compare", "violate"])
+def test_only_violate_and_rates_load_the_lab(argv, loaded, small_instance, generative_instance):
+    src = str(Path(cli.__file__).parents[1])
+    args = [a.format(task=small_instance, gen=generative_instance) for a in argv]
+    code = ("import sys; from pacbayes.cli import main; assert main(sys.argv[1:]) == 0; "
+            "print('pacbayes.oracle_lab' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == str(loaded)
 
 
 def test_run_as_a_module_warns_nothing(small_instance):

@@ -21,6 +21,7 @@ from pacbayes.divergences import (
     kl_gaussian_diag,
     kl_inverse_upper,
     kl_uniform_ball,
+    _kl_inverse_upper_columns,
     _log_gibbs,
     _logsumexp,
 )
@@ -152,6 +153,86 @@ class TestKlInverseUpper:
         # the result is rounded up, so it sits at or past the budget
         p = kl_inverse_upper(q, b)
         assert kl_bernoulli(q, p) >= b or p == 1.0
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def scalar_inverses(q, b) -> np.ndarray:
+    return np.array([kl_inverse_upper(x, y) for x, y in zip(np.ravel(q), np.ravel(b))])
+
+
+edge_qs = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1 - 1e-10, 1 - 2**-53]),
+                    st.floats(min_value=0.0, max_value=1.0),
+                    st.floats(min_value=0.0, max_value=1e-12),
+                    st.floats(min_value=1 - 1e-10, max_value=1.0))
+edge_budgets = st.one_of(st.sampled_from([0.0, math.inf, 5e-324, 1e-300]),
+                         st.floats(min_value=0.0, max_value=1e-12),
+                         st.floats(min_value=0.0, max_value=40.0))
+
+
+class TestKlInverseColumns:
+    """The array kl inverse has the bits of kl_inverse_upper element by element."""
+
+    EDGE_Q = [0.0, 1.0, 5e-324, 1e-13, 0.3, 0.999, 1 - 1e-10, 1 - 5e-11, 1 - 2**-53]
+    EDGE_B = [0.0, math.inf, 5e-324, 1e-13, 1e-3, 0.7, 30.0]
+
+    def test_edges_cross_product(self):
+        q, b = (a.ravel() for a in np.meshgrid(self.EDGE_Q, self.EDGE_B))
+        assert same_bits(_kl_inverse_upper_columns(q, b), scalar_inverses(q, b))
+
+    @given(st.lists(st.tuples(edge_qs, edge_budgets), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    @example([(0.0, 0.0), (1.0, 0.0), (0.0, math.inf), (1.0, math.inf)])
+    @example([(1e-13, 1e-13), (1 - 1e-11, 1e-13), (0.8846413441419358, 2.9057198971906876e-12)])
+    def test_same_bits_as_the_scalar_path(self, pairs):
+        q, b = np.array(pairs, dtype=float).T
+        assert same_bits(_kl_inverse_upper_columns(q, b), scalar_inverses(q, b))
+
+    def test_budgets_on_the_bisection_path(self):
+        # b = kl(q|mid) at a midpoint the scalar bisection visits makes its test
+        # kl <= b an exact tie, where numpy's and libm's logs may round apart
+        rng = np.random.default_rng(2)
+        q, b = [], []
+        for x in np.concatenate([rng.random(150), 10.0 ** rng.uniform(-12, -1, 50)]):
+            lo, hi = float(x), 1.0
+            while hi - lo > 1e-9:
+                mid = 0.5 * (lo + hi)
+                q.append(float(x))
+                b.append(kl_bernoulli(float(x), mid))
+                lo, hi = (mid, hi) if rng.random() < 0.5 else (lo, mid)
+        assert same_bits(_kl_inverse_upper_columns(q, b), scalar_inverses(q, b))
+
+    def test_broadcasts_and_keeps_the_shape(self):
+        q = np.array([[0.1, 0.5], [0.9, 0.0]])
+        got = _kl_inverse_upper_columns(q, 0.2)
+        assert got.shape == (2, 2)
+        assert same_bits(got, scalar_inverses(q, np.full(4, 0.2)).reshape(2, 2))
+
+    @pytest.mark.parametrize("q, b, match", [
+        ([0.2, -0.1], [0.1, 0.1], r"q must lie in \[0, 1\], got -0.1"),
+        ([0.2, math.nan], [0.1, 0.1], r"q must lie in \[0, 1\], got nan"),
+        ([0.2, 1.5], [0.1, -1.0], r"q must lie in \[0, 1\], got 1.5"),
+        ([0.2, 0.3], [0.1, -1e-9], "budget b must be nonnegative, got -1e-09"),
+        ([0.2, 0.3], [math.nan, 0.1], "budget b must be nonnegative, got nan"),
+    ])
+    def test_refuses_what_the_scalar_path_refuses(self, q, b, match):
+        with pytest.raises(ValueError, match=match):
+            _kl_inverse_upper_columns(q, b)
+        with pytest.raises(ValueError, match=match):
+            scalar_inverses(q, b)
+
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1 - 1e-6),
+                                        st.floats(1e-7, 1e-5)),
+                              st.floats(min_value=1e-12, max_value=30.0)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_never_below_the_mpmath_inverse(self, pairs):
+        q, b = np.array(pairs, dtype=float).T
+        for p, x, y in zip(_kl_inverse_upper_columns(q, b), q, b):
+            exact = mp_kl_inverse_upper(float(x), float(y))
+            assert exact <= p <= exact + 1e-9
 
 
 class TestKlDiscrete:

@@ -3,6 +3,7 @@ Bernstein constants, oracle right-hand sides versus exhaustive family scans,
 pi-dimension against a fine grid, localization payoff, and the seeded
 violation / rate / exponential-moment harnesses."""
 
+import functools
 import math
 
 import numpy as np
@@ -138,6 +139,31 @@ class TestMakeSyntheticTask:
         diff2 = ((losses - losses[:, [0]]) ** 2).mean(axis=0)
         assert np.max(np.abs(diff2 - task.second_moments_vs_star())) < 0.05
 
+    @pytest.mark.parametrize("kind, params", [
+        ("risk_table", {"p": [0.2, 0.4], "shared_noise": True}),
+        ("threshold_margin", {"tau": 0.2, "grid_size": 11, "star_index": 3}),
+        ("threshold_margin", {"tau": 0.2, "thresholds": [0.1, 0.5, 0.9]}),
+        ("heavy_tail", {"means": [0.5, 0.6], "sds": 0.5, "tail_shape": 3.0}),
+    ])
+    def test_every_parameter_of_a_kind_is_taken(self, kind, params):
+        assert make_synthetic_task(kind, params).kind == kind
+        with pytest.raises(ValueError, match=f"unknown {kind} task parameter 'typo'"):
+            make_synthetic_task(kind, {**params, "typo": 1})
+
+    @pytest.mark.parametrize("params", [
+        {"tau": 0.2},
+        {"tau": 0.2, "grid_size": 11, "thresholds": [0.1, 0.9]},
+    ], ids=["neither", "both"])
+    def test_exactly_one_threshold_spec(self, params):
+        with pytest.raises(ValueError, match="exactly one of grid_size and thresholds"):
+            make_synthetic_task("threshold_margin", params)
+
+    @pytest.mark.parametrize("star", [-1, 11, 2.5])
+    def test_star_index_in_range(self, star):
+        with pytest.raises(ValueError, match=r"star_index must be an integer in \[0, 11\)"):
+            make_synthetic_task("threshold_margin", {"tau": 0.2, "grid_size": 11,
+                                                     "star_index": star})
+
 
 def same_bits_as_column_means(task, n, key) -> bool:
     fast = task.sample_emp_risk(n, child_rng(*key))
@@ -146,7 +172,7 @@ def same_bits_as_column_means(task, n, key) -> bool:
 
 
 class TestThresholdSampler:
-    """Error counts by prefix sums give the bits of the loss-matrix column means."""
+    """Error counts from sorted searches give the bits of the loss-matrix column means."""
 
     GRID = np.linspace(0.0, 1.0, 41)
     PERMUTED = np.random.default_rng(3).permutation(GRID)
@@ -172,6 +198,26 @@ class TestThresholdSampler:
             task = ThresholdMarginTask(0.3, [0.05, value, 0.95], star_index=1)
             assert value in task._sample_xy(n, child_rng(*key))[0]
             assert same_bits_as_column_means(task, n, key)
+
+    @pytest.mark.parametrize("thresholds,star", [
+        (np.array([-0.5, 0.3, 1.5]), 1),
+        (np.array([2.0, -1.0, 0.5, -3.0]), 2),
+        (np.array([-0.2, -0.1]), 0),
+        (np.array([1.2, 1.1]), 1),
+    ], ids=["both_sides", "permuted_both_sides", "all_below_0", "all_above_1"])
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_thresholds_outside_the_unit_interval(self, thresholds, star, n):
+        # a threshold under every input or over every input errs on one label class
+        task = ThresholdMarginTask(0.2, thresholds, star_index=star)
+        for t in range(20):
+            assert same_bits_as_column_means(task, n, (13, t))
+
+    @pytest.mark.parametrize("star", [0, 500, 1000])
+    def test_wide_class_shape(self, star):
+        # the benchmark's wide violation ops: M = 1001 thresholds at n = 5000
+        task = ThresholdMarginTask(0.2, np.linspace(0.0, 1.0, 1001), star_index=star)
+        for t in range(3):
+            assert same_bits_as_column_means(task, 5000, (17, t))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 60),
            st.floats(0.01, 0.5))
@@ -221,6 +267,15 @@ class TestRhoFamilyInf:
             against = DiscreteDistribution.from_weights(against)
         return R, DiscreteDistribution.from_weights(pi), against
 
+    @classmethod
+    @functools.cache
+    def loop_inf(cls, name, extra, index):
+        """The reference loop's infimum at a case, extra betas and objective
+        index, computed once: unlike the library pass, it takes no block size."""
+        R, pi, against = cls.case(name)
+        q = None if against is None else against.weights
+        return rho_family_inf_loop(pi.weights, R, extra, cls.objectives(R)[index], against=q)
+
     @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("extra", [(), (3.0,), (0.5, 250.0)])
     @pytest.mark.parametrize("block", [None, 1, 500], ids=["one_block", "row_blocks", "blocks"])
@@ -228,10 +283,9 @@ class TestRhoFamilyInf:
         if block is not None:
             monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
         R, pi, against = self.case(name)
-        q = None if against is None else against.weights
-        for objective in self.objectives(R):
+        for index, objective in enumerate(self.objectives(R)):
             got = _rho_family_inf(pi, R, extra, objective, against=against)
-            want = rho_family_inf_loop(pi.weights, R, extra, objective, against=q)
+            want = self.loop_inf(name, extra, index)
             if name == "against_all_zero_on_support":
                 assert got == want == math.inf
             else:
