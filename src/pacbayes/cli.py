@@ -14,10 +14,15 @@ it, violate and rates.
 
 Exit codes: 0 success, 2 schema violation (malformed file or flags, with a
 field diagnostic), 3 semantic mismatch (e.g. a bound whose required inputs
-are absent).  All randomness flows from --seed.  Certificates are strict JSON
-with full-precision floats (17 significant digits round-trip) and null for
-a non-finite value (an infinite certificate or lambda); experiments are
-CSV with one row per trial plus '#'-prefixed summary lines.
+are absent).  The rule between them: a check on a named field or flag exits
+2, and any other refusal by the library (a ValueError) exits 3.  The task
+file's n/eps/C, emp_risk, losses and log_M rules are the library's, read
+through _checked.
+
+All randomness flows from --seed.  Certificates are strict JSON with
+full-precision floats (17 significant digits round-trip) and null for a
+non-finite value (an infinite certificate or lambda); experiments are CSV
+with one row per trial plus '#'-prefixed summary lines.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from . import bounds
 from .bounds import Certificate
 from .divergences import DiscreteDistribution, _gibbs_family, _kl_log_prior, _logsumexp, _safe_log
-from .posteriors import LOSS_MEAN_TOL, RiskTable, gibbs_posterior
+from .posteriors import RiskTable, gibbs_posterior
 
 SCHEMA_VERSION = 1
 
@@ -66,6 +71,15 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise SchemaError(field, message)
 
 
+def _checked(field: Optional[str], check, *args):
+    """check(*args), a library check, with its ValueError as a SchemaError on
+    field; field None names the parameter the library's message opens with."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise SchemaError(field or str(exc).split(None, 1)[0], str(exc))
+
+
 def load_task_file(path: str) -> dict:
     """Parse and validate a JSON task file.
 
@@ -91,20 +105,18 @@ def load_task_file(path: str) -> dict:
     out = {"schema": raw.get("schema", 1)}
     _require(out["schema"] == SCHEMA_VERSION, "schema", f"expected {SCHEMA_VERSION}")
 
-    def scalar(name, integral=False):
-        """The JSON number raw[name] (no bool or string) as a float, or an int if integral."""
+    def scalar(name):
+        """The JSON number raw[name] (no bool or string) as a float."""
         v = raw[name]
         _require(type(v) is float or (type(v) is int and abs(v) < 2**1023), name,
                  "must be a number in float range")
-        _require(not integral or float(v).is_integer(), name, "must be an integer")
-        return int(v) if integral else float(v)
+        return float(v)
 
     for name in ("n", "eps", "C"):
         _require(name in raw, name, "required field is missing")
-        out[name] = scalar(name, integral=name == "n")
-    _require(out["n"] >= 1, "n", "must be >= 1")
-    _require(0 < out["eps"] < 1, "eps", "must lie in (0, 1)")
-    _require(out["C"] > 0, "C", "must be positive")
+        out[name] = scalar(name)
+    _checked(None, bounds._check_inputs, out["n"], out["eps"], out["C"])
+    out["n"] = int(out["n"])
 
     def vector(name):
         v = raw.get(name)
@@ -134,39 +146,30 @@ def load_task_file(path: str) -> dict:
                  f"must sum to 1 within 1e-9, got {prior.sum()!r}")
         out["log_prior"] = _safe_log(prior)
     elif log_prior_mass is not None:
-        out["log_prior"] = log_prior_mass - _logsumexp(log_prior_mass)
+        # a mass that underflows to 0 has log mass -inf, not a warning
+        with np.errstate(over="ignore"):
+            out["log_prior"] = log_prior_mass - _logsumexp(log_prior_mass)
     else:
         out["log_prior"] = None
 
-    _require(emp is not None or raw.get("losses") is None, "losses",
+    losses = raw.get("losses")
+    _require(emp is not None or losses is None, "losses",
              "needs the emp_risk field, whose values its column means must reproduce")
-    if emp is not None:
-        _require(bool(np.all((emp >= 0) & (emp <= out["C"]))), "emp_risk",
-                 "entries must lie in [0, C]")
-        out["risk_table"] = None
-        losses = raw.get("losses")
-        loss_arr = None
-        if losses is not None:
-            try:
-                loss_arr = np.asarray(losses, dtype=float)
-            except (TypeError, ValueError):
-                raise SchemaError("losses", "must be a numeric matrix")
-            _require(loss_arr.ndim == 2 and loss_arr.shape == (out["n"], emp.size),
-                     "losses", f"must be an {out['n']} x {emp.size} matrix")
-            _require(bool(np.all((loss_arr >= 0) & (loss_arr <= out["C"]))),
-                     "losses", "entries must lie in [0, C]")
-            _require(float(np.max(np.abs(loss_arr.mean(axis=0) - emp))) <= LOSS_MEAN_TOL,
-                     "losses", f"column means must reproduce emp_risk within {LOSS_MEAN_TOL}")
+    if losses is not None:
         try:
-            out["risk_table"] = RiskTable(emp_risk=emp, n=out["n"], C=out["C"], losses=loss_arr)
-        except ValueError as exc:
-            raise SchemaError("emp_risk", str(exc))
+            losses = np.asarray(losses, dtype=float)
+        except (TypeError, ValueError):
+            raise SchemaError("losses", "must be a numeric matrix")
+    # RiskTable checks the emp_risk range and the losses shape, range and means
+    out["risk_table"] = None if emp is None else _checked(None, RiskTable, emp, out["n"],
+                                                          out["C"], losses)
     out["emp_risk"] = emp
 
     out["kappa"] = scalar("kappa") if "kappa" in raw else None
     _require(out["kappa"] is None or out["kappa"] > 0, "kappa", "must be positive")
     out["log_M"] = scalar("log_M") if "log_M" in raw else None
-    _require(out["log_M"] is None or out["log_M"] >= 0, "log_M", "must be nonnegative")
+    if out["log_M"] is not None:
+        _checked("log_M", bounds._check_kl, out["log_M"])
 
     task_spec = raw.get("task")
     if task_spec is not None:
@@ -219,9 +222,7 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
             raise SchemaError("--posterior", "weights file must be a JSON number array")
         _require(w.ndim == 1 and w.size == m, "--posterior",
                  f"weights length must be {m}")
-        _require(bool(np.all(w >= 0)) and w.sum() > 0, "--posterior",
-                 "weights must be nonnegative with positive sum")
-        rho = DiscreteDistribution(w / w.sum())
+        rho = _checked("--posterior", DiscreteDistribution.from_weights, w)
     else:
         raise SchemaError("--posterior", f"unknown posterior spec {spec!r}")
     kl = _kl_log_prior(rho.weights, _log_prior(task))
@@ -244,10 +245,7 @@ def evaluate_bound(task: dict, bound_id: str, rho, lam, xi: float = 0.0) -> Cert
         emp = float(np.dot(rho.weights, task["emp_risk"]))
         kl = _kl_log_prior(rho.weights, _log_prior(task))
     prior = _prior_distribution(task) if "prior" in entry.requires else None
-    try:
-        return entry.certify(_bound_data(task, prior, xi), rho, emp, kl, lam)
-    except ValueError as exc:
-        raise SemanticError(str(exc))
+    return entry.certify(_bound_data(task, prior, xi), rho, emp, kl, lam)
 
 
 def certificate_json(cert: Certificate) -> dict:
@@ -435,21 +433,18 @@ def cmd_violate(args) -> int:
     task_doc = load_task_file(args.task_file)
     task = _build_task(task_doc)
     eps = args.eps if args.eps is not None else task_doc["eps"]
-    try:
-        report = violation_experiment(
-            task,
-            args.bound,
-            args.posterior_rule,
-            task_doc["n"],
-            eps,
-            args.trials,
-            args.seed,
-            lam=args.lam,
-            xi=args.xi,
-            corruption=args.corruption,
-        )
-    except ValueError as exc:
-        raise SemanticError(str(exc))
+    report = violation_experiment(
+        task,
+        args.bound,
+        args.posterior_rule,
+        task_doc["n"],
+        eps,
+        args.trials,
+        args.seed,
+        lam=args.lam,
+        xi=args.xi,
+        corruption=args.corruption,
+    )
     summary = [
         f"schema={SCHEMA_VERSION} command=violate bound={args.bound} "
         f"posterior={args.posterior_rule} eps={eps!r} trials={args.trials} seed={args.seed}",
@@ -467,10 +462,7 @@ def _parse_n_grid(text: str):
         grid = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise SchemaError("--n-grid", "must be a comma-separated integer list")
-    try:
-        validate_geometric_grid(grid)
-    except ValueError as exc:
-        raise SchemaError("--n-grid", str(exc))
+    _checked("--n-grid", validate_geometric_grid, grid)
     return grid
 
 
@@ -481,12 +473,9 @@ def cmd_rates(args) -> int:
     grid = _parse_n_grid(args.n_grid)
     task = _build_task(task_doc)
     eps = args.eps if args.eps is not None else task_doc["eps"]
-    try:
-        report = rate_experiment(
-            task, grid, args.reps, args.seed, rule=args.rule, eps=eps
-        )
-    except ValueError as exc:
-        raise SemanticError(str(exc))
+    report = rate_experiment(
+        task, grid, args.reps, args.seed, rule=args.rule, eps=eps
+    )
     slope_txt = "NA" if report.slope is None or math.isnan(report.slope) else repr(report.slope)
     summary = [
         f"schema={SCHEMA_VERSION} command=rates rule={args.rule} reps={args.reps} "
@@ -599,7 +588,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except SemanticError as exc:
+    except (SemanticError, ValueError) as exc:
+        # a library refusal that no field-named check claimed
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -78,7 +78,8 @@ class DiscreteDistribution:
     def from_weights(cls, weights) -> "DiscreteDistribution":
         """Normalize an arbitrary nonnegative weight vector."""
         w = np.asarray(weights, dtype=float)
-        total = w.sum()
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            total = w.sum()
         if not np.isfinite(total) or total <= 0:
             raise ValueError("weights must have a positive finite sum")
         return cls(w / total)

@@ -78,7 +78,8 @@ class RiskTable:
                 raise ValueError(f"losses must have shape ({self.n}, {r.size})")
             bounds._check_inputs(self.n, None, self.C, ell.min(), ell.max(), "losses")
             if np.max(np.abs(ell.mean(axis=0) - r)) > LOSS_MEAN_TOL:
-                raise ValueError("emp_risk must equal the column means of losses")
+                raise ValueError("losses column means must reproduce emp_risk within "
+                                 f"{LOSS_MEAN_TOL}")
             ell.flags.writeable = False
             object.__setattr__(self, "losses", ell)
 
@@ -90,8 +91,8 @@ def gibbs_posterior(pi: DiscreteDistribution, emp_risk, lam: float) -> DiscreteD
     prior unchanged; as lam grows the mass concentrates on the empirical
     minimizer.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not (0 <= lam < math.inf):
+        raise ValueError(f"lambda must lie in [0, inf), got {lam!r}")
     r = np.asarray(emp_risk, dtype=float)
     return gibbs_reweight(pi, -lam * r)
 

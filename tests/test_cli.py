@@ -114,6 +114,17 @@ class TestTaskFileSchema:
         assert doc["lambda"] == pytest.approx(lam, rel=1e-12)
         assert doc["value"] == pytest.approx(0.6986639754911382, rel=1e-12)
 
+    def test_log_prior_mass_that_underflows_certifies(self, tmp_path, capsys):
+        # the mass e^{-2e308} of hypothesis 0 underflows to 0, so gibbs is the
+        # Dirac mass on hypothesis 1 at KL 0
+        path = write_json(tmp_path / "t.json", {
+            "schema": 1, "n": 100, "eps": 0.05, "C": 1.0,
+            "log_prior_mass": [-1e308, 1e308], "emp_risk": [0.1, 0.2],
+        })
+        assert cli.main(["certify", path, "--bound", "seeger"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == bound_seeger_maurer(BoundInput(0.2, 0.0, 100, 0.05)).value
+
     @pytest.mark.parametrize("field, value", [
         ("n", 1.5), ("n", True), ("n", "1000"), ("eps", "0.05"), ("eps", True),
         ("C", "1"), ("kappa", True), ("kappa", "2"), ("log_M", "3.0"), ("log_M", True),
@@ -384,6 +395,23 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "uniform"], "--posterior"),
     ("generative_instance", ["rates", "--n-grid", "100,2x0,400,800,1600", "--reps", "5"],
      "--n-grid"),
+    # rules the library states once and load_task_file takes from it
+    ({**SCALARS, "n": 0}, ["certify", "--bound", "seeger"], "n"),
+    ({**SCALARS, "n": 2.5}, ["certify", "--bound", "seeger"], "n"),
+    ({**SCALARS, "eps": 1}, ["certify", "--bound", "seeger"], "eps"),
+    ({**SCALARS, "C": 0}, ["certify", "--bound", "seeger"], "C"),
+    ({**SCALARS, "prior": [1.0], "emp_risk": [1.5]}, ["certify", "--bound", "seeger"],
+     "emp_risk"),
+    ({**SCALARS, "log_M": -1}, ["certify", "--bound", "union_finite"], "log_M"),
+    ({**SCALARS, "n": 2, "emp_risk": [0.5], "losses": [[0.5, 0.5]]},
+     ["certify", "--bound", "seeger"], "losses"),
+    # weights that DiscreteDistribution.from_weights refuses
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{tmp}/inf.json"],
+     "--posterior"),
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior",
+                        "weights:{tmp}/overflow.json"], "--posterior"),
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{tmp}/2d.json"],
+     "--posterior"),
 ], ids=["lambda_nan", "lambda_negative", "thiemann_lambda_5", "xi_1.5", "compare_eps_1.5",
         "violate_eps_nan", "rates_eps_1.5", "rates_reps_0", "violate_trials_0",
         "violate_corruption_nan", "violate_thiemann_lambda_5", "lambda_grid_dirac",
@@ -392,9 +420,15 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
         "task_file_not_an_object", "emp_risk_not_numbers", "losses_not_numbers",
         "unknown_task_kind", "star_index_out_of_range", "tau_a_string",
         "grid_size_and_thresholds", "task_without_p", "dirac_not_an_index", "missing_weights_file",
-        "weights_not_an_array", "unknown_posterior", "n_grid_not_integers"])
+        "weights_not_an_array", "unknown_posterior", "n_grid_not_integers", "n_0", "n_2.5",
+        "eps_1", "C_0", "emp_risk_1.5", "log_M_negative", "losses_wrong_shape",
+        "weights_infinity", "weights_sum_overflows", "weights_2d"])
 def test_out_of_range_flag_exit_2(task, argv, field, request, tmp_path, capsys):
     path = task_path(task, request, tmp_path)
+    # weights files for small_instance's 100 hypotheses
+    for name, w in (("inf", [math.inf] + [1.0] * 99), ("overflow", [1e308] * 100),
+                    ("2d", [[0.01] * 100])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(w))
     command, *flags = argv
     rc = cli.main([command, path, *(f.format(task=path, tmp=tmp_path) for f in flags)])
     err = capsys.readouterr().err
@@ -412,8 +446,11 @@ def test_out_of_range_flag_exit_2(task, argv, field, request, tmp_path, capsys):
     ({**SCALARS, "prior": [0.5, 0.5]}, ["compare"], "emp_risk"),
     ("generative_instance", ["rates", "--n-grid", "100,200,400,800,1600", "--reps", "5",
                              "--seed", "-1"], "seed"),
+    # the closed-form lambda sqrt(8 n log(M/eps))/C overflows to +inf at C = 1e-310
+    ({**SCALARS, "C": 1e-310, "prior": [0.5, 0.5], "emp_risk": [0.0, 0.0]},
+     ["certify", "--bound", "seeger"], "lambda"),
 ], ids=["certify_localized_lambda_1e6", "violate_localized_lambda_1e6", "compare_no_emp_risk",
-        "rates_seed_negative"])
+        "rates_seed_negative", "certify_gibbs_lambda_inf"])
 def test_semantic_error_exit_3(task, argv, named, request, tmp_path, capsys):
     command, *flags = argv
     rc = cli.main([command, task_path(task, request, tmp_path), *flags])
