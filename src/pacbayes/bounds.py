@@ -40,7 +40,12 @@ Conventions
   (+inf allowed) and ``_check_lambda`` (lambda in (0, upper); +inf only
   where every KL given is +inf).  :class:`BoundInput` runs the first two,
   and every entry point taking any of these without one runs the checks it
-  needs; bad input raises ValueError.
+  needs; bad input raises ValueError.  chi_square's variance bound has one
+  check too, ``_check_kappa`` (kappa > 0).
+* A square that overflows (C^2, lambda^2) gives +inf through ``_square``,
+  where a float power would raise OverflowError, and so does an array
+  product that overflows on the lambda grid: the certificate is then +inf,
+  vacuous, which errs upward.
 
 :data:`BOUND_TABLE` maps every catalog id to its required inputs, loss
 scale, lambda policy, one-posterior evaluator and array formula; the CLI's
@@ -126,6 +131,12 @@ def _check_kl(kl) -> None:
         raise ValueError(f"kl must be nonnegative, got {float(np.min(kl))!r}")
 
 
+def _check_kappa(kappa) -> None:
+    """The one kappa check: the variance bound kappa is positive, NaN failing."""
+    if not (kappa > 0):
+        raise ValueError(f"kappa must be positive, got {kappa!r}")
+
+
 def _check_lambda(lam, upper=math.inf, kl=0.0) -> None:
     """The one lambda check: lam in (0, upper), NaN failing.  lam = +inf, the
     closed-form lambda of an infinite KL, passes only when upper and every KL
@@ -160,8 +171,8 @@ class BoundInput:
         _check_kl(self.kl)
         if self.chi2 is not None and not (self.chi2 >= 0):
             raise ValueError("chi2 must be nonnegative")
-        if self.kappa is not None and not (self.kappa > 0):
-            raise ValueError("kappa must be positive")
+        if self.kappa is not None:
+            _check_kappa(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,14 @@ def _vacuous_rows_at_infinite_kl(kl, formula, *args):
     with np.errstate(invalid="ignore"):
         value, terms, details = formula(*args)
     return np.where(np.isinf(kl), math.inf, value), terms, details
+
+
+def _square(x: float) -> float:
+    """x**2, or +inf where it overflows (a float power raises OverflowError)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def bernstein_g(x: float) -> float:
@@ -274,11 +293,11 @@ def _linear(emp, nats, lam, slack):
 
 
 def _catoni_linear(q, kl, lam, s, W=None):
-    return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * s.C**2 / (8.0 * s.n))
+    return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * _square(s.C) / (8.0 * s.n))
 
 
 def _subgaussian(q, kl, lam, s, W=None):
-    return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * s.C**2 / s.n)
+    return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * _square(s.C) / s.n)
 
 
 def _lambda_certificate(bound_id, formula, inp: "BoundInput", lam) -> Certificate:
@@ -342,7 +361,8 @@ def _lambda_grid_values(grid: np.ndarray, emps: np.ndarray, kls: np.ndarray, n, 
     for lam in (grid.min(), grid.max()):
         _check_lambda(float(lam))
     _check_kl(kls)
-    return _catoni_linear(emps, kls + math.log(grid.size), grid, BoundData(None, n, eps, C))[0]
+    with np.errstate(over="ignore"):  # lambda C^2 past the float range is +inf
+        return _catoni_linear(emps, kls + math.log(grid.size), grid, BoundData(None, n, eps, C))[0]
 
 
 def bound_lambda_grid(
@@ -595,7 +615,7 @@ def _localized_checks(n, eps, xi) -> None:
 
 
 def _localized(emp, kl_local, n, eps, lam, xi):
-    denom = (1.0 - xi) * lam + (1.0 + xi) * bernstein_g(lam / n) * lam**2 / n
+    denom = (1.0 - xi) * lam + (1.0 + xi) * bernstein_g(lam / n) * _square(lam) / n
     if math.isinf(denom) and lam < math.inf:
         raise ValueError(f"lambda = {lam!r} overflows the localized bound's denominator")
     conf = (1.0 + xi) * math.log(2.0 / eps)
@@ -827,8 +847,7 @@ def _union_columns(q, kl, lam, d, W):
 
 
 def _chi_square_columns(q, kl, lam, d, W):
-    if not (d.kappa > 0):
-        raise ValueError("kappa must be positive")
+    _check_kappa(d.kappa)
     return _chi_square(q, _chi2_rows(W, d.prior.weights), lam, d)
 
 

@@ -15,9 +15,9 @@ it, violate and rates.
 Exit codes: 0 success, 2 schema violation (malformed file or flags, with a
 field diagnostic), 3 semantic mismatch (e.g. a bound whose required inputs
 are absent).  The rule between them: a check on a named field or flag exits
-2, and any other refusal by the library (a ValueError) exits 3.  The task
-file's n/eps/C, emp_risk, losses and log_M rules are the library's, read
-through _checked.
+2, and exit 3 is any ValueError that no field-named check claimed, raised by
+the library or by this module.  The task file's n/eps/C, emp_risk, losses,
+kappa and log_M rules are the library's, read through _checked.
 
 All randomness flows from --seed.  Certificates are strict JSON with
 full-precision floats (17 significant digits round-trip) and null for a
@@ -55,10 +55,6 @@ class SchemaError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"field '{field}': {message}")
         self.field = field
-
-
-class SemanticError(Exception):
-    """Inputs are well-formed but incompatible with the request (exit 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,8 @@ def load_task_file(path: str) -> dict:
     out["emp_risk"] = emp
 
     out["kappa"] = scalar("kappa") if "kappa" in raw else None
-    _require(out["kappa"] is None or out["kappa"] > 0, "kappa", "must be positive")
+    if out["kappa"] is not None:
+        _checked("kappa", bounds._check_kappa, out["kappa"])
     out["log_M"] = scalar("log_M") if "log_M" in raw else None
     if out["log_M"] is not None:
         _checked("log_M", bounds._check_kl, out["log_M"])
@@ -181,13 +178,12 @@ def load_task_file(path: str) -> dict:
 
 def _log_prior(task: dict) -> np.ndarray:
     if task["log_prior"] is None:
-        raise SemanticError("this operation needs a prior ('prior' or 'log_prior_mass')")
+        raise ValueError("this operation needs a prior ('prior' or 'log_prior_mass')")
     return task["log_prior"]
 
 
 def _prior_distribution(task: dict) -> DiscreteDistribution:
-    w = np.exp(_log_prior(task))
-    return DiscreteDistribution(w / w.sum())
+    return DiscreteDistribution.from_weights(np.exp(_log_prior(task)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,7 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
 
 def _catalog_entry(bound_id: str) -> bounds.CatalogEntry:
     if bound_id not in bounds.BOUND_TABLE:
-        raise SemanticError(f"unknown bound id {bound_id!r}")
+        raise ValueError(f"unknown bound id {bound_id!r}")
     return bounds.BOUND_TABLE[bound_id]
 
 
@@ -327,7 +323,7 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     n, eps, C = task["n"], task["eps"], task["C"]
     emp_vec = task["emp_risk"]
     if emp_vec is None:
-        raise SemanticError("compare needs the emp_risk field")
+        raise ValueError("compare needs the emp_risk field")
     pi = _prior_distribution(task)
     m = emp_vec.size
     logpi = task["log_prior"]
@@ -351,6 +347,9 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
         lams = entry.search(n, m, eps, C)
         if not lams or entry.missing(data, rows):
             continue
+        if not (eps / len(lams) > 0):
+            raise ValueError(f"eps = {eps!r} split over the {len(lams)} lambdas that "
+                             f"{entry.bound_id} searches underflows to 0")
         # one BoundData per bound at its priced eps, so its values calls share
         # the truncated risks of each lambda and the localized prior
         priced = replace(data, eps=eps / len(lams))
@@ -391,7 +390,7 @@ def _build_task(task: dict):
 
     spec = task["task"]
     if spec is None:
-        raise SemanticError("this command needs a generative 'task' object")
+        raise ValueError("this command needs a generative 'task' object")
     params = {k: v for k, v in spec.items() if k != "kind"}
     try:
         return make_synthetic_task(spec["kind"], params, seed=0)
@@ -497,9 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compute, compare and stress-test PAC-Bayes generalization certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("task_file")
+    common.add_argument("--out", default=None)
 
-    certify = sub.add_parser("certify", help="evaluate one bound, emit a JSON certificate")
-    certify.add_argument("task_file")
+    certify = sub.add_parser("certify", parents=[common],
+                             help="evaluate one bound, emit a JSON certificate")
     certify.add_argument("--bound", required=True)
     certify.add_argument("--lambda", dest="lam", default=None,
                          help="positive float or 'closed_form'")
@@ -507,17 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="gibbs | dirac:K | weights:FILE")
     certify.add_argument("--xi", type=float, default=0.0,
                          help="localization strength for localized_empirical")
-    certify.add_argument("--out", default=None)
     certify.set_defaults(fn=cmd_certify)
 
-    compare = sub.add_parser("compare", help="evaluate every applicable bound")
-    compare.add_argument("task_file")
+    compare = sub.add_parser("compare", parents=[common], help="evaluate every applicable bound")
     compare.add_argument("--eps", type=float, default=None)
-    compare.add_argument("--out", default=None)
     compare.set_defaults(fn=cmd_compare)
 
-    violate = sub.add_parser("violate", help="Monte Carlo bound-violation experiment")
-    violate.add_argument("task_file")
+    violate = sub.add_parser("violate", parents=[common],
+                             help="Monte Carlo bound-violation experiment")
     violate.add_argument("--bound", required=True)
     violate.add_argument("--posterior-rule", default="gibbs",
                          choices=["gibbs", "erm_dirac", "fixed_rho"])
@@ -528,18 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
     violate.add_argument("--eps", type=float, default=None)
     violate.add_argument("--corruption", type=float, default=1.0,
                          help="multiply the bound by this factor (harness sensitivity control)")
-    violate.add_argument("--out", default=None)
     violate.set_defaults(fn=cmd_violate)
 
-    rates = sub.add_parser("rates", help="excess-risk convergence-rate experiment")
-    rates.add_argument("task_file")
+    rates = sub.add_parser("rates", parents=[common],
+                           help="excess-risk convergence-rate experiment")
     rates.add_argument("--n-grid", required=True,
                        help="comma-separated geometric grid, >= 5 points")
     rates.add_argument("--reps", type=int, default=200)
     rates.add_argument("--rule", choices=["fast", "slow"], default="fast")
     rates.add_argument("--seed", type=int, default=0)
     rates.add_argument("--eps", type=float, default=None)
-    rates.add_argument("--out", default=None)
     rates.set_defaults(fn=cmd_rates)
     return parser
 
@@ -588,8 +585,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except (SemanticError, ValueError) as exc:
-        # a library refusal that no field-named check claimed
+    except ValueError as exc:
+        # a refusal, the library's or this module's, that no field-named check claimed
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

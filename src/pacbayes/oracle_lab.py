@@ -151,8 +151,7 @@ class RiskTableTask(SyntheticTask):
 
     def sample_emp_risk(self, n, rng):
         if self.shared_noise:
-            u = rng.random(n)
-            return (u[:, None] < self.p[None, :]).mean(axis=0)
+            return super().sample_emp_risk(n, rng)
         return rng.binomial(n, self.p) / n
 
     def second_moments_vs_star(self):
@@ -446,13 +445,13 @@ def oracle_bound_rhs(
         raise ValueError(f"the {variant!r} variant needs a lambda")
     bounds._check_lambda(lam)
     if variant == "expectation":
-        const = lam * C**2 / (8.0 * n)
+        const = lam * bounds._square(C) / (8.0 * n)
         kl_coef, kl_shift = 1.0 / lam, 0.0
         beta_opt = lam
     elif variant == "probability":
         if eps is None or not (0 < eps < 1):
             raise ValueError("the probability variant needs eps in (0, 1)")
-        const = lam * C**2 / (4.0 * n)
+        const = lam * bounds._square(C) / (4.0 * n)
         kl_coef, kl_shift = 2.0 / lam, 2.0 * math.log(2.0 / eps) / lam
         beta_opt = lam / 2.0
     else:
@@ -689,6 +688,8 @@ def violation_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (0 < corruption < math.inf):
+        raise ValueError(f"corruption must lie in (0, inf), got {corruption!r}")
     _check_support_size("pi", pi, task.m)
     _check_support_size("fixed_rho", fixed_rho, task.m)
     pi = pi or DiscreteDistribution.uniform(task.m)

@@ -467,7 +467,7 @@ def optimize_gaussian_posterior(
     def kl_term(m, s):
         return kl_gaussian_diag(DiagonalGaussian(mean=m - prior_mean, std=s), sigma)
 
-    const = lam * C**2 / (8.0 * n_cert)
+    cert_data = bounds.BoundData(None, n_cert, eps, C)
     m = prior_mean.copy()
     log_s = math.log(sigma)
 
@@ -481,7 +481,7 @@ def optimize_gaussian_posterior(
         theta = m[None, :] + s * z
         losses, grads = work.loss_grad(theta)
         risk = float(losses.mean())
-        obj = risk + const + (kl_term(m, s) + math.log(1.0 / eps)) / lam
+        obj = bounds._catoni_linear(risk, kl_term(m, s), lam, cert_data)[0]
         grad_m = grads.mean(axis=0) + (m - prior_mean) / (sigma**2 * lam)
         grad_logs = float(np.mean(np.sum(grads * z, axis=1)) * s) + d * (
             (s / sigma) ** 2 - 1.0

@@ -350,7 +350,7 @@ def compare_bounds_loop(task, eps=None):
     from dataclasses import replace
 
     from pacbayes import bounds
-    from pacbayes.cli import SemanticError, _prior_distribution
+    from pacbayes.cli import _prior_distribution
     from pacbayes.divergences import (DiscreteDistribution, _gibbs_family, _kl_log_prior,
                                       _safe_log)
 
@@ -359,7 +359,7 @@ def compare_bounds_loop(task, eps=None):
     n, eps, C = task["n"], task["eps"], task["C"]
     emp_vec = task["emp_risk"]
     if emp_vec is None:
-        raise SemanticError("compare needs the emp_risk field")
+        raise ValueError("compare needs the emp_risk field")
     pi = _prior_distribution(task)
     m = emp_vec.size
     logpi = task["log_prior"]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,8 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
     ({**SCALARS, "log_M": -1}, ["certify", "--bound", "union_finite"], "log_M"),
     ({**SCALARS, "n": 2, "emp_risk": [0.5], "losses": [[0.5, 0.5]]},
      ["certify", "--bound", "seeger"], "losses"),
+    ({**SCALARS, "log_M": 1.0, "kappa": 0}, ["certify", "--bound", "union_finite"], "kappa"),
+    ({**SCALARS, "log_M": 1.0, "kappa": -1}, ["certify", "--bound", "union_finite"], "kappa"),
     # weights that DiscreteDistribution.from_weights refuses
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{tmp}/inf.json"],
      "--posterior"),
@@ -421,8 +424,8 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
         "unknown_task_kind", "star_index_out_of_range", "tau_a_string",
         "grid_size_and_thresholds", "task_without_p", "dirac_not_an_index", "missing_weights_file",
         "weights_not_an_array", "unknown_posterior", "n_grid_not_integers", "n_0", "n_2.5",
-        "eps_1", "C_0", "emp_risk_1.5", "log_M_negative", "losses_wrong_shape",
-        "weights_infinity", "weights_sum_overflows", "weights_2d"])
+        "eps_1", "C_0", "emp_risk_1.5", "log_M_negative", "losses_wrong_shape", "kappa_0",
+        "kappa_negative", "weights_infinity", "weights_sum_overflows", "weights_2d"])
 def test_out_of_range_flag_exit_2(task, argv, field, request, tmp_path, capsys):
     path = task_path(task, request, tmp_path)
     # weights files for small_instance's 100 hypotheses
@@ -449,8 +452,15 @@ def test_out_of_range_flag_exit_2(task, argv, field, request, tmp_path, capsys):
     # the closed-form lambda sqrt(8 n log(M/eps))/C overflows to +inf at C = 1e-310
     ({**SCALARS, "C": 1e-310, "prior": [0.5, 0.5], "emp_risk": [0.0, 0.0]},
      ["certify", "--bound", "seeger"], "lambda"),
+    # the closed-form lambda is about 5.7e301 at C = 1e-300, and its square overflows
+    ({**SCALARS, "C": 1e-300, "prior": [0.3, 0.3, 0.4], "emp_risk": [1e-301, 2e-301, 3e-301]},
+     ["certify", "--bound", "localized_empirical"], "overflows the localized bound's denominator"),
+    # eps / 19 underflows to 0 where thiemann prices its lambda search
+    ({**SCALARS, "eps": 5e-324, "prior": [0.3, 0.3, 0.4], "emp_risk": [0.1, 0.2, 0.3]},
+     ["compare"], "eps = 5e-324 split over the 19 lambdas that thiemann searches underflows to 0"),
 ], ids=["certify_localized_lambda_1e6", "violate_localized_lambda_1e6", "compare_no_emp_risk",
-        "rates_seed_negative", "certify_gibbs_lambda_inf"])
+        "rates_seed_negative", "certify_gibbs_lambda_inf", "certify_localized_lambda_squared_inf",
+        "compare_eps_split_underflows"])
 def test_semantic_error_exit_3(task, argv, named, request, tmp_path, capsys):
     command, *flags = argv
     rc = cli.main([command, task_path(task, request, tmp_path), *flags])
@@ -458,6 +468,32 @@ def test_semantic_error_exit_3(task, argv, named, request, tmp_path, capsys):
     assert rc == 3
     assert named in err
     assert "Traceback" not in err
+
+
+#: One field of a schema-valid task file at a time at an edge of the float range.
+EXTREMES = [("C", 1e-300), ("C", 1e154), ("C", 1e300), ("eps", 5e-324), ("eps", 1e-300),
+            ("eps", 1 - 1e-16), ("n", 1), ("n", 2), ("n", 2**53)]
+
+
+@pytest.mark.parametrize("argv", [["certify", "--bound", b] for b in bounds.BOUND_IDS]
+                         + [["compare"]], ids=[*bounds.BOUND_IDS, "compare"])
+@pytest.mark.parametrize("field, value", EXTREMES, ids=[f"{f}_{v!r}" for f, v in EXTREMES])
+def test_extreme_valid_input_exits_cleanly(field, value, argv, tmp_path, capsys):
+    # a certificate (null where it overflows) or a diagnostic, never an
+    # exception or a warning; the risks scale with C
+    doc = {**SCALARS, "kappa": 0.25, "prior": [0.3, 0.3, 0.4], field: value}
+    doc["emp_risk"] = [r * doc["C"] for r in (0.1, 0.2, 0.3)]
+    command, *flags = argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, write_json(tmp_path / "t.json", doc), *flags])
+    out, err = capsys.readouterr()
+    assert rc in (0, 2, 3), err
+    if rc == 0:
+        json.loads(out)
+    if field == "C" and value == 1e300 and argv[-1] in ("catoni_linear", "subgaussian",
+                                                         "lambda_grid"):
+        assert rc == 0 and json.loads(out)["value"] is None
 
 
 @pytest.mark.parametrize("doc, argv, named", [

@@ -675,6 +675,14 @@ class TestViolationExperiment:
             report = violation_experiment(self.task, "mcallester", rule, 200, 0.1, 50, 2)
             assert report.trials == 50
 
+    @pytest.mark.parametrize("corruption", [math.nan, -1.0, 0.0, math.inf])
+    def test_corruption_outside_0_inf_refused(self, corruption):
+        # NaN read as violation rate 0.0 ("the bound held"), -1 and 0 as 1.0
+        task = make_synthetic_task("risk_table", {"p": [0.3, 0.4, 0.5]}, 0)
+        with pytest.raises(ValueError, match=r"^corruption must lie in \(0, inf\)"):
+            violation_experiment(task, "seeger", "gibbs", 200, 0.05, 20, 0,
+                                 corruption=corruption)
+
     def test_chi_square_needs_kappa(self):
         with pytest.raises(ValueError):
             violation_experiment(self.task, "chi_square", "gibbs", 200, 0.1, 10, 0)
