@@ -390,12 +390,12 @@ def bound_lambda_grid(
 
 
 def _mcallester(q, kl, lam, s, W=None):
-    rad = np.sqrt((kl + math.log(1.0 / s.eps) + 2.5 * math.log(s.n) + 8.0) / (2.0 * s.n - 1.0))
+    rad = s.C * np.sqrt((kl + math.log(1.0 / s.eps) + 2.5 * math.log(s.n) + 8.0) / (2.0 * s.n - 1.0))
     return q + rad, {"empirical": q, "complexity": rad, "slack": 0.0}, {}
 
 
 def bound_mcallester_maurer(inp: BoundInput) -> Certificate:
-    """McAllester-Maurer bound with the 5/2 log(n) + 8 complexity numerator."""
+    """McAllester-Maurer bound: 5/2 log(n) + 8 complexity numerator, radius scaled by C."""
     return _one("mcallester", _mcallester, inp)
 
 

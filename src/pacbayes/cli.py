@@ -290,10 +290,11 @@ def cmd_certify(args) -> int:
     task = load_task_file(args.task_file)
     entry = _catalog_entry(args.bound)
     rho, lam = None, None
-    if task["emp_risk"] is not None and task["log_prior"] is not None:
+    if ("posterior" in entry.requires and task["emp_risk"] is not None
+            and task["log_prior"] is not None):
         rho, lam = _resolve_posterior(task, args.posterior, args.lam)
-    if args.lam in (None, "closed_form") and entry.lam_kind == "fixed":
-        lam = entry.lam_default
+    if entry.lam_kind != "free":
+        lam = None if args.lam in (None, "closed_form") else float(args.lam)
     cert = evaluate_bound(task, args.bound, rho, lam, xi=args.xi)
     doc = certificate_json(cert)
     _emit_json(doc, args.out)
@@ -543,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Numeric flags with the range each must lie in: attribute -> (flag, test, range).
 _FLAG_RANGES = {
-    "eps": ("--eps", lambda v: 0 < v < 1, "(0, 1)"),
     "xi": ("--xi", lambda v: 0 <= v < 1, "[0, 1)"),
     "trials": ("--trials", lambda v: v >= 1, "[1, inf)"),
     "reps": ("--reps", lambda v: v >= 1, "[1, inf)"),
@@ -562,6 +562,7 @@ def _check_flags(args) -> None:
         except ValueError:
             raise SchemaError("--lambda", f"must be 'closed_form' or a number in (0, {upper:g}), "
                                           f"got {lam!r}")
+    _checked("--eps", bounds._check_inputs, 1, getattr(args, "eps", None))  # None: not given
     for attr, (flag, ok, interval) in _FLAG_RANGES.items():
         value = getattr(args, attr, None)
         _require(not isinstance(value, (int, float)) or ok(value), flag,

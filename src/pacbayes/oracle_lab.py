@@ -683,6 +683,8 @@ def violation_experiment(
     and KL(rho || pi) are one pass each, the certificates are one
     ``CatalogEntry.values`` call, and lambda_grid scores every (trial,
     lambda) pair at once.  Each row has the bits of the trial-by-trial loop.
+    ``oracle_probability``, the probability oracle right-hand side, is a
+    lab-only row dispatched like the catalog's.
     lambda_grid searches its own Gibbs posteriors and lambdas, so it takes
     only the "gibbs" rule and no numeric lam.
     """
@@ -694,18 +696,20 @@ def violation_experiment(
     _check_support_size("fixed_rho", fixed_rho, task.m)
     pi = pi or DiscreteDistribution.uniform(task.m)
     R = task.true_risk
-    # the oracle right-hand side is a lab-only case outside the catalog
-    oracle = bound_id == "oracle_probability"
-    entry = None if oracle else bounds.BOUND_TABLE.get(bound_id)
-    if entry is None and not oracle:
+    # the lab-only oracle row stays out of the catalog; its evaluate (None) is never called
+    entry = bounds.BOUND_TABLE.get(bound_id, bounds.CatalogEntry(
+        "oracle_probability", ("posterior",), "range", None, lambda q, kl, lam, d, W: (np.full(
+            q.shape, oracle_bound_rhs(task, pi, lam, "probability", n=n, eps=eps)), {}, {}),
+        lam_kind="free"))
+    if entry.bound_id != bound_id:
         raise ValueError(f"unknown bound id {bound_id!r}")
-    if not math.isfinite(task.C) and (oracle or entry.scale != "moment"):
+    if not math.isfinite(task.C) and entry.scale != "moment":
         raise ValueError(f"{bound_id} needs a bounded loss range; the {task.kind} task's "
                          "losses are unbounded (only moment bounds such as chi_square apply)")
     # moment bounds on unbounded losses: C = 1 only sets the posterior's
     # closed-form lambda and the vacuity threshold
     C = task.C if math.isfinite(task.C) else 1.0
-    kind = "free" if oracle else entry.lam_kind
+    kind = entry.lam_kind
     if posterior_rule not in ("gibbs", "erm_dirac", "fixed_rho"):
         raise ValueError(f"unknown posterior rule {posterior_rule!r}")
     if kind == "grid" and posterior_rule != "gibbs":
@@ -723,8 +727,6 @@ def violation_experiment(
     # runs at its catalog default unless a number is given
     lam_bound = lam_value if kind == "free" else (
         None if lam in (None, "closed_form") else float(lam))
-    if oracle:
-        oracle_value = oracle_bound_rhs(task, pi, lam_value, "probability", n=n, eps=eps)
     if kind == "grid":
         grid = bounds.lambda_grid_geometric(n)
     logpi = _safe_log(pi.weights)
@@ -739,13 +741,10 @@ def violation_experiment(
             values += scores[np.arange(best.size), best].tolist()
         else:
             w = _posterior_rows(posterior_rule, logpi, risks, lam_value, fixed_rho or pi)
-            if oracle:
-                values += [oracle_value] * w.shape[0]
-            else:
-                data = bounds.BoundData(risks, n, eps, C, prior=pi, xi=xi,
-                                        kappa=getattr(task, "kappa", None))
-                values += entry.values(data, w, _row_dots(w, risks), _kl_log_prior(w, logpi),
-                                       lam_bound).tolist()
+            data = bounds.BoundData(risks, n, eps, C, prior=pi, xi=xi,
+                                    kappa=getattr(task, "kappa", None))
+            values += entry.values(data, w, _row_dots(w, risks), _kl_log_prior(w, logpi),
+                                   lam_bound).tolist()
         true += _row_dots(w, R).tolist()
     rows = []
     for true_t, value in zip(true, values):

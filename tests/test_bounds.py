@@ -667,6 +667,34 @@ class TestCatalogTable:
                 values = entry.values(data, W, emps, kls, lam)
                 assert values.tolist() == [cert.value for cert in certs], (bound_id, lam)
 
+    @pytest.mark.parametrize("bound_id, lam_rule", [
+        ("union_finite", "closed_form"), ("mcallester", "closed_form"),
+        ("catoni_linear", "closed_form"), ("subgaussian", "closed_form"),
+        ("seeger", "shared"), ("tolstikhin_seldin", "shared"), ("thiemann", "shared"),
+        ("catoni_phi", "shared")])
+    def test_certificate_scales_with_C(self, bound_id, lam_rule):
+        # risks times C give C times the C = 1 certificate; a free lambda is
+        # the closed form at each C, any other lambda is shared by both runs
+        entry = BOUND_TABLE[bound_id]
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 8)), int(rng.integers(5, 2001))
+            eps = float(rng.uniform(0.01, 0.5))
+            r, rho = rng.uniform(0, 1, m), DiscreteDistribution(rng.dirichlet(np.ones(m)))
+            prior = DiscreteDistribution.uniform(m)
+            kl = kl_discrete(rho, prior)
+            shared = {"thiemann": None, "catoni_phi": float(rng.uniform(1, n))}.get(bound_id)
+
+            def value(C):
+                lam = (select_lambda_closed_form(kl, n, eps, C) if entry.lam_kind == "free"
+                       and lam_rule == "closed_form" else shared)
+                data = BoundData(r * C, n, eps, C, prior=prior)
+                return entry.certify(data, rho, float(rho.weights @ (r * C)), kl, lam).value
+
+            base = value(1.0)
+            for C in (0.5, 2.0, 10.0, 1e3):
+                assert value(C) == pytest.approx(C * base, rel=1e-12, abs=0), (bound_id, C)
+
     @pytest.mark.parametrize("bound_id", [b for b in BOUND_IDS if "posterior" in
                                           BOUND_TABLE[b].requires and BOUND_TABLE[b].scale != "unit"])
     def test_nan_kl_is_rejected(self, bound_id):

@@ -16,7 +16,10 @@ lam5_xi0.5) were re-recorded when the discrete KL began summing every
 weight's term, zeros included; and certify.full.lambda_grid.gibbs,
 compare.full, compare.full.eps0.01 and violate.lambda_grid when the Gibbs
 candidates began coming from one blocked row pass, whose E_rho[r] is a
-matrix-vector product.  certify, compare,
+matrix-vector product.  certify.range2.mcallester.{dirac:4,gibbs} and
+compare.range2 were re-recorded when the McAllester-Maurer radius began
+scaling with C, which at C = 2 it had not, so the certificate was no upper
+bound.  certify, compare,
 violate and rates must keep producing the same bytes.  Re-record only the cases a deliberate output change touches, naming
 them (an unknown id exits non-zero and writes nothing); with no ids every
 case is re-recorded:
@@ -132,7 +135,10 @@ def _cases():
                   "localized_empirical", "chi_square", "germain_generic", "truncated",
                   "not_a_bound"):
         cases[f"violate.{bound}"] = violate + [bound]
+    cases["violate.oracle_probability"] = violate + ["oracle_probability"]
     for rule in ("erm_dirac", "fixed_rho"):
+        cases[f"violate.oracle_probability.{rule}"] = violate + [
+            "oracle_probability", "--posterior-rule", rule]
         for bound in ("union_finite", "mcallester", "seeger", "catoni_phi"):
             cases[f"violate.{bound}.{rule}"] = violate + [bound, "--posterior-rule", rule]
     cases["violate.thiemann.lam0.5"] = violate + ["thiemann", "--lambda", "0.5"]
