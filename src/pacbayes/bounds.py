@@ -42,6 +42,8 @@ Conventions
   and every entry point taking any of these without one runs the checks it
   needs; bad input raises ValueError.  chi_square's variance bound has one
   check too, ``_check_kappa`` (kappa > 0).
+* log(1/eps) is ``_log_inv(eps)``, finite at a subnormal eps where 1/eps
+  overflows.
 * A square that overflows (C^2, lambda^2) gives +inf through ``_square``,
   where a float power would raise OverflowError, and so does an array
   product that overflows on the lambda grid: the certificate is then +inf,
@@ -236,6 +238,13 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _log_inv(x: float) -> float:
+    """log(1/x): the bits of math.log(1.0 / x) wherever 1/x is finite, and
+    -log(x) where it overflows (a subnormal x such as eps = 5e-324)."""
+    inv = 1.0 / float(x)
+    return math.log(inv) if inv < math.inf else -math.log(x)
+
+
 def bernstein_g(x: float) -> float:
     """Bernstein's MGF function g(x) = (e^x - 1 - x) / x^2, with g(0) = 1.
 
@@ -255,7 +264,7 @@ def bernstein_g(x: float) -> float:
 
 
 def _union_finite(r_min, log_M, lam, s, W=None):
-    slack = s.C * math.sqrt((log_M + math.log(1.0 / s.eps)) / (2.0 * s.n))
+    slack = s.C * math.sqrt((log_M + _log_inv(s.eps)) / (2.0 * s.n))
     return r_min + slack, {"empirical": r_min, "complexity": slack, "slack": 0.0}, {"log_M": log_M}
 
 
@@ -293,11 +302,11 @@ def _linear(emp, nats, lam, slack):
 
 
 def _catoni_linear(q, kl, lam, s, W=None):
-    return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * _square(s.C) / (8.0 * s.n))
+    return _linear(q, kl + _log_inv(s.eps), lam, lam * _square(s.C) / (8.0 * s.n))
 
 
 def _subgaussian(q, kl, lam, s, W=None):
-    return _linear(q, kl + math.log(1.0 / s.eps), lam, lam * _square(s.C) / s.n)
+    return _linear(q, kl + _log_inv(s.eps), lam, lam * _square(s.C) / s.n)
 
 
 def _lambda_certificate(bound_id, formula, inp: "BoundInput", lam) -> Certificate:
@@ -319,7 +328,7 @@ def select_lambda_closed_form(kl: float, n: int, eps: float, C: float = 1.0) -> 
     Minimizes lam C^2/(8n) + (KL + log(1/eps))/lam; the two terms are equal
     at the optimum (AM-GM stationarity).
     """
-    numer = kl + math.log(1.0 / eps)
+    numer = kl + _log_inv(eps)
     if not (numer > 0):
         raise ValueError("kl + log(1/eps) must be positive")
     return math.sqrt(8.0 * n * numer) / C
@@ -390,7 +399,7 @@ def bound_lambda_grid(
 
 
 def _mcallester(q, kl, lam, s, W=None):
-    rad = s.C * np.sqrt((kl + math.log(1.0 / s.eps) + 2.5 * math.log(s.n) + 8.0) / (2.0 * s.n - 1.0))
+    rad = s.C * np.sqrt((kl + _log_inv(s.eps) + 2.5 * math.log(s.n) + 8.0) / (2.0 * s.n - 1.0))
     return q + rad, {"empirical": q, "complexity": rad, "slack": 0.0}, {}
 
 
@@ -481,7 +490,7 @@ def _phi_inverse(a: float, q: float) -> float:
 
 def _catoni_phi(q, kl, lam, s, W=None):
     a = lam / s.n
-    arg = q + (kl + math.log(1.0 / s.eps)) / lam
+    arg = q + (kl + _log_inv(s.eps)) / lam
     value = np.vectorize(lambda x: _phi_inverse(a, x), otypes=[float])(arg)
     return (value, {"empirical": q, "complexity": value - q, "slack": 0.0},
             {"a": a, "phi_arg": arg})
@@ -518,7 +527,7 @@ def bound_germain_generic(
     and has no catalog row.
     """
     inp = BoundInput(p, kl, n, eps)
-    budget = (kl + log_moment + math.log(1.0 / inp.eps)) / n
+    budget = (kl + log_moment + _log_inv(inp.eps)) / n
     if not (D(p, p) <= budget):
         raise ValueError("bracketing failure: D(p, p) is not within the budget (a NaN input, "
                          "or D is not a nonnegative nondecreasing divergence on [p, 1])")
@@ -602,7 +611,7 @@ def _truncated(trunc, kl, lam, s, delta_tail):
     if not (np.all(trunc >= 0) and delta_tail >= 0):
         raise ValueError("trunc_emp_risk and delta_tail must be nonnegative")
     alpha = lam / s.n
-    arg = trunc + (kl + math.log(1.0 / s.eps)) / lam
+    arg = trunc + (kl + _log_inv(s.eps)) / lam
     main = np.vectorize(psi_inverse, otypes=[float])(alpha, arg)
     return (main + delta_tail, {"empirical": trunc, "complexity": main - trunc, "slack": delta_tail},
             {"alpha": alpha, "psi_arg": arg})

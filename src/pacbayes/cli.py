@@ -17,7 +17,9 @@ field diagnostic), 3 semantic mismatch (e.g. a bound whose required inputs
 are absent).  The rule between them: a check on a named field or flag exits
 2, and exit 3 is any ValueError that no field-named check claimed, raised by
 the library or by this module.  The task file's n/eps/C, emp_risk, losses,
-kappa and log_M rules are the library's, read through _checked.
+kappa and log_M rules are the library's, read through _checked.  A reader
+that closes stdout early (``pacbayes compare F | head -3``) gives exit 1,
+as Python itself does on a broken pipe, with no traceback.
 
 All randomness flows from --seed.  Certificates are strict JSON with
 full-precision floats (17 significant digits round-trip) and null for a
@@ -31,6 +33,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -582,7 +585,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
@@ -590,6 +595,13 @@ def main(argv=None) -> int:
         # a refusal, the library's or this module's, that no field-named check claimed
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the exit's
+        # flush of what is left cannot raise again (the Python signal docs' recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -303,12 +303,13 @@ def _gibbs_weights(logpi: np.ndarray, h) -> np.ndarray:
 
 
 #: Entries per row block of every blocked pass (Gibbs families, weight rows,
-#: stacked trials, the pi-dimension grid scan), whatever M is.  2^16 float64
-#: entries make each temporary 512 KB, which stays in a 2 MB per-core L2.
-#: Medians of 7 on a 2-CPU Xeon host, 2^15 / 2^16 / 2^18: the M = 1e4
-#: pi-dimension scan 160 / 143 / 165 ms (one scalar call per grid point:
-#: 166 ms); lambda_grid on an M = 1e5 task 34.5 / 31.7 / 33.1 ms; a 50-trial
-#: violation block at M = 1001, which 2^15 splits in two, 16.9 / 15.3 / 16.2 ms.
+#: stacked trials, the pi-dimension grid scan, EWA rounds), whatever M is.
+#: 2^16 float64 entries make each temporary 512 KB, which stays in a 2 MB
+#: per-core L2.  Medians of 7 on a 2-CPU Xeon host, 2^15 / 2^16 / 2^18: the
+#: M = 1e4 pi_dimension call 32 / 30 / 35 ms (one scalar call per grid point:
+#: 160 ms); ewa_run at 5000 rounds x 1000 experts 44 / 43 / 48 ms;
+#: lambda_grid on an M = 1e5 task 34.5 / 31.7 / 33.1 ms; a 50-trial violation
+#: block at M = 1001, which 2^15 splits in two, 16.9 / 15.3 / 16.2 ms.
 _FAMILY_BLOCK = 1 << 16
 
 

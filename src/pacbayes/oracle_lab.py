@@ -489,10 +489,14 @@ def pi_dimension(
 
     A 1000-point log-grid scan of [1e-6, 1e8] picks the best grid point, and
     one golden-section search on log(beta) refines it, to relative tolerance
-    1e-6, between that point's two grid neighbours.  The scan is one array
-    pass per row block of at most divergences._FAMILY_BLOCK entries, one
-    Gibbs measure per beta row, and each row has the bits of the scalar
-    objective the search calls.  A multimodal objective is handled as long
+    1e-6, between that point's two grid neighbours.  The scan only picks
+    that point: in row blocks of at most divergences._FAMILY_BLOCK entries,
+    one beta per row, it pays one exp per weight that can be nonzero and
+    takes beta * E[gap] from one product with [gaps, 1].  The winning grid
+    point is evaluated again by the scalar objective the search calls, so
+    every value returned comes from that objective, and (d_pi, beta_star)
+    are those of one scalar call per grid point wherever both scans pick
+    the same point.  A multimodal objective is handled as long
     as its highest peak is wider than one grid step (a factor of 1.033 in
     beta).  Every value returned is the objective at some beta the search
     visited, so d_pi is a lower estimate of the supremum: up to the rounding
@@ -510,15 +514,35 @@ def pi_dimension(
     def objective(beta: float) -> float:
         return beta * float(np.dot(np.exp(_log_gibbs(logpi, -beta * gaps)), gaps))
 
+    # The scan sorts the hypotheses by gap; j is the first with mass.  A row's
+    # max is at least ls[j] - beta * gs[j] and no log mass exceeds ls.max(), so
+    # past the gap gs[j] + reach/beta every log weight is over 746 nats below
+    # the max, its exp is 0 exactly, and the row is cut there (the 1e-9 covers
+    # the rounding of beta * gap).  Every block reuses the pages of one buffer.
     grid = np.geomspace(1e-6, 1e8, 1000)
-    step = max(1, divergences._FAMILY_BLOCK // gaps.size)
-    grid_vals = np.concatenate([
-        b * _row_dots(np.exp(_log_gibbs(logpi, -b[:, None] * gaps)), gaps)
-        for b in (grid[i:i + step] for i in range(0, grid.size, step))])
-    k = int(np.argmax(grid_vals))
+    order = np.argsort(gaps, kind="stable")
+    gs, ls = gaps[order], logpi[order]
+    j = int(np.argmax(ls > -np.inf))
+    reach = ls.max() - ls[j] + 746.0
+    gaps_ones = np.stack([gs, np.ones_like(gs)], axis=1)
+    buf = np.empty(max(divergences._FAMILY_BLOCK, gs.size))
+    scan = np.empty(grid.size)
+    i = 0
+    while i < grid.size:
+        m = int(np.searchsorted(gs, (gs[j] + reach / grid[i]) * (1.0 + 1e-9), side="right"))
+        b = grid[i:i + max(1, divergences._FAMILY_BLOCK // m)]
+        t = np.multiply.outer(b, gs[:m], out=buf[:b.size * m].reshape(b.size, m))
+        np.subtract(ls[:m], t, out=t)
+        t -= t.max(axis=1, keepdims=True)
+        np.exp(t, out=t)
+        num, den = (t @ gaps_ones[:m]).T
+        scan[i:i + b.size] = b * num / den
+        i += b.size
+    k = int(np.argmax(scan))
     beta_g, val_g = _golden_max(objective, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
-    if grid_vals[k] > val_g:
-        beta_g, val_g = float(grid[k]), float(grid_vals[k])
+    val_k = objective(float(grid[k]))
+    if val_k > val_g:
+        beta_g, val_g = float(grid[k]), val_k
     return float(val_g), float(beta_g)
 
 

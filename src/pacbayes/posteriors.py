@@ -14,13 +14,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import bounds
+from . import bounds, divergences
 from .bounds import BoundInput, Certificate
 from ._util import child_rng
 from .divergences import (
     DiagonalGaussian,
     DiscreteDistribution,
     _gibbs_family,
+    _row_dots,
     _safe_log,
     gibbs_reweight,
     kl_discrete,
@@ -156,7 +157,7 @@ def model_select(
         rho_j = gibbs_posterior(pi_j, rt_j.emp_risk, lam)
         emp = float(np.dot(rho_j.weights, rt_j.emp_risk))
         kl = kl_discrete(rho_j, pi_j)
-        penalty = math.log(1.0 / p.weights[j])
+        penalty = bounds._log_inv(p.weights[j])
         score = emp + (kl + penalty) / lam
         if best is None or score < best[0]:
             best = (score, j, rho_j, emp, kl, penalty)
@@ -574,6 +575,14 @@ def ewa_run(
     state and the regret against the best single expert in hindsight.
     The weights after t rounds coincide exactly with the Gibbs posterior
     at temperature eta*t on the cumulative-mean losses.
+
+    Rounds run in row blocks of at most divergences._FAMILY_BLOCK entries:
+    one pass each for the block's max shift, exp and renormalization, and
+    one row product for its losses, which are added in round order.  Each
+    log-weight row is its predecessor minus eta * loss_t, one numpy call per
+    round (np.subtract.accumulate keeps that order too, but ran 3x slower
+    at 1000 experts), so every weight, cum_loss and the regret have the
+    bits of one loop step per round.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
@@ -586,13 +595,24 @@ def ewa_run(
     logw = _safe_log(pi.weights)
     history = [] if record_weights else None
     cum_loss = 0.0
-    for t in range(horizon):
-        w = np.exp(logw - logw.max())
-        w /= w.sum()
+    rows = max(1, divergences._FAMILY_BLOCK // m)
+    buf = np.empty((min(rows, horizon) + 1, m))
+    for t in range(0, horizon, rows):
+        k = min(rows, horizon - t)
+        logws = buf[:k + 1]
+        logws[0] = logw
+        np.multiply(eta, ell[t:t + k], out=logws[1:])
+        for r in range(k):
+            np.subtract(logws[r], logws[r + 1], out=logws[r + 1])
+        logw = logws[k].copy()
+        w = logws[:k]
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
         if record_weights:
-            history.append(DiscreteDistribution(w))
-        cum_loss += float(np.dot(w, ell[t]))
-        logw = logw - eta * ell[t]
+            history.extend(DiscreteDistribution(row) for row in w.copy())
+        for loss in _row_dots(w, ell[t:t + k]).tolist():
+            cum_loss += loss
     w = np.exp(logw - logw.max())
     w /= w.sum()
     cum_best = ell.sum(axis=0)

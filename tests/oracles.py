@@ -218,6 +218,35 @@ def pi_dimension_loop(pi, true_risk, C):
     return float(val_g), float(beta_g)
 
 
+def ewa_run_loop(losses, eta, pi, record_weights=False):
+    """posteriors.ewa_run with one loop step per round.
+
+    The forecaster ewa_run ran before its blocked row passes: at each round
+    the max-shifted, renormalized weights, the np.dot loss added to a float
+    in round order and logw - eta * loss_t.  pi is a DiscreteDistribution;
+    returns (OnlineState, regret) as ewa_run does.
+    """
+    from pacbayes.divergences import DiscreteDistribution, _safe_log
+    from pacbayes.posteriors import OnlineState
+
+    ell = np.asarray(losses, dtype=float)
+    logw = _safe_log(pi.weights)
+    history = [] if record_weights else None
+    cum_loss = 0.0
+    for t in range(ell.shape[0]):
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        if record_weights:
+            history.append(DiscreteDistribution(w))
+        cum_loss += float(np.dot(w, ell[t]))
+        logw = logw - eta * ell[t]
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    cum_best = ell.sum(axis=0)
+    state = OnlineState(DiscreteDistribution(w), eta, cum_loss, cum_best, history)
+    return state, cum_loss - float(cum_best.min())
+
+
 def mp_union_bound_value(log_M, n, eps, digits: int = 60):
     """Arbitrary-precision sqrt((log M + log(1/eps)) / (2n)) via mpmath."""
     import mpmath as mp

@@ -4,6 +4,7 @@ invariants (monotonicity, term decomposition, vacuous flag)."""
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,31 @@ class TestSelectLambda:
     def test_degenerate(self):
         with pytest.raises(ValueError):
             select_lambda_closed_form(-2.0, 100, math.exp(2.0 - 1e-9), 1.0)
+
+    def test_subnormal_eps_keeps_a_finite_lambda(self):
+        # 1/eps overflows at eps = 5e-324, but log(1/eps) = 744.4 does not
+        lam = select_lambda_closed_form(0.0, 100, 5e-324, 1.0)
+        assert lam == pytest.approx(math.sqrt(800 * 1074 * math.log(2)), rel=1e-12)
+
+
+class TestLogInv:
+    def test_bits_of_log_of_the_reciprocal_where_it_is_finite(self):
+        # -log(x) would move the last bit at 0.1, 0.01 and many other x
+        xs = [0.1, 0.01, 0.05, 1.0, 1 - 1e-16, 1e-300, 2.0**-1022,
+              *np.random.default_rng(4).random(200).tolist()]
+        for x in xs:
+            assert repr(bounds._log_inv(x)) == repr(math.log(1.0 / x)), x
+            assert repr(bounds._log_inv(np.float64(x))) == repr(math.log(1.0 / x)), x
+        assert math.log(1.0 / 0.1) != -math.log(0.1)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 2.0**-1024])
+    def test_minus_log_where_the_reciprocal_overflows(self, x):
+        assert math.isinf(1.0 / x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bounds._log_inv(x) == -math.log(x)
+            assert bounds._log_inv(np.float64(x)) == -math.log(x)
+        assert bounds._log_inv(5e-324) == pytest.approx(1074 * math.log(2), rel=1e-15)
 
 
 class TestLambdaGrid:

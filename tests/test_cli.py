@@ -494,9 +494,11 @@ def test_extreme_valid_input_exits_cleanly(field, value, argv, tmp_path, capsys)
     if field == "C" and value == 1e300 and argv[-1] in ("catoni_linear", "subgaussian",
                                                          "lambda_grid"):
         assert rc == 0 and json.loads(out)["value"] is None
-    # rows that take no posterior build none, so no closed-form lambda overflows at 1/eps
-    if field == "eps" and value == 5e-324 and argv[-1] in ("union_finite", "lambda_grid"):
-        assert rc == 0 and json.loads(out)["value"] is None, err
+    # log(1/eps) = 744.4 is finite at eps = 5e-324, where 1/eps overflows, so
+    # every row certifies, vacuously; truncated needs losses, and compare's
+    # eps split over thiemann's lambdas underflows (test_semantic_error_exit_3)
+    if field == "eps" and value == 5e-324 and argv[-1] not in ("truncated", "compare"):
+        assert rc == 0 and json.loads(out)["vacuous"] is True, err
 
 
 @pytest.mark.parametrize("doc, argv, named", [
@@ -552,6 +554,24 @@ def test_run_as_a_module_warns_nothing(small_instance):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback(small_instance):
+    # the reader of the pipe is gone before the first write, as in
+    # ``pacbayes compare F | head -0``: exit 1, as Python gives, and no traceback
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pacbayes.cli", "compare", small_instance],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
 
 
 class TestCompare:

@@ -530,17 +530,23 @@ class TestPiDimension:
                 w /= w.sum()
                 assert d >= b * float(w @ gaps) - 1e-9
 
-    @pytest.mark.parametrize("m", [2, 20, 41, 1001])
-    @pytest.mark.parametrize("prior", ["uniform", "random", "zero_masses"])
+    @pytest.mark.parametrize("prior, m", [
+        *((prior, m) for m in (2, 20, 41, 1001) for prior in ("uniform", "random", "zero_masses")),
+        ("min_mass_1e-320", 1001), ("min_mass_0", 1001), ("random", 10_000)],
+        ids=str)
     def test_blocked_scan_matches_the_loop(self, m, prior, monkeypatch):
-        # every grid row of the blocked scan has the bits of the scalar
-        # objective, so (d, beta) are the loop's, by repr, in one block, one row
-        # per block or three; with the refinement made to lose, d is the best
-        # grid value itself
+        # the blocked scan only picks the grid point, and every value returned
+        # is the scalar objective's, so (d, beta) are the loop's, by repr, in
+        # one block, one row per block or three; with the refinement made to
+        # lose, d is the objective at the best grid point.  A minimiser of
+        # mass 1e-320 or 0 moves where the cut rows end.
         rng = np.random.default_rng(m)
         risks = rng.uniform(0.0, 1.0, m)
         w = {"uniform": np.ones(m), "random": rng.random(m) + 0.05,
-             "zero_masses": np.where(np.arange(m) % 3 == 0, 0.0, rng.random(m) + 0.05)}[prior]
+             "zero_masses": np.where(np.arange(m) % 3 == 0, 0.0, rng.random(m) + 0.05),
+             "min_mass_1e-320": rng.random(m) + 0.05, "min_mass_0": rng.random(m) + 0.05}[prior]
+        if prior.startswith("min_mass"):
+            w[np.argmin(risks)] = float(prior.removeprefix("min_mass_"))
         pi = DiscreteDistribution.from_weights(w)
         blocks = (divergences._FAMILY_BLOCK, m, 3 * m)
         for lose in (False, True):

@@ -47,6 +47,7 @@ from oracles import (
     TwoPassLogisticSurrogate,
     ewa_dp_max_regret,
     ewa_exhaustive_max_regret,
+    ewa_run_loop,
     single_draw_by_hand,
 )
 from test_cli_golden import FIXTURES
@@ -664,3 +665,33 @@ class TestEwa:
     def test_eta_domain(self):
         with pytest.raises(ValueError):
             ewa_run(np.zeros((3, 2)), 0.0, DiscreteDistribution.uniform(2))
+
+    @pytest.mark.parametrize("horizon", [1, 7, 5000])
+    @pytest.mark.parametrize("m", [1, 3, 1000])
+    def test_blocked_passes_match_the_loop(self, horizon, m, monkeypatch):
+        # the blocked passes keep the round loop's bits: cum_loss and regret
+        # by repr, the final weights, cum_best and the weight history exactly,
+        # for a uniform, a random and a zero-mass prior, in default blocks,
+        # one round per block and 3-round blocks (which divide neither 7 nor
+        # 5000).  The history is held at T = 1 and 7 only: 5000 rounds of
+        # DiscreteDistribution checks per run would double the test's time.
+        rng = np.random.default_rng(horizon * m)
+        losses = rng.uniform(0, 1, (horizon, m))
+        record = horizon < 5000
+        for w in (np.ones(m), rng.random(m) + 0.05,
+                  np.where(np.arange(m) % 3 == 1, 0.0, rng.random(m) + 0.05)):
+            pi = DiscreteDistribution.from_weights(w)
+            want, want_regret = ewa_run_loop(losses, 0.3, pi, record_weights=record)
+            for block in (divergences._FAMILY_BLOCK, m, 3 * m):
+                monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+                state, regret = ewa_run(losses, 0.3, pi, record_weights=record)
+                assert (repr(state.cum_loss), repr(regret)) == (repr(want.cum_loss),
+                                                                repr(want_regret)), block
+                assert np.array_equal(state.weights.weights, want.weights.weights)
+                assert np.array_equal(state.cum_best, want.cum_best)
+                if record:
+                    assert len(state.weight_history) == horizon
+                    assert all(np.array_equal(a.weights, b.weights)
+                               for a, b in zip(state.weight_history, want.weight_history))
+                else:
+                    assert state.weight_history is None
