@@ -68,7 +68,7 @@ def _state_words(seed: int, keys) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
     except OverflowError:
         raise ValueError("key entries must be in [0, 2**32)") from None
-    if keys.ndim != 2:
+    if keys.ndim != 2 and keys.size:  # an empty sequence of keys gives no generators
         raise ValueError("keys must be a sequence of equal-length keys")
     if keys.size and not (0 <= keys.min() and keys.max() <= _MASK):
         raise ValueError("key entries must be in [0, 2**32)")
@@ -120,8 +120,9 @@ def child_rngs(seed: int, keys):
     """Iterate child_rng(seed, *key) for each key of keys, in order.
 
     keys is a sequence of equal-length keys (or a 2-D integer array) with
-    entries in [0, 2**32).  The state words of every key are made here, in
-    one array pass; each generator is built when the iterator reaches it.
+    entries in [0, 2**32); an empty one gives no generators.  The state words
+    of every key are made here, in one array pass; each generator is built
+    when the iterator reaches it.
     """
     words = _state_words(seed, keys)
     Generator, PCG64, StateWords = _seeding()

@@ -22,7 +22,9 @@ Conventions
   ``formula(q, kl, lam, s, W)``, that maps a column q of E_rho[r] (on the
   row's scale) and a column of KL(rho || pi), one lambda, the task scalars s
   (n, eps, C, kappa) and, where the row needs them, the posteriors' weight
-  rows W to (values, terms, details), one entry per posterior.  W feeds
+  rows W to (values, terms, details), one entry per posterior.  An (L, 1)
+  column of lambdas in place of the one gives an (L, posteriors) table, row
+  j with the bits of the call at lam[j].  W feeds
   chi^2 for chi_square, W @ truncated_risks(lambda) for truncated and the
   KL against pi_{-xi r} for localized_empirical, in row blocks of at most
   ``divergences._FAMILY_BLOCK`` entries.  A public ``bound_*`` function is
@@ -43,6 +45,7 @@ Conventions
   needs; bad input raises ValueError.  chi_square's variance bound has one
   check too, ``_check_kappa`` (kappa > 0).
 * log(1/eps) is ``_log_inv(eps)``, finite at a subnormal eps where 1/eps
+  overflows, and log(a/eps) is ``_log_inv(eps, a)``, finite where a/eps
   overflows.
 * A square that overflows (C^2, lambda^2) gives +inf through ``_square``,
   where a float power would raise OverflowError, and so does an array
@@ -238,11 +241,12 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _log_inv(x: float) -> float:
-    """log(1/x): the bits of math.log(1.0 / x) wherever 1/x is finite, and
-    -log(x) where it overflows (a subnormal x such as eps = 5e-324)."""
-    inv = 1.0 / float(x)
-    return math.log(inv) if inv < math.inf else -math.log(x)
+def _log_inv(x: float, num: float = 1.0) -> float:
+    """log(num/x): the bits of math.log(num / x) wherever num/x is finite, and
+    log(num) - log(x) where it overflows (a subnormal x such as eps = 5e-324,
+    or num = 2 sqrt(n) with n = 2^53 and eps = 1e-300)."""
+    ratio = num / float(x)
+    return math.log(ratio) if ratio < math.inf else math.log(num) - math.log(x)
 
 
 def bernstein_g(x: float) -> float:
@@ -410,7 +414,7 @@ def bound_mcallester_maurer(inp: BoundInput) -> Certificate:
 
 def _seeger_nats(kl, s):
     """KL + log(2 sqrt(n)/eps), the numerator of the kl-form budgets."""
-    return kl + math.log(2.0 * math.sqrt(s.n) / s.eps)
+    return kl + _log_inv(s.eps, 2.0 * math.sqrt(s.n))
 
 
 #: Columns of at least this many posteriors take the array kl inverse
@@ -491,7 +495,7 @@ def _phi_inverse(a: float, q: float) -> float:
 def _catoni_phi(q, kl, lam, s, W=None):
     a = lam / s.n
     arg = q + (kl + _log_inv(s.eps)) / lam
-    value = np.vectorize(lambda x: _phi_inverse(a, x), otypes=[float])(arg)
+    value = np.vectorize(_phi_inverse, otypes=[float])(a, arg)
     return (value, {"empirical": q, "complexity": value - q, "slack": 0.0},
             {"a": a, "phi_arg": arg})
 
@@ -623,11 +627,18 @@ def _localized_checks(n, eps, xi) -> None:
     _check_inputs(n, eps)
 
 
-def _localized(emp, kl_local, n, eps, lam, xi):
+def _localized_denominator(lam, n, xi):
     denom = (1.0 - xi) * lam + (1.0 + xi) * bernstein_g(lam / n) * _square(lam) / n
     if math.isinf(denom) and lam < math.inf:
         raise ValueError(f"lambda = {lam!r} overflows the localized bound's denominator")
-    conf = (1.0 + xi) * math.log(2.0 / eps)
+    return denom
+
+
+def _localized(emp, kl_local, n, eps, lam, xi):
+    # bernstein_g and _square take one lambda, so a column of them is a loop
+    denom = (np.array([[_localized_denominator(one, n, xi)] for one in np.ravel(lam).tolist()])
+             if np.ndim(lam) else _localized_denominator(lam, n, xi))
+    conf = (1.0 + xi) * _log_inv(eps, 2.0)
     terms = {"empirical": (1.0 - xi) * emp / denom, "complexity": kl_local / denom,
              "slack": conf / denom}
     return (((1.0 - xi) * emp + kl_local + conf) / denom, terms,
@@ -680,7 +691,8 @@ def _localized_columns(q, kl, lam, d, W):
     emp, kl_local = (np.concatenate(c) for c in zip(*(
         (_row_dots(wb, rb), _kl_log_prior(wb, lb))
         for wb, rb, lb in _row_blocks(W, r, d.localized_log_prior()))))
-    _check_lambda(lam, kl=kl_local)
+    for one in np.ravel(lam).tolist():
+        _check_lambda(one, kl=kl_local)
     return _vacuous_rows_at_infinite_kl(kl_local, _localized, emp, kl_local, d.n, d.eps, lam, d.xi)
 
 
@@ -747,8 +759,9 @@ class CatalogEntry:
                  BoundInput on that scale (None without one, or for "unit")
     columns      columns(q, kl, lam, data, W): the row's formula, the one its
                  bound_* function evaluates at one row, on columns q (E_rho[r]
-                 on the row's scale) and kl with one entry per weight row of W;
-                 returns (values, terms, details) (None for lambda_grid)
+                 on the row's scale) and kl with one entry per weight row of W,
+                 at one lam or an (L, 1) column of them; returns (values,
+                 terms, details) (None for lambda_grid)
     lam_kind     "none"; "free" (any lambda in range, callers without one
                  use the closed-form pick); "fixed" (lam_default unless one
                  is given); "grid" (searches lambda_grid_geometric(n) itself
@@ -776,9 +789,9 @@ class CatalogEntry:
         return [r for r in self.requires if not any(map(given, r.split(" or ")))]
 
     def _checked_lambda(self, data: BoundData, rho, lam, kl):
-        """The lambda the bound runs at, after the input and lambda checks
-        certify and values share, kl the row's KL (or column of them); None
-        without a lambda policy."""
+        """The lambda the bound runs at (one, or a column of them), after the
+        input and lambda checks certify and values share, kl the row's KL (or
+        column of them); None without a lambda policy."""
         missing = self.missing(data, rho)
         if missing:
             raise ValueError(f"{self.bound_id} needs {' and '.join(missing)}")
@@ -787,10 +800,11 @@ class CatalogEntry:
         lam = self.lam_default if lam is None else lam
         if lam is None:
             raise ValueError(f"{self.bound_id} needs a lambda")
-        _check_lambda(lam, self.lam_upper, 0.0 if kl is None else kl)
-        if self.tail_free and data.n / lam < data.C:
-            raise ValueError("n/lambda < C needs the truncation tail term; supply a "
-                             "lambda with n/lambda >= C so the tail vanishes")
+        for one in np.ravel(lam).tolist():
+            _check_lambda(one, self.lam_upper, 0.0 if kl is None else kl)
+            if self.tail_free and data.n / one < data.C:
+                raise ValueError("n/lambda < C needs the truncation tail term; supply a "
+                                 "lambda with n/lambda >= C so the tail vanishes")
         return lam
 
     def _scale(self, data: BoundData, emp):
@@ -821,19 +835,25 @@ class CatalogEntry:
         """certify(data, rho_i, emp[i], kl[i], lam).value for every posterior
         rho_i, row i of the weight matrix W, in one pass.
 
-        The checks certify makes per posterior are made once for the whole
-        column, and each value has the bits of its certify call.  Calls that
-        share data share its per-lambda truncated risks and its localized
-        prior.  A row with no posterior (union_finite) gives one value per row
-        of data.emp_risk.
+        lam may also be a 1-D column of lambdas: the result then has one row
+        per lambda, row j the values at lam[j], so one call scores the
+        posteriors at a row's whole search list.  The checks certify makes
+        per posterior are made once for the whole column, and each value has
+        the bits of its certify call.  Calls that share data share its
+        per-lambda truncated risks and its localized prior.  A row with no
+        posterior (union_finite) gives one value per row of data.emp_risk; a
+        row without a lambda policy ignores lam.
         """
         lam = self._checked_lambda(data, W, lam, kl)
+        if np.ndim(lam):
+            lam = np.asarray(lam, dtype=float)[:, None]
         q, scaled = emp, self._scale(data, np.asarray(emp, dtype=float))
         if scaled is not None:
             (q, scale_C), kl = scaled, np.asarray(kl, dtype=float)
             _check_inputs(data.n, data.eps, scale_C, q.min(), q.max())
             _check_kl(kl)
-        value = np.asarray(self.columns(q, kl, lam, data, W)[0], dtype=float)
+        with np.errstate(over="ignore"):  # lambda C^2 past the float range is +inf
+            value = np.asarray(self.columns(q, kl, lam, data, W)[0], dtype=float)
         return value * data.C if self.scale == "kl" else value
 
 
@@ -858,6 +878,11 @@ def _union_columns(q, kl, lam, d, W):
 def _chi_square_columns(q, kl, lam, d, W):
     _check_kappa(d.kappa)
     return _chi_square(q, _chi2_rows(W, d.prior.weights), lam, d)
+
+
+def _truncated_columns(q, kl, lam, d, W):
+    trunc = np.array([_row_dots(W, d.truncated_risks(one)) for one in np.ravel(lam).tolist()])
+    return _truncated(trunc if np.ndim(lam) else trunc[0], kl, lam, d, 0.0)
 
 
 def _lambda_grid(inp, d, rho, lam):
@@ -908,8 +933,7 @@ BOUND_TABLE = {entry.bound_id: entry for entry in (
     CatalogEntry("truncated", ("posterior", "losses"), "range",
                  lambda inp, d, rho, lam: bound_truncated(
                      inp, lam, float(np.dot(rho.weights, d.truncated_risks(lam))), 0.0),
-                 lambda q, kl, lam, d, W: _truncated(
-                     _row_dots(W, d.truncated_risks(lam)), kl, lam, d, 0.0),
+                 _truncated_columns,
                  lam_kind="free", tail_free=True,
                  search=lambda n, m, eps, C: [g for g in _geometric(n, m, eps, C) if n / g >= C]),
     CatalogEntry("localized_empirical", ("posterior", "prior"), "unit",

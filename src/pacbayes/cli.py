@@ -93,6 +93,8 @@ def load_task_file(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("file", f"no such file: {path}")
+    except OSError as exc:  # a directory, say
+        raise SchemaError("file", f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise SchemaError("file", f"invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
@@ -217,6 +219,8 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
                 w = np.asarray(json.load(fh), dtype=float)
         except FileNotFoundError:
             raise SchemaError("--posterior", f"no such weights file: {path}")
+        except OSError as exc:
+            raise SchemaError("--posterior", f"cannot read weights file {path}: {exc.strerror}")
         except (json.JSONDecodeError, TypeError, ValueError):
             raise SchemaError("--posterior", "weights file must be a JSON number array")
         _require(w.ndim == 1 and w.size == m, "--posterior",
@@ -317,10 +321,18 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     KL are skipped.  Each bound is minimized over the candidates and over
     the lambdas its catalog policy searches, paying the log(card) union
     price over those lambdas by splitting eps; the localized empirical
-    bound only enters at its harness-validated lambda range.  A bound
-    scores the candidates at one lambda with one ``CatalogEntry.values``
-    call per row block of them; the first minimum in (lambda, candidate)
-    order wins, and only it is certified, for its terms.
+    bound only enters at its harness-validated lambda range.
+
+    The family is built once.  One pass over its row blocks takes each
+    row's E_rho[r], its KL to the task's prior and its KL to pi itself,
+    stacked in the family's workspace; lambda_grid is certified from the
+    unfiltered grid columns of that pass by bounds.bound_lambda_grid, the
+    call minimize_bound_grid ends in, so it keeps that function's bits.
+    chi_square and localized_empirical read chi^2 and the localized KL off
+    each block in their own values calls.  A bound scores each block at its
+    whole search list with one ``CatalogEntry.values`` call; the first
+    minimum in (lambda, candidate) order wins, and only it is certified, for
+    its terms.
     """
     if eps is not None:
         task = {**task, "eps": eps}
@@ -331,17 +343,22 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     pi = _prior_distribution(task)
     m = emp_vec.size
     logpi = task["log_prior"]
+    logpi_w = _safe_log(pi.weights)  # the family's and minimize_bound_grid's log prior
+    grid = bounds.lambda_grid_geometric(n)
+    family, grid_kl = [], []
+    for w, e, (k, k_pi) in _gibbs_family(logpi_w, emp_vec, grid, np.stack([logpi, logpi_w])):
+        family.append((w, e, k))
+        grid_kl.append(k_pi)
+    grid_emp = np.concatenate([e for _, e, _ in family])
+    erm = int(np.argmin(emp_vec))
+    dirac = DiscreteDistribution.dirac(m, erm).weights[None, :]
+    family.append((dirac, emp_vec[[erm]], np.array([_kl_log_prior(dirac[0], logpi)])))
     # the candidates stay in the row blocks _gibbs_family yields, then the ERM
     # Dirac, with infinite-KL candidates dropped: at M = 1e5 one matrix of
     # them all is an 8.8 MB heap chunk that stayed resident after compare
     # and raised the benchmark's peak RSS by as much
-    blocks = list(_gibbs_family(_safe_log(pi.weights), emp_vec,
-                                bounds.lambda_grid_geometric(n), logpi))
-    erm = int(np.argmin(emp_vec))
-    dirac = DiscreteDistribution.dirac(m, erm).weights[None, :]
-    blocks.append((dirac, emp_vec[[erm]], np.array([_kl_log_prior(dirac[0], logpi)])))
     blocks = [b if keep.all() else tuple(x[keep] for x in b)
-              for b in blocks for keep in [~np.isinf(b[2])] if keep.any()]
+              for b in family for keep in [~np.isinf(b[2])] if keep.any()]
     rows = [row for w, _, _ in blocks for row in w]
     emp, kl = (np.concatenate([b[i] for b in blocks]) for i in (1, 2))
     data = _bound_data(task, pi, bounds.LOCALIZED_XI_DEFAULT)
@@ -357,13 +374,18 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
         # one BoundData per bound at its priced eps, so its values calls share
         # the truncated risks of each lambda and the localized prior
         priced = replace(data, eps=eps / len(lams))
+        if entry.lam_kind == "grid":
+            entries = list(zip(grid.tolist(), grid_emp.tolist(), np.concatenate(grid_kl).tolist()))
+            results.append(bounds.bound_lambda_grid(entries, n, priced.eps, C))
+            continue
         if "posterior" not in entry.requires:
             results.append(entry.certify(priced))
             continue
-        # every candidate at each lambda, one values call per block; the first
-        # minimum in (lambda, candidate) order wins, as min() over the grid takes
-        scores = [np.concatenate([entry.values(priced, w, e, k, lam) for w, e, k in blocks])
-                  for lam in lams]
+        # every candidate at every lambda, one values call per block: row j of
+        # scores holds lams[j], so the first minimum in (lambda, candidate)
+        # order wins, as min() over the grid takes
+        scores = np.hstack([np.atleast_2d(entry.values(priced, w, e, k, lams))
+                            for w, e, k in blocks])
         j, i = divmod(int(np.argmin(scores)), len(rows))
         results.append(entry.certify(priced, DiscreteDistribution(rows[i]),
                                      float(emp[i]), float(kl[i]), lams[j]))

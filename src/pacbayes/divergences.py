@@ -257,14 +257,40 @@ def _safe_log(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logsumexp(a):
+#: The largest float whose exp is +0: np.exp underflows to 0 at and below it.
+#: numpy's exp takes a slow path for each entry it underflows (about 20 ns,
+#: against 1 ns for a normal result: 1.2 ms of the 1e5-entry row at the top
+#: of an M = 1e5 task's lambda grid), so _exp never hands it one.
+_EXP_ZERO = -745.1332191019412
+
+
+def _exp(x, out=None, mask=None):
+    """np.exp(x), bit for bit, with x as scratch.  Where some entry lies at or
+    below _EXP_ZERO, those entries are raised to -0.0 for the exp and their
+    results multiplied by 0 after it; a masked copy would cost as much as the
+    slow path, so both steps are products with the kept mask.  out (float) and
+    mask (bool), arrays of x's shape, take the result and the mask in place of
+    new arrays."""
+    keep = np.greater(x, _EXP_ZERO, out=mask)  # a NaN is not kept, and stays NaN
+    if keep.all():
+        return np.exp(x, out=out)
+    np.maximum(x, _EXP_ZERO, out=x)  # so that no -inf meets the 0 below
+    x *= keep
+    out = np.exp(x, out=out)
+    out *= keep
+    return out
+
+
+def _logsumexp(a, work=None, mask=None):
     """log(sum(exp(a))) over the last axis, shifted by each row's maximum.
 
     The entries equal to the maximum are counted apart from the rest, as in
     scipy.special.logsumexp (Blanchard, Higham & Higham 2021), so results
     match it to the bit; a non-finite result falls back to the direct sum.
     Leading axes broadcast: a 1-D vector gives a float, a (B, M) matrix the
-    B row values, each the bits of the 1-D call on that row.
+    B row values, each the bits of the 1-D call on that row.  work (float)
+    and mask (bool), arrays of a's shape, take the shifted exponent and the
+    at-max mask in place of two new arrays.
     """
     # Reducing the transpose over its first axis leaves a 1-D input's maximum
     # a numpy scalar, which keeps the per-call cost of the vector case low.  A
@@ -276,9 +302,12 @@ def _logsumexp(a):
     a = a.T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = a.max(axis=0)
-        at_top = a == top
+        at_top = np.equal(a, top, out=None if mask is None else mask.T)
         count = at_top.sum(axis=0, dtype=float)
-        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=0)
+        # the maxima are in count, so they enter rest as exp(-inf) = 0
+        shifted = np.subtract(a, top, out=None if work is None else work.T)
+        np.copyto(shifted, -np.inf, where=at_top)
+        rest = _exp(shifted, shifted, at_top).sum(axis=0)
         out = np.log1p(rest / count) + np.log(count) + top
         finite = np.isfinite(out)
         if not (finite if out.ndim == 0 else finite.all()):
@@ -306,10 +335,12 @@ def _gibbs_weights(logpi: np.ndarray, h) -> np.ndarray:
 #: stacked trials, the pi-dimension grid scan, EWA rounds), whatever M is.
 #: 2^16 float64 entries make each temporary 512 KB, which stays in a 2 MB
 #: per-core L2.  Medians of 7 on a 2-CPU Xeon host, 2^15 / 2^16 / 2^18: the
-#: M = 1e4 pi_dimension call 32 / 30 / 35 ms (one scalar call per grid point:
-#: 160 ms); ewa_run at 5000 rounds x 1000 experts 44 / 43 / 48 ms;
-#: lambda_grid on an M = 1e5 task 34.5 / 31.7 / 33.1 ms; a 50-trial violation
-#: block at M = 1001, which 2^15 splits in two, 16.9 / 15.3 / 16.2 ms.
+#: M = 1e4 pi_dimension call 31.2 / 29.5 / 34.5 ms (one scalar call per grid
+#: point: 160 ms); ewa_run at 5000 rounds x 1000 experts 47.4 / 45.8 / 48.5
+#: ms; lambda_grid on an M = 1e5 task 23.6 / 23.3 / 28.5 ms and compare on it
+#: 64.6 / 64.1 / 62.0 ms (one row per block at all three); a 50-trial
+#: violation block at M = 1001, which 2^15 splits in two, 18.4 / 16.8 / 16.4
+#: ms.
 _FAMILY_BLOCK = 1 << 16
 
 
@@ -320,21 +351,36 @@ def _gibbs_family(logpi: np.ndarray, r: np.ndarray, lams, logq: np.ndarray):
     (risk row, lam) pair, risk row by risk row.  Yields (w, E_w[r], KL(w || q)),
     q with log masses logq, for consecutive blocks of at most _FAMILY_BLOCK
     entries (at least one row), which hold whole families of lams where one
-    fits.  Each row has the bits of gibbs_posterior at its lam, and each
-    E_w[r] the bits of the (lams x M) @ r product of its block."""
+    fits.  A (P, M) logq stacks P measures q: KL(w || q) then has one row per
+    q.  Each row has the bits of gibbs_posterior at its lam, and each
+    E_w[r] the bits of the (lams x M) @ r product of its block.
+
+    The temporaries (log w, the shifted exponent, the at-max mask and the KL
+    terms) live in one workspace, made per call and reused by every block, so
+    a pass pays its page faults once.  Each yielded w, E_w[r] and KL is a new
+    array that a caller may keep."""
     lams = np.asarray(lams, dtype=float)
     R = np.atleast_2d(r)
     M = R.shape[1]
     rows = max(1, _FAMILY_BLOCK // M)
     step = min(rows, lams.size)
     per = max(1, rows // lams.size)
+    logw, work = np.empty((2, min(per, R.shape[0]) * step, M))
+    mask = np.empty(logw.shape, dtype=bool)
     for t in range(0, R.shape[0], per):
         Rb = R[t:t + per]
         for i in range(0, lams.size, step):
-            w = _gibbs_weights(logpi, (-lams[i:i + step, None] * Rb[:, None, :]).reshape(-1, M))
+            k = Rb.shape[0] * lams[i:i + step].size
+            lw, wk, mk = logw[:k], work[:k], mask[:k]
+            np.multiply(-lams[i:i + step, None], Rb[:, None, :], out=lw.reshape(Rb.shape[0], -1, M))
+            lw += logpi
+            lw -= _logsumexp(lw, wk, mk)[:, None]
+            w = _exp(lw, mask=mk)
+            w /= w.sum(axis=-1, keepdims=True)
             _check_weights(w)
             emp = np.matmul(w.reshape(Rb.shape[0], -1, M), Rb[:, :, None]).reshape(-1)
-            yield w, emp, _kl_log_prior(w, logq)
+            kls = [_kl_log_prior(w, q, wk, mk) for q in np.atleast_2d(logq)]
+            yield w, emp, kls[0] if np.ndim(logq) == 1 else np.array(kls)
 
 
 def _row_blocks(w: np.ndarray, *xs):
@@ -352,13 +398,24 @@ def _row_dots(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], x[..., None])[:, 0, 0]
 
 
-def _kl_log_prior(r: np.ndarray, logp: np.ndarray):
+def _kl_log_prior(r: np.ndarray, logp: np.ndarray, work=None, mask=None):
     """KL(rho || pi) = sum over r > 0 of r (log r - logp), from rho's weights r
     and pi's log masses logp; +inf where logp = -inf.  No ratio r/p can overflow.
     A 1-D r gives a float, a (B, M) matrix the B row KLs, each the bits of the
-    1-D call on that row: zero weights enter the sum as 0 terms, not dropped."""
+    1-D call on that row: zero weights enter the sum as 0 terms, not dropped.
+    work (float) and mask (bool), arrays of r's shape, take the terms and the
+    r > 0 mask in place of new arrays.  Where some weight is not positive, the
+    log is taken at 1 there and the term set to 0 after: numpy's log of 0
+    takes a slow path (8 ns an entry, against 1 ns)."""
+    terms = np.empty(r.shape) if work is None else work
+    off = np.logical_not(np.greater(r, 0, out=mask), out=mask)
+    some_off = off.any()
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(r > 0, r * (np.log(r) - logp), 0.0)
+        np.log(np.add(r, off, out=terms) if some_off else r, out=terms)
+        terms -= logp
+        terms *= r
+    if some_off:
+        np.copyto(terms, 0.0, where=off)
     # clamp float noise on near-degenerate weights; the divergence is >= 0
     kl = np.maximum(terms.sum(axis=-1), 0.0)
     return float(kl) if kl.ndim == 0 else kl
@@ -380,11 +437,12 @@ def _chi2_rows(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     temporaries, and each support slice is made C-contiguous, so every row is
     summed in the order of its own vector."""
     mask = p > 0
-    pm = p[mask]
+    full = mask.all()
+    pm = p if full else p[mask]
     base = np.sum(pm)
     out = []
     for wb, in _row_blocks(w):
-        sq = np.ascontiguousarray(wb[:, mask]) ** 2 / pm
+        sq = np.ascontiguousarray(wb if full else wb[:, mask]) ** 2 / pm
         chi2 = np.maximum(sq.sum(axis=-1) - base, 0.0)
         out.append(np.where((wb[:, ~mask] > 0).any(axis=-1), math.inf, chi2))
     return np.concatenate(out)

@@ -452,7 +452,7 @@ def oracle_bound_rhs(
         if eps is None or not (0 < eps < 1):
             raise ValueError("the probability variant needs eps in (0, 1)")
         const = lam * bounds._square(C) / (4.0 * n)
-        kl_coef, kl_shift = 2.0 / lam, 2.0 * math.log(2.0 / eps) / lam
+        kl_coef, kl_shift = 2.0 / lam, 2.0 * bounds._log_inv(eps, 2.0) / lam
         beta_opt = lam / 2.0
     else:
         raise ValueError(f"unknown variant {variant!r}")

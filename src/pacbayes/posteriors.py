@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds, divergences
 from .bounds import BoundInput, Certificate
-from ._util import child_rng
+from ._util import child_rng, child_rngs
 from .divergences import (
     DiagonalGaussian,
     DiscreteDistribution,
@@ -494,8 +494,9 @@ def optimize_gaussian_posterior(
     best_risk = math.nan
     initial_obj = None
     bad_streak = 0
-    for it in range(cfg.max_iters):
-        rng_it = child_rng(cfg.seed, 1, it)
+    # child_rng(cfg.seed, 1, it) for each iteration, seeded in one pass
+    rngs = child_rngs(cfg.seed, [(1, it) for it in range(cfg.max_iters)])
+    for it, rng_it in enumerate(rngs):
         obj, risk, grad_m, grad_logs = mc_objective_and_grads(m, log_s, rng_it, cfg.mc_samples)
         if not (np.all(np.isfinite(grad_m)) and math.isfinite(grad_logs) and math.isfinite(obj)):
             raise OptimizationDiverged(f"non-finite objective or gradient at iteration {it}")

@@ -852,6 +852,27 @@ class TestColumns:
                                      lam)
                 assert _same(values[i], cert.value), (bound_id, i, values[i], cert.value)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), C=st.sampled_from([1.0, 2.0]), inf_kl=st.booleans())
+    def test_a_lambda_column_is_the_one_lambda_calls(self, seed, C, inf_kl):
+        # row j of the values at a column of lambdas is the call at lam[j], by
+        # repr, for every row with a lambda policy: at lambdas every such row
+        # takes, then at its own search list
+        W, fields, _ = self.instance(seed, C, inf_kl)
+        emp = W @ fields["emp_risk"]
+        kl = np.array([kl_discrete(DiscreteDistribution(w), fields["prior"]) for w in W])
+        data = BoundData(**fields)
+        for bound_id, entry in BOUND_TABLE.items():
+            if entry.lam_kind not in ("free", "fixed"):
+                continue
+            lams = [0.05, 0.5, 1.0, 1.5, 1.95, *entry.search(fields["n"], W.shape[1],
+                                                                  fields["eps"], C)]
+            column = entry.values(data, W, emp, kl, lams)
+            assert column.shape == (len(lams), len(W)), bound_id
+            for j, lam in enumerate(lams):
+                one = entry.values(data, W, emp, kl, lam)
+                assert repr(column[j].tolist()) == repr(one.tolist()), (bound_id, lam)
+
     @pytest.mark.parametrize("C", [1.0, 2.0])
     @pytest.mark.parametrize("size, scalar_calls", [
         (bounds._KL_INVERSE_COLUMN_MIN - 1, bounds._KL_INVERSE_COLUMN_MIN - 1),

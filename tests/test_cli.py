@@ -86,6 +86,11 @@ class TestTaskFileSchema:
         with pytest.raises(cli.SchemaError):
             cli.load_task_file(path)
 
+    def test_directory_task_path_exits_2(self, tmp_path, capsys):
+        assert cli.main(["compare", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'file'" in err and "Traceback" not in err
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"schema": 1,\n  "n": }')
@@ -291,6 +296,19 @@ class TestCertify:
         assert doc["details"]["xi"] == 0.5
 
 
+    @pytest.mark.parametrize("bound", ["seeger", "thiemann", "tolstikhin_seldin"])
+    def test_kl_form_budget_where_2_sqrt_n_over_eps_overflows(self, bound, tmp_path, capsys):
+        # 2 sqrt(2^53) / 1e-300 overflows, but log(2 sqrt(n)/eps) = 709.8 does not:
+        # the budget stays finite and the certificate tight
+        path = write_json(tmp_path / "t.json", {
+            "schema": 1, "n": 2**53, "eps": 1e-300, "C": 1.0,
+            "prior": [0.3, 0.3, 0.4], "emp_risk": [0.1, 0.2, 0.3]})
+        assert cli.main(["certify", path, "--bound", bound]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rho, _ = cli._resolve_posterior(cli.load_task_file(path), "gibbs", None)
+        assert doc["value"] is not None and not doc["vacuous"]
+        assert doc["value"] >= float(rho.weights @ np.array([0.1, 0.2, 0.3]))
+
     def test_thiemann_default_lambda(self, small_instance, tmp_path):
         # with no --lambda, thiemann runs at its catalog default 1.0 (the
         # value violate uses), not at the closed-form pick outside (0, 2)
@@ -393,6 +411,8 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
      "--posterior"),
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{task}"],
      "--posterior"),
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{tmp}"],
+     "--posterior"),
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "uniform"], "--posterior"),
     ("generative_instance", ["rates", "--n-grid", "100,2x0,400,800,1600", "--reps", "5"],
      "--n-grid"),
@@ -423,9 +443,9 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
         "task_file_not_an_object", "emp_risk_not_numbers", "losses_not_numbers",
         "unknown_task_kind", "star_index_out_of_range", "tau_a_string",
         "grid_size_and_thresholds", "task_without_p", "dirac_not_an_index", "missing_weights_file",
-        "weights_not_an_array", "unknown_posterior", "n_grid_not_integers", "n_0", "n_2.5",
-        "eps_1", "C_0", "emp_risk_1.5", "log_M_negative", "losses_wrong_shape", "kappa_0",
-        "kappa_negative", "weights_infinity", "weights_sum_overflows", "weights_2d"])
+        "weights_not_an_array", "weights_a_directory", "unknown_posterior", "n_grid_not_integers",
+        "n_0", "n_2.5", "eps_1", "C_0", "emp_risk_1.5", "log_M_negative", "losses_wrong_shape",
+        "kappa_0", "kappa_negative", "weights_infinity", "weights_sum_overflows", "weights_2d"])
 def test_out_of_range_flag_exit_2(task, argv, field, request, tmp_path, capsys):
     path = task_path(task, request, tmp_path)
     # weights files for small_instance's 100 hypotheses
@@ -495,10 +515,18 @@ def test_extreme_valid_input_exits_cleanly(field, value, argv, tmp_path, capsys)
                                                          "lambda_grid"):
         assert rc == 0 and json.loads(out)["value"] is None
     # log(1/eps) = 744.4 is finite at eps = 5e-324, where 1/eps overflows, so
-    # every row certifies, vacuously; truncated needs losses, and compare's
-    # eps split over thiemann's lambdas underflows (test_semantic_error_exit_3)
+    # every row certifies, vacuously, but two: log(2 sqrt(n)/eps) and log(2/eps)
+    # are finite too, so seeger's kl inverse stays just below 1 and
+    # localized_empirical gives its formula's value.  truncated needs losses,
+    # and compare's eps split over thiemann's lambdas underflows
+    # (test_semantic_error_exit_3)
     if field == "eps" and value == 5e-324 and argv[-1] not in ("truncated", "compare"):
-        assert rc == 0 and json.loads(out)["vacuous"] is True, err
+        cert = json.loads(out)
+        assert rc == 0, err
+        if argv[-1] in ("seeger", "localized_empirical"):
+            assert cert["value"] is not None and not cert["vacuous"]
+        else:
+            assert cert["vacuous"] is True, err
 
 
 @pytest.mark.parametrize("doc, argv, named", [
@@ -663,22 +691,56 @@ class TestCompareColumns:
         self.same(task)
         self.same(task, eps=0.01)
 
-    @pytest.mark.parametrize("C", [1.0, 2.0])
-    def test_exact_ties(self, C, tmp_path, monkeypatch):
+    def exact_ties(self, C, tmp_path):
         # equal risks under a uniform prior: every Gibbs candidate is the
         # prior, so each bound ties across all of them and every lambda
-        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", 10)
         task = self.task(tmp_path, {"schema": 1, "n": 300, "eps": 0.05, "C": C, "kappa": 0.3,
                                     "prior": [0.2] * 5, "emp_risk": [0.4 * C] * 5})
         self.same(task)
 
-    def test_losses_and_skipped_dirac(self, tmp_path):
+    @pytest.mark.parametrize("C", [1.0, 2.0])
+    def test_exact_ties(self, C, tmp_path, monkeypatch):
+        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", 10)
+        self.exact_ties(C, tmp_path)
+
+    @pytest.mark.parametrize("C", [1.0, 2.0])
+    def test_exact_ties_one_row_per_block(self, C, tmp_path, monkeypatch):
+        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", 1)
+        self.exact_ties(C, tmp_path)
+
+    def losses_and_skipped_dirac(self, tmp_path):
         losses = (np.random.default_rng(3).random((50, 6)) < 0.4).astype(float)
         task = self.task(tmp_path, {"schema": 1, "n": 50, "eps": 0.1, "C": 1.0, "kappa": 0.5,
                                     "prior": [0.0, 0.3, 0.2, 0.2, 0.2, 0.1],
                                     "emp_risk": losses.mean(axis=0).tolist(),
                                     "losses": losses.tolist()})
         self.same(task)
+
+    def test_losses_and_skipped_dirac(self, tmp_path):
+        self.losses_and_skipped_dirac(tmp_path)
+
+    def test_losses_and_skipped_dirac_one_row_per_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", 1)
+        self.losses_and_skipped_dirac(tmp_path)
+
+    @pytest.mark.parametrize("name", ["full.json", "noiseless.json"])
+    @pytest.mark.parametrize("block", [None, 1], ids=["one_block", "row_blocks"])
+    def test_each_gibbs_candidate_is_built_once(self, block, name, tmp_path, monkeypatch):
+        # every Gibbs measure is normalized by one _logsumexp row: compare makes
+        # one per candidate lambda, lambda_grid reading the same family, and the
+        # localized prior pi_{-xi r} is made twice, for the values calls and in
+        # the winner's certificate (bound_localized_empirical); full.json drops
+        # the ERM Dirac for its infinite KL, noiseless.json keeps it
+        if block is not None:
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+        task = self.task(tmp_path, FIXTURES[name])
+        rows, real = [], divergences._logsumexp
+        monkeypatch.setattr(divergences, "_logsumexp",
+                            lambda a, *work: rows.append(np.shape(a)[:-1]) or real(a, *work))
+        certs = cli.compare_bounds(task)
+        assert "lambda_grid" in [c.bound_id for c in certs]
+        built = sum(int(np.prod(shape)) for shape in rows)
+        assert built == bounds.lambda_grid_geometric(task["n"]).size + 2
 
     def test_truncated_risks_once_per_lambda(self, tmp_path, monkeypatch):
         # one weight row per block: every block's values call and the winner's

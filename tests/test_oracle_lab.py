@@ -416,6 +416,12 @@ class TestOracleBoundRhs:
         with pytest.raises(ValueError, match="lambda"):
             oracle_bound_rhs(self.task, self.pi, lam, variant, n=100, eps=0.05)
 
+    def test_probability_variant_at_a_subnormal_eps(self):
+        # 2/eps overflows at eps = 5e-324, but log(2/eps) = 745.1 does not
+        val = oracle_bound_rhs(self.task, self.pi, 40.0, "probability", n=500, eps=5e-324)
+        assert math.isfinite(val)
+        assert val > oracle_bound_rhs(self.task, self.pi, 40.0, "probability", n=500, eps=1e-300)
+
     def _family_scan(self, objective):
         # independent exhaustive evaluation over the same rho family:
         # coarse geometric scan, then a fine scan around the coarse argmin
