@@ -315,24 +315,29 @@ def _logsumexp(a, work=None, mask=None):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_gibbs(logpi: np.ndarray, h) -> np.ndarray:
-    """Normalized log weights of the Gibbs measure pi_h, from log pi and h.
+def _log_gibbs(logpi: np.ndarray, h, out=None, work=None, mask=None) -> np.ndarray:
+    """Normalized log weights of the Gibbs measure pi_h: log pi + h shifted by
+    its log-sum-exp, the package's one Gibbs normalization.
 
     h may be a (B, M) matrix of B exponents, giving one Gibbs measure per row.
-    """
-    logw = logpi + h
-    lse = _logsumexp(logw)
-    return logw - (lse if logw.ndim == 1 else lse[:, None])
+    out (float, h's shape, h itself allowed) takes log pi + h in place of a new
+    array, and work and mask go to _logsumexp."""
+    logw = np.add(h, logpi, out=out)
+    logw -= np.asarray(_logsumexp(logw, work, mask))[..., None]
+    return logw
 
 
-def _gibbs_weights(logpi: np.ndarray, h) -> np.ndarray:
-    """Weights of pi_h, renormalized to sum to 1; one row per row of h."""
-    w = np.exp(_log_gibbs(logpi, h))
-    return w / w.sum(axis=-1, keepdims=True)
+def _gibbs_weights(logpi: np.ndarray, h, out=None, work=None, mask=None) -> np.ndarray:
+    """Checked weights of pi_h, renormalized to sum to 1, one row per row of h,
+    in a new array; the buffers go to _log_gibbs."""
+    w = _exp(_log_gibbs(logpi, h, out, work, mask), mask=mask)
+    w /= w.sum(axis=-1, keepdims=True)
+    _check_weights(w)
+    return w
 
 
 #: Entries per row block of every blocked pass (Gibbs families, weight rows,
-#: stacked trials, the pi-dimension grid scan, EWA rounds), whatever M is.
+#: stacked trials, the pi-dimension grid scan, EWA rounds): see _block_rows.
 #: 2^16 float64 entries make each temporary 512 KB, which stays in a 2 MB
 #: per-core L2.  Medians of 7 on a 2-CPU Xeon host, 2^15 / 2^16 / 2^18: the
 #: M = 1e4 pi_dimension call 31.2 / 29.5 / 34.5 ms (one scalar call per grid
@@ -344,16 +349,22 @@ def _gibbs_weights(logpi: np.ndarray, h) -> np.ndarray:
 _FAMILY_BLOCK = 1 << 16
 
 
+def _block_rows(m: int) -> int:
+    """Rows of m entries per block: as many as _FAMILY_BLOCK holds, at least one."""
+    return max(1, _FAMILY_BLOCK // max(1, m))
+
+
 def _gibbs_family(logpi: np.ndarray, r: np.ndarray, lams, logq: np.ndarray):
     """The Gibbs measures pi_{-lam r}, one checked weight row per lam, in blocks.
 
     r is one risk vector, or a (T, M) matrix giving the measures of every
     (risk row, lam) pair, risk row by risk row.  Yields (w, E_w[r], KL(w || q)),
-    q with log masses logq, for consecutive blocks of at most _FAMILY_BLOCK
-    entries (at least one row), which hold whole families of lams where one
-    fits.  A (P, M) logq stacks P measures q: KL(w || q) then has one row per
-    q.  Each row has the bits of gibbs_posterior at its lam, and each
-    E_w[r] the bits of the (lams x M) @ r product of its block.
+    q with log masses logq, for consecutive blocks of _block_rows(M) rows at
+    most, which hold whole families of lams where one fits.  A (P, M) logq
+    stacks P measures q: KL(w || q) then has one row per q.  Each row is
+    _gibbs_weights at h = -lam r, with the bits of gibbs_posterior at its lam,
+    and each E_w[r] the bits of the (lams x M) @ r product of its block.  A
+    non-finite lam r raises ValueError, tested once on max |lam| * max |r|.
 
     The temporaries (log w, the shifted exponent, the at-max mask and the KL
     terms) live in one workspace, made per call and reused by every block, so
@@ -361,8 +372,10 @@ def _gibbs_family(logpi: np.ndarray, r: np.ndarray, lams, logq: np.ndarray):
     array that a caller may keep."""
     lams = np.asarray(lams, dtype=float)
     R = np.atleast_2d(r)
+    if not math.isfinite(float(np.abs(lams).max()) * float(np.abs(R).max())):
+        raise ValueError("h = -lambda r must be finite, with max |lambda| * max |r| finite")
     M = R.shape[1]
-    rows = max(1, _FAMILY_BLOCK // M)
+    rows = _block_rows(M)
     step = min(rows, lams.size)
     per = max(1, rows // lams.size)
     logw, work = np.empty((2, min(per, R.shape[0]) * step, M))
@@ -373,21 +386,17 @@ def _gibbs_family(logpi: np.ndarray, r: np.ndarray, lams, logq: np.ndarray):
             k = Rb.shape[0] * lams[i:i + step].size
             lw, wk, mk = logw[:k], work[:k], mask[:k]
             np.multiply(-lams[i:i + step, None], Rb[:, None, :], out=lw.reshape(Rb.shape[0], -1, M))
-            lw += logpi
-            lw -= _logsumexp(lw, wk, mk)[:, None]
-            w = _exp(lw, mask=mk)
-            w /= w.sum(axis=-1, keepdims=True)
-            _check_weights(w)
+            w = _gibbs_weights(logpi, lw, lw, wk, mk)
             emp = np.matmul(w.reshape(Rb.shape[0], -1, M), Rb[:, :, None]).reshape(-1)
             kls = [_kl_log_prior(w, q, wk, mk) for q in np.atleast_2d(logq)]
             yield w, emp, kls[0] if np.ndim(logq) == 1 else np.array(kls)
 
 
 def _row_blocks(w: np.ndarray, *xs):
-    """Consecutive row blocks of the matrix w, each of at most _FAMILY_BLOCK
-    entries (at least one row), with the matching rows of each matrix in xs; a
-    vector in xs goes whole with every block."""
-    step = max(1, _FAMILY_BLOCK // max(1, w.shape[1]))
+    """Consecutive row blocks of the matrix w, each of _block_rows rows at most,
+    with the matching rows of each matrix in xs; a vector in xs goes whole with
+    every block."""
+    step = _block_rows(w.shape[1])
     for i in range(0, w.shape[0], step):
         yield (w[i:i + step], *(x[i:i + step] if np.ndim(x) == 2 else x for x in xs))
 

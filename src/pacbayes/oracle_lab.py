@@ -25,16 +25,13 @@ from .divergences import (
     DiscreteDistribution,
     gibbs_reweight,
     kl_discrete,
-    _check_weights,
     _gibbs_family,
-    _gibbs_weights,
     _kl_log_prior,
     _log_gibbs,
     _logsumexp,
     _row_dots,
     _safe_log,
 )
-from .posteriors import _gibbs_grid
 from ._util import child_rng, child_rngs
 
 __all__ = [
@@ -429,7 +426,9 @@ def oracle_bound_rhs(
       "probability"  inf_rho E_rho[R] + lam C^2/(4n) + 2 (KL + log(2/eps))/lam
       "fast"         2 inf_rho {E_rho[R] - R* + max(2K, C) KL(rho||pi)/n},
                      the excess-risk form at the prescribed lam = n/max(2K, C)
+    Every variant needs losses in [0, C]: a task with C = inf raises ValueError.
     """
+    _check_bounded(task, f"the {variant} oracle")
     R = task.true_risk
     C = task.C
     if variant == "fast":
@@ -490,7 +489,7 @@ def pi_dimension(
     A 1000-point log-grid scan of [1e-6, 1e8] picks the best grid point, and
     one golden-section search on log(beta) refines it, to relative tolerance
     1e-6, between that point's two grid neighbours.  The scan only picks
-    that point: in row blocks of at most divergences._FAMILY_BLOCK entries,
+    that point: in row blocks of divergences._block_rows(m) rows at most,
     one beta per row, it pays one exp per weight that can be nonzero and
     takes beta * E[gap] from one product with [gaps, 1].  The winning grid
     point is evaluated again by the scalar objective the search calls, so
@@ -530,7 +529,7 @@ def pi_dimension(
     i = 0
     while i < grid.size:
         m = int(np.searchsorted(gs, (gs[j] + reach / grid[i]) * (1.0 + 1e-9), side="right"))
-        b = grid[i:i + max(1, divergences._FAMILY_BLOCK // m)]
+        b = grid[i:i + divergences._block_rows(m)]
         t = np.multiply.outer(b, gs[:m], out=buf[:b.size * m].reshape(b.size, m))
         np.subtract(ls[:m], t, out=t)
         t -= t.max(axis=1, keepdims=True)
@@ -582,6 +581,7 @@ def localized_oracle_rhs(
     Both m_tau split conventions are reported as diagnostics because the
     source display pairs the decayed exponential with the wrong count.
     """
+    _check_bounded(task, "the localized oracle")
     R = task.true_risk
     C = task.C
     scale = max(2.0 * K, C)
@@ -643,6 +643,12 @@ class ExperimentReport:
     details: dict = field(default_factory=dict)
 
 
+def _check_bounded(task: SyntheticTask, what: str) -> None:
+    if not math.isfinite(task.C):
+        raise ValueError(f"{what} needs a bounded loss range; the {task.kind} task's losses "
+                         "are unbounded (only moment bounds such as chi_square apply)")
+
+
 def _check_support_size(name: str, dist: Optional[DiscreteDistribution], m: int) -> None:
     if dist is not None and dist.size != m:
         raise ValueError(f"{name} has {dist.size} masses but the task has {m} hypotheses")
@@ -650,29 +656,11 @@ def _check_support_size(name: str, dist: Optional[DiscreteDistribution], m: int)
 
 def _stacked_draws(task: SyntheticTask, n: int, rngs):
     """task.sample_emp_risk(n, rng) for each generator of the iterator rngs,
-    stacked in order into C-contiguous (draws x M) blocks of at most
-    _FAMILY_BLOCK entries, at least one draw each."""
-    rows = max(1, divergences._FAMILY_BLOCK // task.m)
+    stacked in order into C-contiguous (draws x M) blocks of
+    divergences._block_rows(M) draws at most."""
+    rows = divergences._block_rows(task.m)
     while block := [task.sample_emp_risk(n, rng) for rng in itertools.islice(rngs, rows)]:
         yield np.array(block, dtype=float)
-
-
-def _posterior_rows(rule: str, logpi: np.ndarray, R: np.ndarray, lam, fixed) -> np.ndarray:
-    """The weight matrix of one posterior per row r of R under a
-    violation_experiment rule, with the checks of the one-posterior
-    constructors.  A gibbs lam is one value or a column of one per row."""
-    if rule == "fixed_rho":
-        return np.broadcast_to(fixed.weights, R.shape)
-    if rule == "gibbs":
-        h = -lam * R
-        if h.shape[-1] != logpi.size or not np.isfinite(h).all():
-            raise ValueError("h must be finite and match the support size")
-        w = _gibbs_weights(logpi, h)
-    else:
-        w = np.zeros(R.shape)
-        w[np.arange(R.shape[0]), R.argmin(axis=1)] = 1.0
-    _check_weights(w)
-    return w
 
 
 def violation_experiment(
@@ -701,12 +689,13 @@ def violation_experiment(
     harness itself.
 
     The draws stay one per trial, their generators seeded in one
-    child_rngs pass, and are stacked into (trials x M) blocks of at most
-    divergences._FAMILY_BLOCK entries.  In a block every
-    posterior is one row of one checked weight matrix, E_rho[r], E_rho[R]
-    and KL(rho || pi) are one pass each, the certificates are one
-    ``CatalogEntry.values`` call, and lambda_grid scores every (trial,
-    lambda) pair at once.  Each row has the bits of the trial-by-trial loop.
+    child_rngs pass, and are stacked into (trials x M) blocks of
+    divergences._block_rows(M) trials at most.  Gibbs rows, E_rho[r] and
+    KL(rho || pi) come from divergences._gibbs_family, E_rho[R] is one product
+    per block it yields, and the certificates one ``CatalogEntry.values``
+    call per block.  lambda_grid scores each (trial, lambda) pair of its pass
+    and keeps each trial's first minimum with its E_rho[R], so no winner is
+    built twice.  Each row has the bits of the trial-by-trial loop.
     ``oracle_probability``, the probability oracle right-hand side, is a
     lab-only row dispatched like the catalog's.
     lambda_grid searches its own Gibbs posteriors and lambdas, so it takes
@@ -727,9 +716,8 @@ def violation_experiment(
         lam_kind="free"))
     if entry.bound_id != bound_id:
         raise ValueError(f"unknown bound id {bound_id!r}")
-    if not math.isfinite(task.C) and entry.scale != "moment":
-        raise ValueError(f"{bound_id} needs a bounded loss range; the {task.kind} task's "
-                         "losses are unbounded (only moment bounds such as chi_square apply)")
+    if entry.scale != "moment":
+        _check_bounded(task, bound_id)
     # moment bounds on unbounded losses: C = 1 only sets the posterior's
     # closed-form lambda and the vacuity threshold
     C = task.C if math.isfinite(task.C) else 1.0
@@ -759,16 +747,23 @@ def violation_experiment(
     for risks in _stacked_draws(task, n, child_rngs(seed, np.arange(trials)[:, None])):
         if kind == "grid":
             bounds._check_inputs(n, None, C, risks.min(), risks.max())
-            scores = bounds._lambda_grid_values(grid, *_gibbs_grid(logpi, risks, grid), n, eps, C)
-            best = scores.argmin(axis=1)
-            w = _posterior_rows("gibbs", logpi, risks, grid[best, None], None)
-            values += scores[np.arange(best.size), best].tolist()
+            emp, kl, risk = (np.concatenate(c).reshape(-1, grid.size) for c in zip(*(
+                (e, k, _row_dots(w, R)) for w, e, k in _gibbs_family(logpi, risks, grid, logpi))))
+            scores = bounds._lambda_grid_values(grid, emp, kl, n, eps, C)
+            best = np.arange(len(risks)), scores.argmin(axis=1)
+            values += scores[best].tolist()
+            true += risk[best].tolist()
+            continue
+        if posterior_rule == "gibbs":  # at one lambda, a draws block is one family block
+            (w, emp, kl), = _gibbs_family(logpi, risks, [lam_value], logpi)
         else:
-            w = _posterior_rows(posterior_rule, logpi, risks, lam_value, fixed_rho or pi)
-            data = bounds.BoundData(risks, n, eps, C, prior=pi, xi=xi,
-                                    kappa=getattr(task, "kappa", None))
-            values += entry.values(data, w, _row_dots(w, risks), _kl_log_prior(w, logpi),
-                                   lam_bound).tolist()
+            w = (np.broadcast_to((fixed_rho or pi).weights, risks.shape)
+                 if posterior_rule == "fixed_rho"
+                 else (np.arange(task.m) == risks.argmin(axis=1)[:, None]).astype(float))
+            emp, kl = _row_dots(w, risks), _kl_log_prior(w, logpi)
+        data = bounds.BoundData(risks, n, eps, C, prior=pi, xi=xi,
+                                kappa=getattr(task, "kappa", None))
+        values += entry.values(data, w, emp, kl, lam_bound).tolist()
         true += _row_dots(w, R).tolist()
     rows = []
     for true_t, value in zip(true, values):
@@ -815,7 +810,8 @@ def rate_experiment(
     complexity log M) under the slow rule.  Returns the least-squares slope
     of log(mean excess) against log(n); excess risks are accumulated in the
     log domain, so exponentially small values do not underflow.  A task
-    with no excess risk anywhere yields the NaN sentinel slope.
+    with no excess risk anywhere yields the NaN sentinel slope.  A task with
+    C = inf, whose lam would be 0, raises ValueError.
 
     The draws of one n are stacked into blocks as in violation_experiment,
     and each block's log Gibbs weights and log excess risks are one matrix
@@ -825,6 +821,7 @@ def rate_experiment(
     validate_geometric_grid(n_grid)
     if rule not in ("fast", "slow"):
         raise ValueError("rule must be 'fast' or 'slow'")
+    _check_bounded(task, f"the {rule} rate")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _check_support_size("pi", pi, task.m)

@@ -115,18 +115,11 @@ def minimize_bound_grid(
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     r = risk_table.emp_risk
-    emps, kls = _gibbs_grid(_safe_log(pi.weights), r, grid)
-    entries = list(zip(grid.tolist(), emps[0].tolist(), kls[0].tolist()))
+    logpi = _safe_log(pi.weights)
+    stats = zip(*(stats for _, *stats in _gibbs_family(logpi, r, grid, logpi)))
+    entries = list(zip(grid.tolist(), *(np.concatenate(c).tolist() for c in stats)))
     cert = bounds.bound_lambda_grid(entries, risk_table.n, eps, risk_table.C)
     return gibbs_posterior(pi, r, cert.lam), cert
-
-
-def _gibbs_grid(logpi: np.ndarray, r: np.ndarray, grid: np.ndarray):
-    """E_rho[r] and KL(rho || pi) of the Gibbs posteriors pi_{-lam r}, as two
-    (rows of r) x (lams in grid) matrices; r is one risk vector or one per row."""
-    emps, kls = zip(*(stats for _, *stats in _gibbs_family(logpi, r, grid, logpi)))
-    shape = (-1, grid.size)
-    return np.concatenate(emps).reshape(shape), np.concatenate(kls).reshape(shape)
 
 
 def model_select(
@@ -577,7 +570,7 @@ def ewa_run(
     The weights after t rounds coincide exactly with the Gibbs posterior
     at temperature eta*t on the cumulative-mean losses.
 
-    Rounds run in row blocks of at most divergences._FAMILY_BLOCK entries:
+    Rounds run in row blocks of divergences._block_rows(M) rounds at most:
     one pass each for the block's max shift, exp and renormalization, and
     one row product for its losses, which are added in round order.  Each
     log-weight row is its predecessor minus eta * loss_t, one numpy call per
@@ -585,8 +578,8 @@ def ewa_run(
     at 1000 experts), so every weight, cum_loss and the regret have the
     bits of one loop step per round.
     """
-    if not (eta > 0):
-        raise ValueError("eta must be positive")
+    if not (0 < eta < math.inf):
+        raise ValueError(f"eta must lie in (0, inf), got {eta!r}")
     ell = np.asarray(losses, dtype=float)
     if ell.ndim != 2:
         raise ValueError("losses must be a T x M matrix")
@@ -596,7 +589,7 @@ def ewa_run(
     logw = _safe_log(pi.weights)
     history = [] if record_weights else None
     cum_loss = 0.0
-    rows = max(1, divergences._FAMILY_BLOCK // m)
+    rows = divergences._block_rows(m)
     buf = np.empty((min(rows, horizon) + 1, m))
     for t in range(0, horizon, rows):
         k = min(rows, horizon - t)

@@ -863,6 +863,18 @@ class TestRates:
         assert rc == 0
         assert "# slope=NA" in out.read_text()
 
+    def test_heavy_tail_exit_3(self, tmp_path, capsys):
+        # C = inf set both rules' lambda to 0: every rep measured the prior
+        path = write_json(tmp_path / "heavy.json", {
+            "schema": 1, "n": 300, "eps": 0.1, "C": 1.0,
+            "task": {"kind": "heavy_tail", "means": [0.5, 0.6, 0.7], "sds": 0.5},
+        })
+        for rule in ("fast", "slow"):
+            rc = cli.main(["rates", path, "--n-grid", "100,200,400,800,1600", "--reps", "5",
+                           "--rule", rule])
+            assert rc == 3
+            assert "heavy_tail" in capsys.readouterr().err
+
     def test_malformed_grid_exit_2(self, generative_instance):
         rc = cli.main([
             "rates", generative_instance, "--n-grid", "100,150,400,800,1600",

@@ -416,6 +416,16 @@ class TestOracleBoundRhs:
         with pytest.raises(ValueError, match="lambda"):
             oracle_bound_rhs(self.task, self.pi, lam, variant, n=100, eps=0.05)
 
+    @pytest.mark.parametrize("variant, lam", [("expectation", 40.0), ("probability", 40.0),
+                                              ("fast", None)])
+    def test_unbounded_losses_refused(self, variant, lam):
+        # "fast" at C = inf returned NaN: lambda = n / max(2K, C) is 0
+        ht = make_synthetic_task("heavy_tail", {"means": [0.5, 0.7], "sds": 0.5}, 0)
+        with pytest.raises(ValueError, match=f"the {variant} oracle needs a bounded loss "
+                                             "range.*heavy_tail"):
+            oracle_bound_rhs(ht, DiscreteDistribution.uniform(2), lam, variant, n=500,
+                             eps=0.05, K=1.0)
+
     def test_probability_variant_at_a_subnormal_eps(self):
         # 2/eps overflows at eps = 5e-324, but log(2/eps) = 745.1 does not
         val = oracle_bound_rhs(self.task, self.pi, 40.0, "probability", n=500, eps=5e-324)
@@ -583,6 +593,13 @@ class TestPiDimension:
 
 
 class TestLocalizedOracle:
+    def test_unbounded_losses_refused(self):
+        # at C = inf lambda = n / max(2K, C) is 0, and the value was NaN after an inf * 0 warning
+        ht = make_synthetic_task("heavy_tail", {"means": [0.5, 0.7], "sds": 0.5}, 0)
+        with pytest.raises(ValueError, match="the localized oracle needs a bounded loss "
+                                             "range.*heavy_tail"):
+            localized_oracle_rhs(ht, DiscreteDistribution.uniform(2), 1.0, 500)
+
     def test_kl_vanishes_at_localized_prior(self):
         task = make_synthetic_task("risk_table", {"p": [0.1, 0.3, 0.6]}, 0)
         pi = DiscreteDistribution.uniform(3)
@@ -714,6 +731,13 @@ class TestViolationExperiment:
         with pytest.raises(ValueError, match=f"{bound_id} needs a bounded loss range.*heavy_tail"):
             violation_experiment(ht, bound_id, "gibbs", 300, 0.1, 10, 0)
 
+    def test_overflowing_gibbs_exponent_refused(self):
+        # lam r = 1e308 * 3.0 overflows: refused before numpy's multiply can
+        # warn (warnings are errors here), not normalized into a Dirac
+        ht = make_synthetic_task("heavy_tail", {"means": [0.5, 3.0], "sds": 0.001}, 0)
+        with pytest.raises(ValueError, match="h = -lambda r must be finite"):
+            violation_experiment(ht, "chi_square", "gibbs", 300, 0.1, 5, 0, lam=1e308)
+
     @pytest.mark.parametrize("rule, lam, name", [("erm_dirac", "closed_form", "posterior_rule"),
                                                  ("fixed_rho", "closed_form", "posterior_rule"),
                                                  ("gibbs", 7.0, "lam")])
@@ -825,7 +849,26 @@ class TestBlockedTrials:
         if block is not None:
             monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
         args = (self.TASKS[task], N_GRID, 20, 4)
+        if task == "heavy":
+            # C = inf set lambda to 0 under both rules, so every rep measured the prior
+            with pytest.raises(ValueError, match=f"the {rule} rate needs a bounded loss "
+                                                 "range.*heavy_tail"):
+                rate_experiment(*args, rule=rule)
+            return
         assert self.same(rate_experiment(*args, rule=rule), rate_experiment_loop(*args, rule=rule))
+
+    @BLOCKS
+    def test_lambda_grid_normalizes_each_gibbs_row_once(self, block, monkeypatch):
+        # every (trial, lambda) Gibbs row goes through one _logsumexp row; the
+        # winners are read off the same pass, not built again
+        if block is not None:
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+        rows, real = [], divergences._logsumexp
+        monkeypatch.setattr(divergences, "_logsumexp",
+                            lambda a, *work: rows.append(np.shape(a)[:-1]) or real(a, *work))
+        violation_experiment(self.TASKS["independent"], "lambda_grid", "gibbs", 500, 0.05, 7, 3)
+        grid = oracle_lab.bounds.lambda_grid_geometric(500)
+        assert sum(int(np.prod(shape)) for shape in rows) == 7 * grid.size
 
 
 class TestRateExperiment:

@@ -238,6 +238,16 @@ class TestGibbsFamily:
             for got, want in zip(matrix, vector):
                 assert got[t * lams.size:(t + 1) * lams.size].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("lams, r", [([1e308], [0.5, 3.0]), ([0.0, 2.0], [0.1, math.inf]),
+                                         ([1.0], [0.1, math.nan])],
+                             ids=["overflow", "inf_risk", "nan_risk"])
+    def test_non_finite_exponent_refused_without_a_warning(self, lams, r):
+        # -lam r of 1e308 * 3.0 overflowed to -inf, which normalized to a
+        # silent Dirac; warnings are errors here, so no product may warn first
+        logpi = _safe_log(DiscreteDistribution.uniform(2).weights)
+        with pytest.raises(ValueError, match="h = -lambda r must be finite"):
+            next(_gibbs_family(logpi, np.array(r), lams, logpi))
+
     @pytest.mark.parametrize("name", ["full.json", "noiseless.json"])
     def test_minimize_bound_grid_returns_the_posterior_at_its_lambda(self, name):
         pi, r, doc = self.fixture(name)
@@ -663,8 +673,10 @@ class TestEwa:
         assert regret == pytest.approx(state.cum_loss - 1.0, rel=1e-14)
 
     def test_eta_domain(self):
-        with pytest.raises(ValueError):
-            ewa_run(np.zeros((3, 2)), 0.0, DiscreteDistribution.uniform(2))
+        # eta = +inf made inf * 0 warn, then failed the weight check
+        for eta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"eta must lie in \(0, inf\)"):
+                ewa_run(np.zeros((3, 2)), eta, DiscreteDistribution.uniform(2))
 
     @pytest.mark.parametrize("horizon", [1, 7, 5000])
     @pytest.mark.parametrize("m", [1, 3, 1000])
