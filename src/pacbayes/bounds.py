@@ -362,12 +362,14 @@ def lambda_grid_geometric(n: int) -> np.ndarray:
     return np.exp(np.arange(0, kmax + 1, dtype=float))
 
 
-def _lambda_grid_values(grid: np.ndarray, emps: np.ndarray, kls: np.ndarray, n, eps, C=1.0):
+def _lambda_grid_values(grid: np.ndarray, emps: np.ndarray, kls: np.ndarray, n, eps, C=1.0,
+                        card=None):
     """The lambda-grid objective at every entry, with the checks BoundInput makes.
 
     emps and kls hold E_rho[r] and KL(rho || pi) of the posterior at each
     lambda in grid, in their last axis, for one sample or one per row; each
-    value is catoni_linear's formula at KL + log(card), with its bits.  A
+    value is catoni_linear's formula at KL + log(card), with its bits.  card
+    is grid.size unless grid is a slice of a larger grid of card entries.  A
     grid is data-free, so it takes no lambda = +inf.
     """
     _check_inputs(n, eps, C, emps.min(), emps.max())
@@ -375,7 +377,8 @@ def _lambda_grid_values(grid: np.ndarray, emps: np.ndarray, kls: np.ndarray, n, 
         _check_lambda(float(lam))
     _check_kl(kls)
     with np.errstate(over="ignore"):  # lambda C^2 past the float range is +inf
-        return _catoni_linear(emps, kls + math.log(grid.size), grid, BoundData(None, n, eps, C))[0]
+        log_card = math.log(grid.size if card is None else card)
+        return _catoni_linear(emps, kls + log_card, grid, BoundData(None, n, eps, C))[0]
 
 
 def bound_lambda_grid(

@@ -20,12 +20,13 @@ from ._util import child_rng, child_rngs
 from .divergences import (
     DiagonalGaussian,
     DiscreteDistribution,
+    _block_rows,
     _gibbs_family,
+    _kl_gaussian,
     _row_dots,
     _safe_log,
     gibbs_reweight,
     kl_discrete,
-    kl_gaussian_diag,
 )
 
 __all__ = [
@@ -110,16 +111,29 @@ def minimize_bound_grid(
     evaluates E_rho[r] + lam C^2/(8n) + (KL + log(card/eps))/lam; returns
     the argmin posterior with its certificate.  Ties break toward the
     earliest grid entry.
+
+    The posteriors come from one pass of divergences._gibbs_family, whose
+    rows have gibbs_posterior's bits; the pass keeps the row of the best
+    value so far, so the winner is not built a second time.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    r = risk_table.emp_risk
+    r, n, C = risk_table.emp_risk, risk_table.n, risk_table.C
     logpi = _safe_log(pi.weights)
-    stats = zip(*(stats for _, *stats in _gibbs_family(logpi, r, grid, logpi)))
-    entries = list(zip(grid.tolist(), *(np.concatenate(c).tolist() for c in stats)))
-    cert = bounds.bound_lambda_grid(entries, risk_table.n, eps, risk_table.C)
-    return gibbs_posterior(pi, r, cert.lam), cert
+    emps, kls, best, i = [], [], None, 0
+    for w, emp, kl in _gibbs_family(logpi, r, grid, logpi):
+        lams = grid[i:i + emp.size]
+        values = bounds._lambda_grid_values(lams, emp, kl, n, eps, C, card=grid.size)
+        j = int(np.argmin(values))
+        if best is None or values[j] < best[0]:
+            best = (values[j], w[j].copy())
+        emps.append(emp)
+        kls.append(kl)
+        i += emp.size
+    entries = list(zip(grid.tolist(), np.concatenate(emps).tolist(), np.concatenate(kls).tolist()))
+    cert = bounds.bound_lambda_grid(entries, n, eps, C)
+    return DiscreteDistribution(best[1]), cert
 
 
 def model_select(
@@ -238,7 +252,24 @@ class OptimizationDiverged(RuntimeError):
     """Raised when the variational objective blows up or gradients go non-finite."""
 
 
-class QuadraticSurrogate:
+def _mean(x: np.ndarray, axis=None):
+    """x.mean(axis) of a float array, bit for bit: numpy's mean is this sum
+    over the count, behind about 5 us of Python per call, which the
+    optimizer's per-iteration steps would pay several times."""
+    return np.add.reduce(x, axis=axis) / (x.size if axis is None else x.shape[axis])
+
+
+class _PerDrawGradients:
+    """reparam_pass from per-draw losses and gradients: theta = m + s z, the
+    (draws x dim) gradient G of _loss_grad(theta), then G.mean(0) for the mean
+    and mean(sum(G z)) s for log s."""
+
+    def reparam_pass(self, m: np.ndarray, s: float, z: np.ndarray):
+        losses, grads = self._loss_grad(m[None, :] + s * z)
+        return losses, _mean(grads, 0), float(_mean(np.sum(grads * z, axis=1)) * s)
+
+
+class QuadraticSurrogate(_PerDrawGradients):
     """Per-example losses min((theta - x_i)^2, 1) on 1-D data, in [0, 1]."""
 
     dim = 1
@@ -258,11 +289,11 @@ class QuadraticSurrogate:
     def loss(self, theta: np.ndarray) -> np.ndarray:
         return np.minimum(self._diff(theta) ** 2, 1.0).mean(axis=1)
 
-    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diff = self._diff(theta)
         sq = diff**2
         g = 2.0 * diff * (sq < 1.0)
-        return np.minimum(sq, 1.0).mean(axis=1), g.mean(axis=1)[:, None]
+        return _mean(np.minimum(sq, 1.0), 1), _mean(g, 1)[:, None]
 
     def subset(self, idx) -> "QuadraticSurrogate":
         return QuadraticSurrogate(self.x[idx])
@@ -274,70 +305,116 @@ class QuadraticSurrogate:
 _LOG2 = math.log(2.0)
 
 
-def _logistic_raw(m: np.ndarray) -> np.ndarray:
-    """log2(1 + e^{-m}) entrywise, unclipped, in one new buffer.
+def _logistic_clipped(neg_m: np.ndarray, out=None) -> np.ndarray:
+    """min(log(1 + e^{-m}), log 2) entrywise, in nats, from neg_m = -m.
 
-    Evaluated as log1p(e^{-|m|}) - min(m, 0): the exponential never
-    overflows, and numpy runs exp and log1p as vectorised loops.
+    neg_m is left holding e = e^{-max(m, 0)}, the factor the gradient reuses.
+    At m > 0 the value is log1p(e^{-m}), below log 2, and the exponential
+    never overflows; at m <= 0 it is log1p(1) = log 2, the clip, which log2(1
+    + e^{-m}) >= 1 reaches there anyway.  out (float, m's shape) takes the
+    result in place of a new array.
     """
-    out = np.abs(m)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out -= np.minimum(m, 0.0)
-    out /= _LOG2
-    return out
+    e = np.minimum(neg_m, 0.0, out=neg_m)
+    np.exp(e, out=e)
+    return np.log1p(e, out=out)
 
 
 class LogisticSurrogate:
-    """Normalized logistic surrogate min(log(1 + e^{-y x.theta})/log 2, 1)."""
+    """Normalized logistic surrogate min(log(1 + e^{-y x.theta})/log 2, 1).
+
+    It keeps (y X)^T, dim x n, in place of x: with y_i = +-1, theta . (y_i x_i)
+    is the margin y_i (x_i . theta) to the bit.  loss and reparam_pass run in
+    row blocks of divergences._block_rows(n) draws on one workspace, kept on
+    the instance, so an instance serves one thread at a time.
+    """
 
     def __init__(self, x, y):
-        self.x = np.atleast_2d(np.asarray(x, dtype=float))
-        self.y = np.asarray(y, dtype=float).reshape(-1)
-        if self.x.shape[0] != self.y.size:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if x.shape[0] != y.size:
             raise ValueError("x and y must have matching lengths")
-        if not np.all(np.isin(self.y, (-1.0, 1.0))):
+        if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be +/-1")
-        self.dim = self.x.shape[1]
+        self._use(np.ascontiguousarray((y[:, None] * x).T))
+
+    def _use(self, yx_t: np.ndarray) -> "LogisticSurrogate":
+        self.yx_t, self.dim, self._work = yx_t, yx_t.shape[0], None
+        return self
 
     @property
     def n(self) -> int:
-        return int(self.y.size)
+        return int(self.yx_t.shape[1])
 
-    def _margins(self, theta: np.ndarray) -> np.ndarray:
-        return self.y[None, :] * (theta @ self.x.T)
+    def _workspace(self, rows: int):
+        """Views of rows x n of the workspace: three float buffers (P, e and
+        the losses) and the unclipped mask."""
+        if self._work is None or self._work[1].shape[0] < rows:
+            self._work = np.empty((3, rows, self.n)), np.empty((rows, self.n), dtype=bool)
+        floats, active = self._work
+        return (*floats[:, :rows], active[:rows])
+
+    def _pass(self, m: np.ndarray, s: float, z: np.ndarray, grads: bool = True):
+        """The draw losses at theta_k = m + s z_k and, with grads, the column
+        sums of coef and <coef, P> (see reparam_pass), in row blocks.  The
+        losses are summed in nats, one GEMV per block, and turned into log2
+        units on the draw means."""
+        neg_a = -(m @ self.yx_t)
+        step = _block_rows(self.n)
+        ones, ones_rows = np.ones(self.n), np.ones(min(step, z.shape[0]))
+        losses, col, dot = np.empty(z.shape[0]), np.zeros(self.n), 0.0
+        for i in range(0, z.shape[0], step):
+            p, e, raw, active = self._workspace(min(step, z.shape[0] - i))
+            np.matmul(s * z[i:i + step], self.yx_t, out=p)
+            raw = _logistic_clipped(np.subtract(neg_a, p, out=e), raw)
+            np.less(raw, _LOG2, out=active)
+            np.matmul(raw, ones, out=losses[i:i + step])
+            if grads:
+                coef = np.divide(e, np.add(e, 1.0, out=raw), out=e)
+                coef *= active
+                col += ones_rows[:coef.shape[0]] @ coef
+                dot += float(np.dot(coef.ravel(), p.ravel()))
+        losses /= self.n * _LOG2
+        # a sum of n entries of at most log 2 may round above n log 2
+        return np.minimum(losses, 1.0, out=losses), col, dot
 
     def loss(self, theta: np.ndarray) -> np.ndarray:
-        raw = _logistic_raw(self._margins(theta))
-        return np.minimum(raw, 1.0, out=raw).mean(axis=1)
+        """The mean loss of each row of theta: the draw losses of the fused
+        pass at m = 0, s = 1."""
+        theta = np.asarray(theta, dtype=float)
+        return self._pass(np.zeros(self.dim), 1.0, theta, grads=False)[0]
 
-    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = self._margins(theta)
-        raw = _logistic_raw(m)
-        active = raw < 1.0
-        loss = np.minimum(raw, 1.0, out=raw).mean(axis=1)
-        # d/dm of log2(1 + e^{-m}) is -sigmoid(-m)/log 2, zero where clipped
-        coef = np.exp(m, out=m)
-        coef += 1.0
-        np.reciprocal(coef, out=coef)
-        coef *= active
-        coef *= -self.y[None, :]
-        coef /= _LOG2
-        return loss, (coef @ self.x) / self.n
+    def reparam_pass(self, m: np.ndarray, s: float, z: np.ndarray):
+        """The draw losses at theta_k = m + s z_k, with the data term's gradient
+        in m and its derivative in log s, from one GEMM per row block.
+
+        P = (s Z)(y X)^T is the only GEMM, and the margins are M = P + (y X) m,
+        one GEMV.  e = e^{-max(M, 0)} is taken once, for log1p and for the
+        sigmoid: the loss's derivative in M is -1 / ((1 + e^M) log 2), which
+        is -e / ((1 + e) log 2) at M > 0, and 0 where the loss is clipped,
+        which it is wherever M <= 0.  So coef = e / (1 + e) on the unclipped
+        entries and 0 elsewhere.  Then the mean gradient is -colmean(coef)
+        (y X) / (n log 2), one GEMV, and the log s derivative, the mean over
+        draws of s z_k . grad_k, is -<coef, P> / (D n log 2), one dot, for D
+        draws.
+        """
+        losses, col, dot = self._pass(m, s, z)
+        draws = z.shape[0]
+        grad_m = (self.yx_t @ (col / draws)) / (-self.n * _LOG2)
+        return losses, grad_m, dot / (-draws * self.n * _LOG2)
 
     def subset(self, idx) -> "LogisticSurrogate":
-        return LogisticSurrogate(self.x[idx], self.y[idx])
+        return LogisticSurrogate.__new__(LogisticSurrogate)._use(self.yx_t[:, idx])
 
     def prior_mean(self) -> np.ndarray:
-        """theta after 25 gradient steps of size 0.5 from zero."""
-        theta = np.zeros((1, self.dim))
+        """theta after 25 gradient steps of size 0.5 from zero: the fused pass
+        at s = 0."""
+        m, z = np.zeros(self.dim), np.zeros((1, self.dim))
         for _ in range(25):
-            theta = theta - 0.5 * self.loss_grad(theta)[1]
-        return theta[0]
+            m = m - 0.5 * self.reparam_pass(m, 0.0, z)[1]
+        return m
 
 
-class ConstantSurrogate:
+class ConstantSurrogate(_PerDrawGradients):
     """Zero-dimensional objective with a constant loss; the degenerate case."""
 
     dim = 0
@@ -353,7 +430,7 @@ class ConstantSurrogate:
     def loss(self, theta: np.ndarray) -> np.ndarray:
         return np.full(theta.shape[0], self.value)
 
-    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.loss(theta), np.zeros_like(theta)
 
     def subset(self, idx) -> "ConstantSurrogate":
@@ -430,12 +507,15 @@ def optimize_gaussian_posterior(
     (``certificate="seeger"``, 0-1 scale).
 
     objective_data is any object with
-      dim, n             parameter dimension and number of examples
-      loss(theta)        mean loss in [0, C] per row of a (draws x dim) theta
-      loss_grad(theta)   (loss(theta), its (draws x dim) gradient), one pass;
-                         called once per iteration
-      subset(idx)        the same objective on the examples idx
-      prior_mean()       a parameter vector fit to the data (split runs only)
+      dim, n               parameter dimension and number of examples
+      loss(theta)          mean loss in [0, C] per row of a (draws x dim) theta
+      reparam_pass(m, s, z)
+                           at the draws theta_k = m + s z_k of a (draws x dim)
+                           z: (the draw losses, the gradient in m of their
+                           mean, its derivative in log s); the only call the
+                           loop makes, once per iteration
+      subset(idx)          the same objective on the examples idx
+      prior_mean()         a parameter vector fit to the data (split runs only)
     as QuadraticSurrogate, LogisticSurrogate and ConstantSurrogate are.
     """
     if not (prior_std > 0):
@@ -459,7 +539,7 @@ def optimize_gaussian_posterior(
     n_cert = work.n
 
     def kl_term(m, s):
-        return kl_gaussian_diag(DiagonalGaussian(mean=m - prior_mean, std=s), sigma)
+        return _kl_gaussian(m - prior_mean, s, sigma)
 
     cert_data = bounds.BoundData(None, n_cert, eps, C)
     m = prior_mean.copy()
@@ -467,19 +547,16 @@ def optimize_gaussian_posterior(
 
     def mc_objective_and_grads(m, log_s, rng, n_draws):
         s = math.exp(log_s)
-        if not (0.0 < s < math.inf) or not np.all(np.isfinite(m)):
+        if not (0.0 < s < math.inf) or not np.isfinite(m).all():
             raise OptimizationDiverged(
                 f"posterior parameters left the feasible region (std={s!r})"
             )
         z = rng.standard_normal((n_draws, d))
-        theta = m[None, :] + s * z
-        losses, grads = work.loss_grad(theta)
-        risk = float(losses.mean())
+        losses, data_grad_m, data_grad_logs = work.reparam_pass(m, s, z)
+        risk = float(_mean(losses))
         obj = bounds._catoni_linear(risk, kl_term(m, s), lam, cert_data)[0]
-        grad_m = grads.mean(axis=0) + (m - prior_mean) / (sigma**2 * lam)
-        grad_logs = float(np.mean(np.sum(grads * z, axis=1)) * s) + d * (
-            (s / sigma) ** 2 - 1.0
-        ) / lam
+        grad_m = data_grad_m + (m - prior_mean) / (sigma**2 * lam)
+        grad_logs = data_grad_logs + d * ((s / sigma) ** 2 - 1.0) / lam
         return obj, risk, grad_m, grad_logs
 
     best_obj = math.inf
@@ -491,7 +568,7 @@ def optimize_gaussian_posterior(
     rngs = child_rngs(cfg.seed, [(1, it) for it in range(cfg.max_iters)])
     for it, rng_it in enumerate(rngs):
         obj, risk, grad_m, grad_logs = mc_objective_and_grads(m, log_s, rng_it, cfg.mc_samples)
-        if not (np.all(np.isfinite(grad_m)) and math.isfinite(grad_logs) and math.isfinite(obj)):
+        if not (np.isfinite(grad_m).all() and math.isfinite(grad_logs) and math.isfinite(obj)):
             raise OptimizationDiverged(f"non-finite objective or gradient at iteration {it}")
         if initial_obj is None:
             initial_obj = obj

@@ -284,11 +284,12 @@ def mp_kl_inverse_upper(q: float, b: float, digits: int = 40):
 
 
 class TwoPassLogisticSurrogate:
-    """The logistic surrogate as the optimizer saw it before its one-pass loss_grad.
+    """The logistic surrogate as the optimizer saw it before its fused pass.
 
     loss and grad each recompute the margins and the clipped loss with
-    np.logaddexp; loss_grad only pairs the two calls, so the optimizer runs
-    unchanged on it.
+    np.logaddexp, and reparam_pass takes the optimizer's old per-draw step:
+    theta = m + s z, the per-draw gradients G = grad(theta), then G.mean(0)
+    and mean(sum(G z)) s.
     """
 
     def __init__(self, x, y):
@@ -307,15 +308,20 @@ class TwoPassLogisticSurrogate:
         raw = np.logaddexp(0.0, -self._margins(theta)) / math.log(2.0)
         return np.minimum(raw, 1.0).mean(axis=1)
 
-    def grad(self, theta):
+    def coef(self, theta):
+        """d loss_i / d margin_i per draw and example, times y_i: 0 where clipped."""
         m = self._margins(theta)
         raw = np.logaddexp(0.0, -m) / math.log(2.0)
         sig = 1.0 / (1.0 + np.exp(m))
-        coef = -(sig * (raw < 1.0)) * self.y[None, :] / math.log(2.0)
-        return (coef @ self.x) / self.n
+        return -(sig * (raw < 1.0)) * self.y[None, :] / math.log(2.0)
 
-    def loss_grad(self, theta):
-        return self.loss(theta), self.grad(theta)
+    def grad(self, theta):
+        return (self.coef(theta) @ self.x) / self.n
+
+    def reparam_pass(self, m, s, z):
+        theta = m[None, :] + s * z
+        grads = self.grad(theta)
+        return self.loss(theta), grads.mean(axis=0), float(np.mean(np.sum(grads * z, axis=1)) * s)
 
     def subset(self, idx):
         return TwoPassLogisticSurrogate(self.x[idx], self.y[idx])
@@ -325,6 +331,106 @@ class TwoPassLogisticSurrogate:
         for _ in range(steps):
             theta = theta - step_size * self.grad(theta)
         return theta[0]
+
+
+def optimize_gaussian_posterior_loop(objective_data, prior_std, cfg, lam, eps, C=1.0,
+                                     certificate="linear"):
+    """posteriors.optimize_gaussian_posterior as it was before reparam_pass.
+
+    Each step forms theta = m + s z, takes the per-draw losses and gradients
+    G from the objective's _loss_grad(theta), and reads the mean's gradient
+    off G.mean(0) and the log s derivative off mean(sum(G z)) s; the KL comes
+    from kl_gaussian_diag on a DiagonalGaussian built every step.
+    """
+    from dataclasses import replace
+
+    from pacbayes import bounds
+    from pacbayes._util import child_rng, child_rngs
+    from pacbayes.bounds import BoundInput
+    from pacbayes.divergences import DiagonalGaussian, kl_gaussian_diag
+    from pacbayes.posteriors import OptimizationDiverged
+
+    d = objective_data.dim
+    sigma = float(prior_std)
+    if cfg.split_fraction > 0:
+        perm = child_rng(cfg.seed, 0).permutation(objective_data.n)
+        n_prior = max(1, int(round(cfg.split_fraction * objective_data.n)))
+        prior_part = objective_data.subset(perm[:n_prior])
+        work = objective_data.subset(perm[n_prior:])
+        prior_mean = np.asarray(prior_part.prior_mean(), dtype=float)
+    else:
+        work = objective_data
+        prior_mean = np.zeros(d)
+    n_cert = work.n
+
+    def kl_term(m, s):
+        return kl_gaussian_diag(DiagonalGaussian(mean=m - prior_mean, std=s), sigma)
+
+    cert_data = bounds.BoundData(None, n_cert, eps, C)
+    m = prior_mean.copy()
+    log_s = math.log(sigma)
+
+    def mc_objective_and_grads(m, log_s, rng, n_draws):
+        s = math.exp(log_s)
+        if not (0.0 < s < math.inf) or not np.all(np.isfinite(m)):
+            raise OptimizationDiverged(f"posterior parameters left the feasible region ({s!r})")
+        z = rng.standard_normal((n_draws, d))
+        theta = m[None, :] + s * z
+        losses, grads = work._loss_grad(theta)
+        risk = float(losses.mean())
+        obj = bounds._catoni_linear(risk, kl_term(m, s), lam, cert_data)[0]
+        grad_m = grads.mean(axis=0) + (m - prior_mean) / (sigma**2 * lam)
+        grad_logs = float(np.mean(np.sum(grads * z, axis=1)) * s) + d * (
+            (s / sigma) ** 2 - 1.0
+        ) / lam
+        return obj, risk, grad_m, grad_logs
+
+    best_obj, best_params, best_risk = math.inf, (m.copy(), log_s), math.nan
+    initial_obj, bad_streak = None, 0
+    rngs = child_rngs(cfg.seed, [(1, it) for it in range(cfg.max_iters)])
+    for it, rng_it in enumerate(rngs):
+        obj, risk, grad_m, grad_logs = mc_objective_and_grads(m, log_s, rng_it, cfg.mc_samples)
+        if not (np.all(np.isfinite(grad_m)) and math.isfinite(grad_logs) and math.isfinite(obj)):
+            raise OptimizationDiverged(f"non-finite objective or gradient at iteration {it}")
+        if initial_obj is None:
+            initial_obj = obj
+        if obj < best_obj:
+            best_obj, best_params, best_risk, bad_streak = obj, (m.copy(), log_s), risk, 0
+        elif obj > max(10.0 * abs(initial_obj), initial_obj + 10.0):
+            bad_streak += 1
+            if bad_streak > cfg.patience:
+                raise OptimizationDiverged(f"objective stuck for {cfg.patience} iterations")
+        m = m - cfg.step_size * grad_m
+        log_s = log_s - cfg.step_size * grad_logs
+
+    m, log_s = best_params
+    s = math.exp(log_s)
+    gauss = DiagonalGaussian(mean=m, std=s)
+    z = child_rng(cfg.seed, 2).standard_normal((10 * cfg.mc_samples, d))
+    mc_risk = float(work.loss(m[None, :] + s * z).mean())
+    kl = kl_term(m, s)
+    extra = {"kl": kl, "mc_risk": mc_risk, "train_mc_risk": best_risk, "n_cert": n_cert}
+    if certificate == "linear":
+        inner = bounds.bound_catoni_linear(BoundInput(mc_risk, kl, n_cert, eps, C), lam)
+    else:
+        inner = bounds.bound_seeger_maurer(
+            BoundInput(emp_risk=min(mc_risk, 1.0), kl=kl, n=n_cert, eps=eps, C=1.0))
+    return gauss, replace(inner, details={**inner.details, **extra})
+
+
+def kl_log_prior_loop(r, logp):
+    """divergences._kl_log_prior as it was before it skipped the zeroing of
+    zero weights' terms: the terms of every r = 0 are set to 0 by one masked
+    copy, whatever logp holds."""
+    terms = np.empty(r.shape)
+    off = ~(r > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(r + off, out=terms)
+        terms -= logp
+        terms *= r
+    np.copyto(terms, 0.0, where=off)
+    kl = np.maximum(terms.sum(axis=-1), 0.0)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def subgaussian_by_hand(emp, kl, n, eps, C, lam):

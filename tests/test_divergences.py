@@ -22,12 +22,18 @@ from pacbayes.divergences import (
     kl_inverse_upper,
     kl_uniform_ball,
     _kl_inverse_upper_columns,
+    _kl_log_prior,
     _log_gibbs,
     _logsumexp,
 )
 from scipy.special import logsumexp
 
-from oracles import grid_kl_inverse, kl_gaussian_quadrature, mp_kl_inverse_upper
+from oracles import (
+    grid_kl_inverse,
+    kl_gaussian_quadrature,
+    kl_log_prior_loop,
+    mp_kl_inverse_upper,
+)
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 inner_probs = st.floats(min_value=1e-6, max_value=1 - 1e-6)
@@ -272,6 +278,32 @@ class TestKlDiscrete:
             if not np.allclose(rho.weights, pi.weights):
                 assert val > 0
             assert kl_discrete(rho, rho) == 0.0
+
+
+    # a prior with zero masses (log -inf), one whose log masses round above 0,
+    # and a finite one; weight rows with zeros on and off the prior's support
+    @pytest.mark.parametrize("logp", [
+        np.array([math.log(0.5), -math.inf, math.log(0.25), math.log(0.25), -math.inf]),
+        np.array([2.0**-52, 4.0 * 2.0**-52, -0.5, -1.5, 2.0**-51]),
+        np.log([0.1, 0.2, 0.3, 0.25, 0.15]),
+    ], ids=["minus_inf", "above_zero", "finite"])
+    def test_zero_weights_keep_the_masked_copys_bytes(self, logp):
+        rows = np.array([
+            [0.5, 0.0, 0.5, 0.0, 0.0],  # zeros where logp may be -inf
+            [0.2, 0.3, 0.1, 0.4, 0.0],  # weight where logp may be -inf
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.2, 0.2, 0.2, 0.2, 0.2],
+            [0.0, 0.0, 0.5, 0.5, 0.0],
+        ])
+        got = _kl_log_prior(rows, logp)
+        assert got.tobytes() == kl_log_prior_loop(rows, logp).tobytes()
+        work, mask = np.empty(rows.shape), np.empty(rows.shape, dtype=bool)
+        assert _kl_log_prior(rows, logp, work, mask).tobytes() == got.tobytes()
+        for row, want in zip(rows, got):
+            one = _kl_log_prior(row, logp)
+            assert np.float64(one).tobytes() == np.float64(kl_log_prior_loop(row, logp)).tobytes()
+            assert np.float64(one).tobytes() == want.tobytes()
 
 
 class TestChi2Discrete:

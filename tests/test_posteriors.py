@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pacbayes import divergences
+from pacbayes import divergences, posteriors
 from pacbayes.bounds import (
     BoundInput,
     bound_catoni_linear,
@@ -40,7 +40,7 @@ from pacbayes.posteriors import (
     model_select,
     optimize_gaussian_posterior,
     single_draw_certificate,
-    _logistic_raw,
+    _logistic_clipped,
 )
 
 from oracles import (
@@ -48,6 +48,7 @@ from oracles import (
     ewa_dp_max_regret,
     ewa_exhaustive_max_regret,
     ewa_run_loop,
+    optimize_gaussian_posterior_loop,
     single_draw_by_hand,
 )
 from test_cli_golden import FIXTURES
@@ -255,6 +256,22 @@ class TestGibbsFamily:
         rho, cert = minimize_bound_grid(pi, RiskTable(r, doc["n"]), grid, doc["eps"])
         assert cert.lam in grid.tolist()
         assert rho.weights.tobytes() == gibbs_posterior(pi, r, cert.lam).weights.tobytes()
+
+    @pytest.mark.parametrize("name", ["full.json", "noiseless.json"])
+    @pytest.mark.parametrize("block", [None, 1, 2], ids=["one_block", "row_blocks", "blocks"])
+    def test_minimize_bound_grid_keeps_the_winner_row_of_its_pass(self, name, block,
+                                                                  monkeypatch):
+        pi, r, doc = self.fixture(name)
+        if block is not None:
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block * r.size)
+        grid = lambda_grid_geometric(doc["n"])
+        want = gibbs_posterior(pi, r, minimize_bound_grid(pi, RiskTable(r, doc["n"]), grid,
+                                                          doc["eps"])[1].lam)
+        monkeypatch.setattr(posteriors, "gibbs_posterior", None)  # never rebuilt
+        # every entry twice puts ties across the blocks: the earlier copy wins
+        for lams in (grid, np.repeat(grid, 2)):
+            rho, cert = minimize_bound_grid(pi, RiskTable(r, doc["n"]), lams, doc["eps"])
+            assert rho.weights.tobytes() == want.weights.tobytes()
 
 
 class TestModelSelect:
@@ -540,30 +557,68 @@ class TestLogisticSurrogate:
     @example(700.0)
     @example(-700.0)
     def test_raw_loss_within_2_ulp_of_mpmath(self, m):
+        # the loss in nats, clipped at log 2 (log2(1 + e^{-m}) >= 1 at m <= 0)
         import mpmath as mp
 
-        with np.errstate(over="ignore"):
-            got = float(_logistic_raw(np.array([m]))[0])
+        got = float(_logistic_clipped(np.array([-m]))[0])
         with mp.workdps(50):
             # log1p, not log(1 + .): 1 + e^{-m} rounds to 1 at 50 digits once m > 115
-            want = float(mp.log1p(mp.exp(-mp.mpf(m))) / mp.log(2))
-        if math.isinf(want):  # log2(1 + e^{-m}) above the largest double, m < -1.24e308
-            assert got == want
-        else:
-            assert _ulps(got, want) <= 2, (m, got, want)
+            want = float(min(mp.log1p(mp.exp(-mp.mpf(m))), mp.log(2)))
+        assert _ulps(got, want) <= 2, (m, got, want)
 
     @pytest.mark.parametrize("make", [
         lambda: LogisticSurrogate(*_logistic_problem(0)),
         lambda: QuadraticSurrogate(np.random.default_rng(1).normal(0.3, 0.5, 300)),
         lambda: ConstantSurrogate(0.25, 100),
     ], ids=["logistic", "quadratic", "constant"])
-    def test_loss_grad_loss_is_loss_bit_for_bit(self, make):
+    def test_reparam_pass_losses_are_loss_bit_for_bit(self, make):
         surrogate = make()
-        # scale 3 puts many margins in the clipped region
+        # scale 3 puts many margins in the clipped region; at m = 0, s = 1 the
+        # draws theta = m + s z are z itself
         theta = 3.0 * np.random.default_rng(2).normal(size=(40, surrogate.dim))
-        loss, grad = surrogate.loss_grad(theta)
-        assert loss.shape == (40,) and grad.shape == theta.shape
-        assert np.array_equal(loss, surrogate.loss(theta))
+        losses, grad_m, grad_log_s = surrogate.reparam_pass(np.zeros(surrogate.dim), 1.0, theta)
+        assert losses.shape == (40,) and grad_m.shape == (surrogate.dim,)
+        assert isinstance(grad_log_s, float)
+        assert losses.tobytes() == surrogate.loss(theta).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_row_blocks(self, rows, monkeypatch):
+        # a GEMM row's bits depend on its place in the kernel's tiles, so the
+        # blocks move the losses by ulps, and loss and reparam_pass share them
+        x, y = _logistic_problem(0)
+        rng = np.random.default_rng(5)
+        theta = 3.0 * rng.normal(size=(40, x.shape[1]))
+        m, z = rng.normal(size=x.shape[1]), theta / 3.0
+        whole, whole_pass = (LogisticSurrogate(x, y).loss(theta),
+                             LogisticSurrogate(x, y).reparam_pass(m, 0.7, z))
+        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", rows * x.shape[0])
+        surrogate = LogisticSurrogate(x, y)
+        blocked = surrogate.loss(theta)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0)
+        losses, _, _ = surrogate.reparam_pass(np.zeros(x.shape[1]), 1.0, theta)
+        assert losses.tobytes() == blocked.tobytes()
+        for got, want in zip(surrogate.reparam_pass(m, 0.7, z), whole_pass):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert surrogate._work[1].shape[0] == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), draws=st.sampled_from([1, 32]),
+           s=st.sampled_from([0.0, 1e-3, 1.0, 3.0]), scale=st.sampled_from([0.3, 3.0]))
+    def test_reparam_pass_matches_the_per_draw_gradients(self, seed, draws, s, scale):
+        # scale 3 makes the margins clip-heavy; each result is held to 1e-12
+        # of the sum of the absolute values of the terms it adds up
+        rng = np.random.default_rng(seed)
+        x, y = _logistic_problem(seed % 1000, n=200, d=4)
+        m, z = scale * rng.normal(size=4), rng.standard_normal((draws, 4))
+        got = LogisticSurrogate(x, y).reparam_pass(m, s, z)
+        oracle = TwoPassLogisticSurrogate(x, y)
+        want = oracle.reparam_pass(m, s, z)
+        coef = np.abs(oracle.coef(m[None, :] + s * z))  # draws x n, 0 where clipped
+        scale_m = (coef @ np.abs(x)).sum(axis=0) / (draws * x.shape[0])
+        scale_s = s * float(np.sum((coef @ np.abs(x)) * np.abs(z))) / (draws * x.shape[0])
+        assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * want[0])
+        assert np.all(np.abs(got[1] - want[1]) <= 1e-12 * scale_m)
+        assert abs(got[2] - want[2]) <= 1e-12 * scale_s
 
     def test_gradient_matches_central_differences(self):
         x, y = _logistic_problem(3)
@@ -574,7 +629,9 @@ class TestLogisticSurrogate:
         keep = np.all(np.abs(margins) > 0.05, axis=0)
         assert keep.sum() > 100
         surrogate = LogisticSurrogate(x[keep], y[keep])
-        _, grad = surrogate.loss_grad(theta)
+        # at s = 0 every draw is m, so the mean gradient is the gradient at m
+        grad = np.array([surrogate.reparam_pass(row, 0.0, np.zeros((1, row.size)))[1]
+                         for row in theta])
         h = 1e-6
         for j in range(x.shape[1]):
             step = np.zeros_like(theta)
@@ -599,6 +656,22 @@ class TestLogisticSurrogate:
         assert c_new.bound_id == c_old.bound_id
         # a mean far from zero, so the relative comparison says something
         assert np.max(np.abs(g_new.mean)) > 0.1
+
+    @pytest.mark.parametrize("make, split", [
+        (lambda: QuadraticSurrogate(np.random.default_rng(1).normal(0.3, 0.5, 300)), 0.0),
+        (lambda: QuadraticSurrogate(np.random.default_rng(1).normal(2.0, 0.5, 300)), 0.5),
+        (lambda: ConstantSurrogate(0.25, 100), 0.0),
+        (lambda: ConstantSurrogate(0.25, 100), 0.5),
+    ], ids=["quadratic", "quadratic-split", "constant", "constant-split"])
+    @pytest.mark.parametrize("certificate", ["linear", "seeger"])
+    def test_per_draw_surrogates_keep_the_old_loops_bytes(self, make, split, certificate):
+        cfg = VariationalConfig(mc_samples=16, max_iters=150, seed=4, split_fraction=split)
+        runs = [run(make(), 1.0, cfg, 50.0, 0.05, certificate=certificate)
+                for run in (optimize_gaussian_posterior, optimize_gaussian_posterior_loop)]
+        (g_new, c_new), (g_old, c_old) = runs
+        assert g_new.mean.tobytes() == g_old.mean.tobytes()
+        assert g_new.std.hex() == g_old.std.hex()
+        assert repr(c_new) == repr(c_old)
 
 
 class TestGaussianQuadraticTask:
