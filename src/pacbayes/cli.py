@@ -387,7 +387,8 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
         scores = np.hstack([np.atleast_2d(entry.values(priced, w, e, k, lams))
                             for w, e, k in blocks])
         j, i = divmod(int(np.argmin(scores)), len(rows))
-        results.append(entry.certify(priced, DiscreteDistribution(rows[i]),
+        # each row is a checked Gibbs row or the ERM Dirac
+        results.append(entry.certify(priced, DiscreteDistribution(rows[i], _checked=True),
                                      float(emp[i]), float(kl[i]), lams[j]))
     results.sort(key=lambda c: c.value)
     return results

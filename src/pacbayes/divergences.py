@@ -14,7 +14,7 @@ mutate their inputs and hold no state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -47,16 +47,19 @@ def _check_weights(w: np.ndarray) -> None:
 class DiscreteDistribution:
     """Probability mass vector over a finite hypothesis index set {0..M-1}.
 
-    Weights must be nonnegative and sum to 1 within 1e-12.
+    Weights must be nonnegative and sum to 1 within 1e-12.  _checked=True is
+    for a weight vector the library has just passed through _check_weights.
     """
 
     weights: np.ndarray
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-D vector")
-        _check_weights(w)
+        if not _checked:
+            _check_weights(w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -514,7 +517,7 @@ def gibbs_reweight(pi: DiscreteDistribution, h) -> DiscreteDistribution:
         raise ValueError("h must match the support size")
     if not np.all(np.isfinite(h)):
         raise ValueError("h must be finite")
-    return DiscreteDistribution(_gibbs_weights(_safe_log(pi.weights), h))
+    return DiscreteDistribution(_gibbs_weights(_safe_log(pi.weights), h), _checked=True)
 
 
 def dv_gap(h, rho: DiscreteDistribution, pi: DiscreteDistribution) -> float:

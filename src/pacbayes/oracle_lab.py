@@ -24,7 +24,6 @@ from .bounds import bernstein_g
 from .divergences import (
     DiscreteDistribution,
     gibbs_reweight,
-    kl_discrete,
     _gibbs_family,
     _kl_log_prior,
     _log_gibbs,
@@ -383,30 +382,27 @@ def estimate_bernstein_constant(
 # ---------------------------------------------------------------------------
 
 
-def _rho_family_inf(pi: DiscreteDistribution, R: np.ndarray, extra_betas, objective,
-                    against: Optional[DiscreteDistribution] = None) -> float:
-    """inf of objective(E_rho[R], KL(rho || against)), against defaulting to pi.
+def _dv_inf(pi: DiscreteDistribution, r: np.ndarray, beta: float) -> float:
+    """inf over rho of E_rho[r] + KL(rho || pi)/beta, in closed form.
 
-    rho ranges over the Gibbs reweightings pi_{-beta R} and the Dirac masses
-    on pi's support, skipping infinite KL.  The Gibbs family contains the
-    exact minimizer of E_rho[R] + c KL(rho||pi) for every c > 0, so with the
-    matching beta among ``extra_betas`` the infimum is exact, not a heuristic.
-    The family is evaluated as arrays: the Gibbs candidates as (beta x M)
-    weight matrices, one when M <= 450, and the Diracs in closed form,
-    E_delta_j[R] = R_j and KL(delta_j || q) = log(1/q_j); ``objective``
-    takes arrays.
+    The Donsker-Varadhan formula gives it as -log E_pi[e^{-beta r}]/beta,
+    reached at the Gibbs measure pi_{-beta r}.  With r0 = min r and
+    u = E_pi[e^{-beta (r - r0)}] - 1, summed from expm1 terms that are all
+    <= 0, the log is -beta r0 + log1p(u) while u >= -1/2: so it keeps its
+    relative accuracy as beta -> 0, where it nears 0.  Below, the log is at
+    least log 2 in size, and it is one _logsumexp of log pi - beta r.  A
+    beta r that is not finite raises ValueError, as it does for the Gibbs
+    family: the closed form would return +inf or 0 there.
     """
-    logq = _safe_log((pi if against is None else against).weights)
-    betas = np.concatenate(
-        [np.array([0.0]), np.geomspace(1e-6, 1e8, 141), np.asarray(extra_betas, dtype=float)]
-    )
-    gibbs_risks, gibbs_kls = zip(*((risk, kl) for _, risk, kl
-                                   in _gibbs_family(_safe_log(pi.weights), R, betas, logq)))
-    support = pi.weights > 0
-    risks = np.concatenate([*gibbs_risks, R[support]])
-    kls = np.maximum(np.concatenate([*gibbs_kls, -logq[support]]), 0.0)
-    finite = ~np.isinf(kls)
-    return float(np.min(objective(risks[finite], kls[finite]), initial=math.inf))
+    if not (beta > 0 and math.isfinite(beta * float(np.abs(r).max()))):
+        raise ValueError("h = -lambda r must be finite, with lambda > 0 and "
+                         "lambda * max |r| finite")
+    r0 = float(r.min())
+    with np.errstate(over="ignore"):  # a spread beta (r - r0) of inf has expm1 -1
+        u = float(np.dot(pi.weights, np.expm1(-beta * (r - r0))))
+    if u >= -0.5:
+        return r0 - math.log1p(u) / beta
+    return -_logsumexp(_safe_log(pi.weights) - beta * r) / beta
 
 
 def oracle_bound_rhs(
@@ -426,6 +422,11 @@ def oracle_bound_rhs(
       "probability"  inf_rho E_rho[R] + lam C^2/(4n) + 2 (KL + log(2/eps))/lam
       "fast"         2 inf_rho {E_rho[R] - R* + max(2K, C) KL(rho||pi)/n},
                      the excess-risk form at the prescribed lam = n/max(2K, C)
+    Each infimum is the Donsker-Varadhan identity
+    inf_rho {E_rho[g] + KL(rho||pi)/beta} = -log E_pi[e^{-beta g}]/beta, reached
+    at the Gibbs measure pi_{-beta g}: one closed form per call, at temperature
+    beta = lam (expectation), lam/2 (probability) or n/max(2K, C) (fast, with
+    g = R - R*).
     Every variant needs losses in [0, C]: a task with C = inf raises ValueError.
     """
     _check_bounded(task, f"the {variant} oracle")
@@ -434,30 +435,18 @@ def oracle_bound_rhs(
     if variant == "fast":
         if K is None:
             K = estimate_bernstein_constant(task).K
-        scale = max(2.0 * K, C)
-        best = _rho_family_inf(
-            pi, R, (n / scale,),
-            lambda risk, kl: np.maximum(risk - task.risk_star, 0.0) + scale * kl / n,
-        )
-        return 2.0 * best
+        return 2.0 * _dv_inf(pi, task.gaps, n / max(2.0 * K, C))
     if lam is None:
         raise ValueError(f"the {variant!r} variant needs a lambda")
     bounds._check_lambda(lam)
     if variant == "expectation":
-        const = lam * bounds._square(C) / (8.0 * n)
-        kl_coef, kl_shift = 1.0 / lam, 0.0
-        beta_opt = lam
-    elif variant == "probability":
+        return lam * bounds._square(C) / (8.0 * n) + _dv_inf(pi, R, lam)
+    if variant == "probability":
         if eps is None or not (0 < eps < 1):
             raise ValueError("the probability variant needs eps in (0, 1)")
         const = lam * bounds._square(C) / (4.0 * n)
-        kl_coef, kl_shift = 2.0 / lam, 2.0 * bounds._log_inv(eps, 2.0) / lam
-        beta_opt = lam / 2.0
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _rho_family_inf(
-        pi, R, (beta_opt,), lambda risk, kl: risk + const + kl_coef * kl + kl_shift
-    )
+        return const + _dv_inf(pi, R, lam / 2.0) + 2.0 * bounds._log_inv(eps, 2.0) / lam
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -576,8 +565,14 @@ def localized_oracle_rhs(
     """Localized oracle right-hand side at the fast-rate temperature.
 
     Localization replaces the prior with its Gibbs reweighting by the true
-    risk, pi_{-(lam/4) R} with lam = n/max(2K, C); choosing rho in the same
-    Gibbs family makes the KL term collapse and removes the log(M) factor.
+    risk, pi' = pi_{-(lam/4) R} with lam = n/max(2K, C); choosing rho in the
+    same Gibbs family makes the KL term collapse and removes the log(M)
+    factor.  The value, 3 inf_rho {E_rho[g] + KL(rho||pi')/beta} with
+    g = R - R* and beta = 3 lam/4, is in closed form by the Donsker-Varadhan
+    identity: -(4/lam) log E_pi'[e^{-(3 lam/4) g}], reached at
+    pi'_{-(3 lam/4) g} = pi_{-lam R}.  Relative to pi it reads
+    (4/lam) [log E_pi e^{-(lam/4) g} - log E_pi e^{-lam g}], the log moment
+    generating function at the two temperatures lam/4 and lam.
     Both m_tau split conventions are reported as diagnostics because the
     source display pairs the decayed exponential with the wrong count.
     """
@@ -586,17 +581,15 @@ def localized_oracle_rhs(
     C = task.C
     scale = max(2.0 * K, C)
     lam = n / scale
-    beta = lam / 4.0
-    local_prior = gibbs_reweight(pi, -beta * R)
-    best = _rho_family_inf(
-        pi, R, (beta, lam),
-        lambda risk, kl: 3.0 * np.maximum(risk - task.risk_star, 0.0) + 4.0 * scale * kl / n,
-        against=local_prior,
-    )
-
     gaps = task.gaps
-    kl_star = kl_discrete(DiscreteDistribution.dirac(task.m, task.theta_star), local_prior)
-    closed_form = 4.0 * scale * kl_star / n
+    local_prior = gibbs_reweight(pi, -(lam / 4.0) * R)
+    best = 3.0 * _dv_inf(local_prior, gaps, 0.75 * lam)
+    # KL(delta_theta* || pi') = log1p(T), T the sum of pi' over theta != theta*
+    # over pi'(theta*): nonnegative terms, so the KL keeps its digits where T
+    # is tiny, as the value does
+    star = float(local_prior.weights[task.theta_star])
+    tail = float(np.delete(local_prior.weights, task.theta_star).sum())
+    closed_form = 4.0 * scale * (math.log1p(tail / star) if star > 0 else math.inf) / n
 
     if tau is None:
         positive = gaps[gaps > 0]

@@ -114,7 +114,7 @@ def minimize_bound_grid(
 
     The posteriors come from one pass of divergences._gibbs_family, whose
     rows have gibbs_posterior's bits; the pass keeps the row of the best
-    value so far, so the winner is not built a second time.
+    value so far, so the winner is not built or checked a second time.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
@@ -133,7 +133,7 @@ def minimize_bound_grid(
         i += emp.size
     entries = list(zip(grid.tolist(), np.concatenate(emps).tolist(), np.concatenate(kls).tolist()))
     cert = bounds.bound_lambda_grid(entries, n, eps, C)
-    return DiscreteDistribution(best[1]), cert
+    return DiscreteDistribution(best[1], _checked=True), cert
 
 
 def model_select(
@@ -403,7 +403,9 @@ class LogisticSurrogate:
         return losses, grad_m, dot / (-draws * self.n * _LOG2)
 
     def subset(self, idx) -> "LogisticSurrogate":
-        return LogisticSurrogate.__new__(LogisticSurrogate)._use(self.yx_t[:, idx])
+        # a column gather is F-ordered: the GEMMs run slower through that layout
+        return LogisticSurrogate.__new__(LogisticSurrogate)._use(
+            np.ascontiguousarray(self.yx_t[:, idx]))
 
     def prior_mean(self) -> np.ndarray:
         """theta after 25 gradient steps of size 0.5 from zero: the fused pass

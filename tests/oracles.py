@@ -156,11 +156,12 @@ def ewa_dp_max_regret(m: int, horizon: int, eta: float) -> float:
 def rho_family_inf_loop(pi, R, extra_betas, objective, against=None) -> float:
     """inf of objective(E_rho[R], KL(rho || against)) one candidate at a time.
 
-    The scalar loop the laboratory ran before its array pass: rho ranges over
-    the Gibbs reweightings pi_{-beta R} on the same beta grid (normalized with
-    scipy's logsumexp) and the Dirac masses on pi's support, each with its own
-    KL sum; candidates with infinite KL are skipped.  pi and against are
-    weight vectors.
+    The scalar scan the laboratory ran before its array pass and, later, its
+    closed form: rho ranges over the Gibbs reweightings pi_{-beta R} on a
+    141-point beta grid in [1e-6, 1e8], beta = 0 and extra_betas (normalized
+    with scipy's logsumexp), and the Dirac masses on pi's support, each with
+    its own KL sum; candidates with infinite KL are skipped.  pi and against
+    are weight vectors.
     """
     from scipy.special import logsumexp
 
@@ -187,6 +188,46 @@ def rho_family_inf_loop(pi, R, extra_betas, objective, against=None) -> float:
         kl = max(float(np.sum(rho[mask] * np.log(rho[mask] / q[mask]))), 0.0)
         best = min(best, float(objective(float(np.dot(rho, R)), kl)))
     return best
+
+
+def mp_oracle_rhs(variant, pi, R, C, n, *, lam=None, eps=None, K=None, digits: int = 60):
+    """oracle_lab's oracle right-hand sides from the Donsker-Varadhan formula in mpmath.
+
+    inf_rho {E_rho[g] + KL(rho || pi)/beta} = -log E_pi[e^{-beta g}]/beta,
+    E_pi a direct sum over pi's masses divided by their sum, at ``digits``
+    digits.  "fast" is that at beta = n/max(2K, C) and g = R - R*, doubled;
+    "localized" gives (value, closed_form) at lam = n/max(2K, C):
+    (4/lam) [log E_pi e^{-(lam/4) g} - log E_pi e^{-lam g}] and the Dirac
+    choice (4/lam) [log E_pi e^{-(lam/4) g} - log pi(theta*)].  pi and R are
+    float vectors; every input enters exactly, and the result is rounded once.
+    """
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        w = [mp.mpf(float(x)) for x in pi]
+        total = mp.fsum(w)
+        risks = [mp.mpf(float(x)) for x in R]
+        star = int(np.argmin(R))
+        gaps = [r - risks[star] for r in risks]
+
+        def log_mgf(beta, r):
+            return mp.log(mp.fsum(wj * mp.exp(-beta * rj) for wj, rj in zip(w, r) if wj) / total)
+
+        C, n = mp.mpf(C), mp.mpf(n)
+        if variant == "expectation":
+            lam = mp.mpf(lam)
+            return float(lam * C**2 / (8 * n) - log_mgf(lam, risks) / lam)
+        if variant == "probability":
+            lam = mp.mpf(lam)
+            return float(lam * C**2 / (4 * n) - 2 * log_mgf(lam / 2, risks) / lam
+                         + 2 * mp.log(2 / mp.mpf(eps)) / lam)
+        temp = n / max(2 * mp.mpf(K), C)
+        if variant == "fast":
+            return float(-2 * log_mgf(temp, gaps) / temp)
+        assert variant == "localized", variant
+        local = log_mgf(temp / 4, gaps)
+        closed = 4 * (local - mp.log(w[star] / total)) / temp if w[star] else mp.inf
+        return float(4 * (local - log_mgf(temp, gaps)) / temp), float(closed)
 
 
 def pi_dimension_loop(pi, true_risk, C):

@@ -29,11 +29,12 @@ from pacbayes.oracle_lab import (
     validate_geometric_grid,
     verify_exponential_moment,
     violation_experiment,
-    _rho_family_inf,
+    _dv_inf,
 )
 
 from oracles import (
     bernstein_ratios_loop,
+    mp_oracle_rhs,
     pi_dimension_loop,
     rate_experiment_loop,
     rho_family_inf_loop,
@@ -230,7 +231,8 @@ class TestThresholdSampler:
 
 
 class TestRhoFamilyInf:
-    """The one-pass infimum matches the candidate-at-a-time loop."""
+    """The Donsker-Varadhan closed form matches the candidate-at-a-time loop
+    and the library's blocked Gibbs family pass."""
 
     @staticmethod
     def objectives(R):
@@ -241,6 +243,10 @@ class TestRhoFamilyInf:
             lambda risk, kl: np.maximum(risk - r_star, 0.0) + 4.0 * kl / 700.0,
             lambda risk, kl: 3.0 * np.maximum(risk - r_star, 0.0) + 12.0 * kl / 90.0,
         ]
+
+    # each objective as mult (E_rho[R - excess * R*] + KL/beta) + const
+    TERMS = [(1.0, 20.0, 0.0, 0.01), (1.0, 15.0, 0.0, 2.0 * math.log(40.0) / 30.0),
+             (1.0, 175.0, 1.0, 0.0), (3.0, 22.5, 1.0, 0.0)]
 
     NAMES = ["M1", "M2", "M41", "M1001", "prior_zeros", "against_zeros",
              "against_all_zero_on_support"]
@@ -269,28 +275,44 @@ class TestRhoFamilyInf:
 
     @classmethod
     @functools.cache
-    def loop_inf(cls, name, extra, index):
-        """The reference loop's infimum at a case, extra betas and objective
-        index, computed once: unlike the library pass, it takes no block size."""
+    def loop_inf(cls, name, extra, index, family="q"):
+        """The reference loop's infimum over the Gibbs family of q (the KL
+        reference, pi unless the case gives another) or of pi, with the
+        objective's own beta and the extra betas, computed once."""
         R, pi, against = cls.case(name)
-        q = None if against is None else against.weights
-        return rho_family_inf_loop(pi.weights, R, extra, cls.objectives(R)[index], against=q)
+        q = against or pi
+        base = q if family == "q" else pi
+        betas = (cls.TERMS[index][1], *extra)
+        return rho_family_inf_loop(base.weights, R, betas, cls.objectives(R)[index],
+                                   against=q.weights)
 
     @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("extra", [(), (3.0,), (0.5, 250.0)])
     @pytest.mark.parametrize("block", [None, 1, 500], ids=["one_block", "row_blocks", "blocks"])
     def test_matches_the_loop(self, name, extra, block, monkeypatch):
+        # With KL reference q, inf_rho mult (E_rho[R - shift] + KL(rho||q)/beta) + const
+        # is mult _dv_inf(q, R - shift, beta) + const: equal to the loop over q's
+        # Gibbs family, to the objective at the beta row of the family pass in
+        # every block layout, and below every other row.  Where q is not pi, it
+        # is also below the loop over pi's family, which is +inf when q is 0 on
+        # pi's support.
         if block is not None:
             monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
         R, pi, against = self.case(name)
-        for index, objective in enumerate(self.objectives(R)):
-            got = _rho_family_inf(pi, R, extra, objective, against=against)
-            want = self.loop_inf(name, extra, index)
-            if name == "against_all_zero_on_support":
-                assert got == want == math.inf
-            else:
-                assert math.isfinite(got)
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        q = against or pi
+        logq = divergences._safe_log(q.weights)
+        for index, (objective, (mult, beta, excess, const)) in enumerate(
+                zip(self.objectives(R), self.TERMS)):
+            got = mult * _dv_inf(q, R - excess * R.min(), beta) + const
+            assert math.isfinite(got)
+            assert got == pytest.approx(self.loop_inf(name, extra, index), rel=1e-12, abs=0.0)
+            rows = [objective(risk, kl) for _, risk, kl
+                    in divergences._gibbs_family(logq, R, [beta, *extra], logq)]
+            values = np.concatenate(rows)
+            assert values[0] == pytest.approx(got, rel=1e-12, abs=0.0)
+            assert np.all(values >= got * (1.0 - 1e-12))
+            if against is not None:
+                assert got <= self.loop_inf(name, extra, index, "pi") * (1.0 + 1e-12)
 
     def test_public_rhs_match_the_loop(self):
         task = make_synthetic_task("risk_table", {"p": np.linspace(0.1, 0.7, 30).tolist()}, 0)
@@ -662,6 +684,88 @@ class TestLocalizedOracle:
             res = localized_oracle_rhs(task, pi, K, n)
             assert res.closed_form <= 4 * res.scale * math.log(m) / n + 1e-12
             assert res.value <= res.closed_form + 1e-12
+
+
+def table_task(R, C):
+    """A task with true risks R and loss range C: all the oracle right-hand sides read."""
+    task = SyntheticTask()
+    task.true_risk, task.theta_star, task.C = np.asarray(R, dtype=float), int(np.argmin(R)), C
+    return task
+
+
+class TestDonskerVaradhanClosedForm:
+    """Every oracle right-hand side against the 60-digit Donsker-Varadhan oracle."""
+
+    NAMES = ["M1", "M41", "prior_zeros", "C2"]
+
+    @classmethod
+    def case(cls, name):
+        rng = np.random.default_rng(cls.NAMES.index(name))
+        m = 1 if name == "M1" else 41
+        pi = rng.random(m) + 0.01
+        if name == "prior_zeros":
+            # theta* carries no prior mass, so pi_{-beta R} concentrates on a positive gap
+            R = rng.uniform(0.05, 0.9, m)
+            pi[rng.random(m) < 0.4] = 0.0
+            pi[int(np.argmin(R))] = 0.0
+            pi[0] = 1.0
+            return table_task(R, 1.0), DiscreteDistribution.from_weights(pi)
+        if name == "C2":
+            # gaps of at least 0.04: at beta = 1e4 the localized value is near e^{-100}
+            R = rng.permutation(np.linspace(0.2, 1.8, m))
+            return table_task(R, 2.0), DiscreteDistribution.from_weights(pi)
+        return table_task(rng.uniform(0.05, 0.9, m), 1.0), DiscreteDistribution.from_weights(pi)
+
+    @pytest.mark.parametrize("beta", [1e-6, 1e-3, 1.0, 30.0, 1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_variant(self, name, beta):
+        task, pi = self.case(name)
+        C, n, eps = task.C, 500, 0.05
+        w, R = pi.weights, task.true_risk
+        # the temperature of expectation is lam, of probability lam/2
+        got = oracle_bound_rhs(task, pi, beta, "expectation", n=n)
+        want = mp_oracle_rhs("expectation", w, R, C, n, lam=beta)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        got = oracle_bound_rhs(task, pi, 2.0 * beta, "probability", n=n, eps=eps)
+        want = mp_oracle_rhs("probability", w, R, C, n, lam=2.0 * beta, eps=eps)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # fast and localized run at lam = n/max(2K, C); 2K = C and n = beta C make it beta
+        K, n = C / 2.0, beta * C
+        got = oracle_bound_rhs(task, pi, None, "fast", n=n, K=K)
+        want = mp_oracle_rhs("fast", w, R, C, n, K=K)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        loc = localized_oracle_rhs(task, pi, K, n)
+        value, closed_form = mp_oracle_rhs("localized", w, R, C, n, K=K)
+        assert loc.lam == beta
+        assert loc.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert loc.closed_form == pytest.approx(closed_form, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_probability_at_a_subnormal_eps(self, name):
+        task, pi = self.case(name)
+        for lam in (1e-3, 40.0):
+            got = oracle_bound_rhs(task, pi, lam, "probability", n=500, eps=5e-324)
+            want = mp_oracle_rhs("probability", pi.weights, task.true_risk, task.C, 500,
+                                 lam=lam, eps=5e-324)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_overflowing_temperature_refused(self):
+        # lam R = 1.5e308 * 1.8 overflows: the closed form would read +inf
+        task, pi = self.case("C2")
+        with pytest.raises(ValueError, match="h = -lambda r must be finite"):
+            oracle_bound_rhs(task, pi, 1.5e308, "expectation", n=500)
+
+    def test_no_gibbs_family_pass(self, monkeypatch):
+        # one closed form per temperature: the right-hand sides never scan a family
+        def refuse(*args):
+            raise AssertionError("_gibbs_family called")
+
+        monkeypatch.setattr(divergences, "_gibbs_family", refuse)
+        monkeypatch.setattr(oracle_lab, "_gibbs_family", refuse)
+        task, pi = self.case("M41")
+        for variant, lam in [("expectation", 40.0), ("probability", 40.0), ("fast", None)]:
+            assert math.isfinite(oracle_bound_rhs(task, pi, lam, variant, n=500, eps=0.05, K=1.0))
+        assert math.isfinite(localized_oracle_rhs(task, pi, 1.0, 500).value)
 
 
 class TestViolationExperiment:

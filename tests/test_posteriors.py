@@ -115,6 +115,23 @@ class TestGibbsPosterior:
         rescaled = gibbs_posterior(pi, 3.0 * r, 7.0 / 3.0)
         assert np.max(np.abs(base.weights - rescaled.weights)) <= 1e-12
 
+    def test_weights_are_checked_once(self, monkeypatch):
+        # _gibbs_weights checks the row; the distribution is built from it unchecked
+        calls, pi, check = [], DiscreteDistribution.uniform(3), divergences._check_weights
+
+        def counted(w):
+            calls.append(w)
+            check(w)
+
+        monkeypatch.setattr(divergences, "_check_weights", counted)
+        out = gibbs_posterior(pi, RISKS3, 10.0)
+        assert len(calls) == 1
+        assert not out.weights.flags.writeable
+        # the public constructor still checks (see also TestDiscreteDistribution)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DiscreteDistribution(np.array([0.5, math.nan, 0.5]))
+        assert len(calls) == 2
+
     def test_concentrates_on_erm(self):
         out = gibbs_posterior(DiscreteDistribution.uniform(3), RISKS3, 1e6)
         assert out.weights[0] >= 1 - 1e-6
@@ -580,6 +597,17 @@ class TestLogisticSurrogate:
         assert losses.shape == (40,) and grad_m.shape == (surrogate.dim,)
         assert isinstance(grad_log_s, float)
         assert losses.tobytes() == surrogate.loss(theta).tobytes()
+
+    def test_subset_keeps_a_c_contiguous_layout(self):
+        # a column gather of (y X)^T is F-ordered; the subset copies it to C order
+        surrogate = LogisticSurrogate(*_logistic_problem(0))
+        idx = np.random.default_rng(3).permutation(surrogate.n)[:150]
+        part = surrogate.subset(idx)
+        assert part.yx_t.flags.c_contiguous and part.n == 150
+        assert part.yx_t.tobytes() == np.ascontiguousarray(surrogate.yx_t[:, idx]).tobytes()
+        theta = 3.0 * np.random.default_rng(2).normal(size=(40, part.dim))
+        losses, _, _ = part.reparam_pass(np.zeros(part.dim), 1.0, theta)
+        assert losses.tobytes() == part.loss(theta).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 7, 40])
     def test_row_blocks(self, rows, monkeypatch):
