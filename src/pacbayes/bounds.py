@@ -32,9 +32,8 @@ Conventions
   the formula at floats.  ``CatalogEntry.values`` makes certify's checks
   once per column and returns the values of certify, bit for bit, one per
   posterior.  expm1 stays one scalar call per element so its bits do not
-  move; the kl inverse does too on a column shorter than
-  ``_KL_INVERSE_COLUMN_MIN``, and a longer one takes its array twin, which
-  has the same bits.
+  move, and the kl inverse is one ``kl_inverse_upper`` call per column,
+  which gives each element the bits of its one-posterior call.
 * Every bound is a theorem for n i.i.d. losses in [0, C], a confidence
   level eps, a fixed lambda > 0 and KL >= 0.  Three checks state these
   hypotheses once each, NaN failing every test: ``_check_inputs`` (n an
@@ -70,7 +69,6 @@ from .divergences import (
     _bisect_upper,
     _chi2_rows,
     _gibbs_weights,
-    _kl_inverse_upper_columns,
     _kl_log_prior,
     _row_blocks,
     _row_dots,
@@ -420,24 +418,9 @@ def _seeger_nats(kl, s):
     return kl + _log_inv(s.eps, 2.0 * math.sqrt(s.n))
 
 
-#: Columns of at least this many posteriors take the array kl inverse
-#: (divergences._kl_inverse_upper_columns), shorter ones (one certificate,
-#: compare's candidates) the scalar kl_inverse_upper per element; both give
-#: the same bits.  The array twin costs 1.0-1.6 ms at any size, the scalar
-#: path 30-55 us per element.  Medians of 7 (10 calls each) on a shared
-#: 2-CPU Xeon host at mc_lab's budgets, scalar / array: 16 elements
-#: 0.87 / 1.56 ms, 28 1.43-1.61 / 1.55-1.60, 32 1.67 / 1.42-1.53,
-#: 64 3.3 / 1.5, 100 4.8-5.0 / 1.55-1.59.
-_KL_INVERSE_COLUMN_MIN = 32
-
-
 def _seeger(q, kl, lam, s, W=None):
     budget = _seeger_nats(kl, s) / s.n
-    # each value has the bits of its one-posterior call on either path
-    if np.broadcast(q, budget).size >= _KL_INVERSE_COLUMN_MIN:
-        value = _kl_inverse_upper_columns(q, budget)
-    else:
-        value = np.vectorize(kl_inverse_upper, otypes=[float])(q, budget)
+    value = kl_inverse_upper(q, budget)
     return value, {"empirical": q, "complexity": value - q, "slack": 0.0}, {"budget": budget}
 
 

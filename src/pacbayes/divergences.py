@@ -150,7 +150,17 @@ def kl_bernoulli(p: float, q: float) -> float:
     return max(out, 0.0)
 
 
-def kl_inverse_upper(q: float, b: float) -> float:
+#: kl_inverse_upper bisects a column of at least this many elements in one
+#: masked array pass and a shorter one element by element.  The masked pass
+#: costs 1.3-1.5 ms up to a few hundred elements, the loop about 0.05 ms an
+#: element, so they cross near 30 (medians of 7 on a 2-CPU host: 16 elements
+#: 0.86 / 1.45 ms).  Both stay: the masked pass alone would make a
+#: one-element certificate about 18x slower, the loop alone a 100-trial
+#: column 3-5x slower.
+_KL_INVERSE_COLUMN_MIN = 32
+
+
+def kl_inverse_upper(q, b):
     """Largest p in [q, 1] with kl(q|p) <= b, by bisection, rounded up.
 
     This is the inversion used to turn Seeger-style statements
@@ -158,19 +168,27 @@ def kl_inverse_upper(q: float, b: float) -> float:
     and increasing on [q, 1), which makes bisection exact up to 1e-9;
     the result is never below the true inverse and at most 1e-9 above.
 
-    This is the scalar path: one Python kl_bernoulli call per bisection
-    step, about 30 per call.  ``_kl_inverse_upper_columns`` is its array
-    twin, one masked bisection over columns of (q, b) with the bits of this
-    function element by element; ``bounds._seeger`` switches to it for
-    columns of at least ``bounds._KL_INVERSE_COLUMN_MIN`` posteriors.
+    Two numbers give a float.  Arrays broadcast to one inverse per element,
+    in the broadcast shape, each with the bits of its one-element call.  A q
+    outside [0, 1], or else a b below 0 or NaN, raises ValueError naming the
+    first such value.  Fewer than ``_KL_INVERSE_COLUMN_MIN`` elements bisect
+    one by one, about 30 kl_bernoulli calls each; a longer column takes
+    ``_kl_inverse_upper_columns``, one masked bisection with the same bits.
     """
-    q = _check_probability("q", q)
-    b = float(b)
-    if not (b >= 0):
-        raise ValueError(f"budget b must be nonnegative, got {b!r}")
-    if b == 0.0 or q == 1.0:
-        return q if q < 1.0 else 1.0
-    return _bisect_upper(lambda p: kl_bernoulli(q, p) <= b, q, 1.0, 1e-9)
+    qa, ba = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(b, dtype=float))
+    q_ok = (qa >= 0.0) & (qa <= 1.0)
+    if not q_ok.all():
+        _check_probability("q", qa[~q_ok][0])
+    if not (ba >= 0.0).all():
+        raise ValueError(f"budget b must be nonnegative, got {float(ba[~(ba >= 0.0)][0])!r}")
+    if qa.size >= _KL_INVERSE_COLUMN_MIN:
+        out = _kl_inverse_upper_columns(qa, ba)
+    else:
+        pairs = zip(qa.ravel().tolist(), ba.ravel().tolist())
+        out = np.array([x if y == 0.0 or x == 1.0 else
+                        _bisect_upper(lambda p: kl_bernoulli(x, p) <= y, x, 1.0, 1e-9)
+                        for x, y in pairs]).reshape(qa.shape)
+    return float(out) if np.isscalar(q) and np.isscalar(b) else out
 
 
 def _kl_bernoulli_at_most(p, one_minus_p, q, b) -> np.ndarray:
@@ -180,7 +198,7 @@ def _kl_bernoulli_at_most(p, one_minus_p, q, b) -> np.ndarray:
     element (a term at p = 0 is 0).  numpy's vectorized log and log1p may
     round an ulp away from libm's, which moves each term by a few ulps; so
     where the kl lies within 2^-48 (|t1| + |t2|) of b, kl_bernoulli itself
-    makes the test again, and every answer is the scalar path's.
+    makes the test again, and every answer is the element loop's.
     """
     one_minus_q = 1.0 - q
     d = p - q
@@ -200,23 +218,16 @@ def _kl_bernoulli_at_most(p, one_minus_p, q, b) -> np.ndarray:
     return ok
 
 
-def _kl_inverse_upper_columns(q, b) -> np.ndarray:
-    """kl_inverse_upper(q[i], b[i]) for every element of the broadcast (q, b),
-    bit for bit, as one masked bisection.
+def _kl_inverse_upper_columns(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kl_inverse_upper(q[i], b[i]) for every element of two float arrays of
+    one shape, q in [0, 1] and b >= 0, bit for bit, as one masked bisection.
 
     Each element starts from the bracket [q, 1], halves it at
     mid = 0.5 * (lo + hi) on the test of ``_kl_bernoulli_at_most``, stops
-    once its own hi - lo <= 1e-9 and returns hi; b = 0 and q = 1 return q,
-    and a q outside [0, 1] or a b below 0 or NaN raises the scalar path's
-    ValueError.  Its cost is about 30 steps of whole-array passes whatever
-    the size, so the scalar path wins on short columns.
+    once its own hi - lo <= 1e-9 and returns hi; b = 0 and q = 1 return q.
+    Its cost is about 30 steps of whole-array passes whatever the size, so
+    the element loop wins on short columns.
     """
-    q, b = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(b, dtype=float))
-    q_ok = (q >= 0.0) & (q <= 1.0)
-    if not q_ok.all():
-        _check_probability("q", q[~q_ok][0])
-    if not (b >= 0.0).all():
-        raise ValueError(f"budget b must be nonnegative, got {float(b[~(b >= 0.0)][0])!r}")
     out = q.copy()
     todo = (b != 0.0) & (q != 1.0)
     p, budget = q[todo], b[todo]

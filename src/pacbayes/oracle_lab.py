@@ -598,7 +598,10 @@ def localized_oracle_rhs(
     decay = math.exp(-n * tau / (4.0 * scale)) if tau > 0 else 1.0
     coef = 4.0 * scale / n
     split_displayed = coef * math.log(m_tau + decay * (task.m - m_tau)) if tau > 0 else math.nan
-    split_consistent = coef * math.log((task.m - m_tau) + decay * m_tau) if tau > 0 else math.nan
+    # theta* has gap 0 < tau, so M - m_tau >= 1: log1p keeps decay * m_tau
+    # where it lies below the ulp of 1
+    split_consistent = (coef * math.log1p((task.m - m_tau - 1) + decay * m_tau)
+                        if tau > 0 else math.nan)
     return LocalizedOracle(
         value=float(best),
         closed_form=float(closed_form),
@@ -810,8 +813,9 @@ def rate_experiment(
     and each block's log Gibbs weights and log excess risks are one matrix
     pass each, every row with the bits of the rep-by-rep loop.
     """
+    validate_geometric_grid(n_grid)  # as given, before int() meets an inf or NaN
     n_grid = [int(v) for v in n_grid]
-    validate_geometric_grid(n_grid)
+    validate_geometric_grid(n_grid)  # as the sample sizes it runs at
     if rule not in ("fast", "slow"):
         raise ValueError("rule must be 'fast' or 'slow'")
     _check_bounded(task, f"the {rule} rate")
@@ -881,8 +885,8 @@ def validate_geometric_grid(n_grid) -> None:
     if len(n_grid) < 5:
         raise ValueError("n_grid must have at least 5 points")
     arr = np.asarray(n_grid, dtype=float)
-    if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
-        raise ValueError("n_grid must be positive and strictly increasing")
+    if not np.isfinite(arr).all() or np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
+        raise ValueError("n_grid must be finite, positive and strictly increasing")
     ratios = np.log(arr[1:] / arr[:-1])
     if np.max(np.abs(ratios - ratios.mean())) > 0.1:
         raise ValueError("n_grid must be geometric (constant ratio)")

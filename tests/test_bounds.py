@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacbayes import bounds
+from pacbayes import bounds, divergences
 from pacbayes.bounds import (
     BOUND_IDS,
     BOUND_TABLE,
@@ -874,13 +874,15 @@ class TestColumns:
                 assert repr(column[j].tolist()) == repr(one.tolist()), (bound_id, lam)
 
     @pytest.mark.parametrize("C", [1.0, 2.0])
-    @pytest.mark.parametrize("size, scalar_calls", [
-        (bounds._KL_INVERSE_COLUMN_MIN - 1, bounds._KL_INVERSE_COLUMN_MIN - 1),
-        (bounds._KL_INVERSE_COLUMN_MIN, 0),
+    @pytest.mark.parametrize("size, loop_calls, column_calls", [
+        (divergences._KL_INVERSE_COLUMN_MIN - 1, divergences._KL_INVERSE_COLUMN_MIN - 1, 0),
+        (divergences._KL_INVERSE_COLUMN_MIN, 0, 1),
     ], ids=["below_the_switch", "at_the_switch"])
-    def test_seeger_column_on_both_sides_of_the_switch(self, size, scalar_calls, C, monkeypatch):
-        # a column below the switch inverts element by element, one at it in
-        # one array pass; either way value i is C times bound_seeger_maurer's
+    def test_seeger_column_on_both_sides_of_the_switch(self, size, loop_calls, column_calls, C,
+                                                       monkeypatch):
+        # one kl_inverse_upper call per column, which bisects element by element
+        # below the switch and in one array pass at it; either way value i is
+        # C times bound_seeger_maurer's
         rng = np.random.default_rng(size)
         m, n, eps = 6, 200, 0.05
         prior = DiscreteDistribution.uniform(m)
@@ -890,11 +892,20 @@ class TestColumns:
         risks[0] = 0.0
         emp, kl = W @ risks, np.array([kl_discrete(DiscreteDistribution(w), prior) for w in W])
         kl[3] = math.inf
-        calls = []
-        monkeypatch.setattr(bounds, "kl_inverse_upper",
-                            lambda q, b: calls.append(q) or kl_inverse_upper(q, b))
+        calls = dict.fromkeys(["kl_inverse_upper", "_bisect_upper", "_kl_inverse_upper_columns"], 0)
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(divergences, name, counted(name, getattr(divergences, name)))
+        monkeypatch.setattr(bounds, "kl_inverse_upper", divergences.kl_inverse_upper)
         values = BOUND_TABLE["seeger"].values(BoundData(risks, n, eps, C, prior=prior), W, emp, kl)
-        assert len(calls) == scalar_calls
+        assert calls == {"kl_inverse_upper": 1, "_bisect_upper": loop_calls,
+                         "_kl_inverse_upper_columns": column_calls}
         for i in range(size):
             want = C * bound_seeger_maurer(BoundInput(emp[i] / C, kl[i], n, eps)).value
             assert values[i].tobytes() == np.float64(want).tobytes(), i

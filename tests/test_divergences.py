@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pacbayes import divergences
 from pacbayes.divergences import (
     DiagonalGaussian,
     DiscreteDistribution,
@@ -208,13 +209,14 @@ class TestKlInverseColumns:
                 q.append(float(x))
                 b.append(kl_bernoulli(float(x), mid))
                 lo, hi = (mid, hi) if rng.random() < 0.5 else (lo, mid)
+        q, b = np.array(q), np.array(b)
         assert same_bits(_kl_inverse_upper_columns(q, b), scalar_inverses(q, b))
 
     def test_broadcasts_and_keeps_the_shape(self):
-        q = np.array([[0.1, 0.5], [0.9, 0.0]])
-        got = _kl_inverse_upper_columns(q, 0.2)
+        q, b = np.array([[0.1, 0.5], [0.9, 0.0]]), np.full((2, 2), 0.2)
+        got = _kl_inverse_upper_columns(q, b)
         assert got.shape == (2, 2)
-        assert same_bits(got, scalar_inverses(q, np.full(4, 0.2)).reshape(2, 2))
+        assert same_bits(got, scalar_inverses(q, b).reshape(2, 2))
 
     @pytest.mark.parametrize("q, b, match", [
         ([0.2, -0.1], [0.1, 0.1], r"q must lie in \[0, 1\], got -0.1"),
@@ -224,8 +226,11 @@ class TestKlInverseColumns:
         ([0.2, 0.3], [math.nan, 0.1], "budget b must be nonnegative, got nan"),
     ])
     def test_refuses_what_the_scalar_path_refuses(self, q, b, match):
-        with pytest.raises(ValueError, match=match):
-            _kl_inverse_upper_columns(q, b)
+        # the first bad q, else the first bad b, on both sides of the switch
+        pad = divergences._KL_INVERSE_COLUMN_MIN
+        for size in (len(q), len(q) + pad):
+            with pytest.raises(ValueError, match=match):
+                kl_inverse_upper(np.resize(q, size), np.resize(b, size))
         with pytest.raises(ValueError, match=match):
             scalar_inverses(q, b)
 
@@ -239,6 +244,41 @@ class TestKlInverseColumns:
         for p, x, y in zip(_kl_inverse_upper_columns(q, b), q, b):
             exact = mp_kl_inverse_upper(float(x), float(y))
             assert exact <= p <= exact + 1e-9
+
+
+class TestKlInverseEntry:
+    """kl_inverse_upper takes floats or arrays and picks its bisection by size;
+    every element has the bits of its one-element call."""
+
+    def test_a_float_pair_gives_a_float(self):
+        assert type(kl_inverse_upper(0.3, 0.1)) is float
+        assert type(kl_inverse_upper(np.float64(1.0), 0)) is float
+
+    @pytest.mark.parametrize("q, b, shape", [
+        (np.array(0.3), 0.1, ()),
+        (0.3, np.array(0.0), ()),
+        (np.linspace(0.0, 1.0, 5), 0.1, (5,)),
+        (0.2, np.linspace(0.0, 3.0, 40), (40,)),
+        (np.linspace(0.0, 1.0, 6).reshape(2, 3), np.array([0.1, 0.0, 2.0]), (2, 3)),
+        (np.linspace(0.0, 1.0, 8)[:, None], np.linspace(0.0, 2.0, 5), (8, 5)),
+    ])
+    def test_arrays_broadcast_and_keep_their_shape(self, q, b, shape):
+        got = kl_inverse_upper(q, b)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        assert same_bits(got, scalar_inverses(*np.broadcast_arrays(q, b)).reshape(shape))
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 100, 2000])
+    def test_every_element_has_the_bits_of_its_one_element_call(self, size):
+        # the edge pairs and size random ones, shuffled into calls of size
+        # elements each, so every edge pair meets every size
+        rng = np.random.default_rng(size)
+        q, b = (a.ravel() for a in np.meshgrid(TestKlInverseColumns.EDGE_Q,
+                                               TestKlInverseColumns.EDGE_B))
+        q = np.concatenate([q, rng.random(size)])
+        b = np.concatenate([b, 10.0 ** rng.uniform(-12.0, 1.4, size)])
+        order, calls = rng.permutation(q.size), -(-q.size // size)
+        for qc, bc in zip(*(np.resize(x[order], (calls, size)) for x in (q, b))):
+            assert same_bits(kl_inverse_upper(qc, bc), scalar_inverses(qc, bc))
 
 
 class TestKlDiscrete:

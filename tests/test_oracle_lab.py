@@ -755,6 +755,19 @@ class TestDonskerVaradhanClosedForm:
         with pytest.raises(ValueError, match="h = -lambda r must be finite"):
             oracle_bound_rhs(task, pi, 1.5e308, "expectation", n=500)
 
+    def test_consistent_split_below_the_ulp_of_one(self):
+        # K = 1 and n = 2e4 give decay = e^{-100}: log((M - m_tau) + decay m_tau)
+        # at M - m_tau = 1 rounds to 0, where the split is about 6e-46
+        import mpmath as mp
+
+        task, pi = self.case("C2")
+        loc = localized_oracle_rhs(task, pi, 1.0, 20000)
+        with mp.workdps(60):
+            scale, n = mp.mpf(loc.scale), mp.mpf(20000)
+            decay = mp.exp(-n * mp.mpf(loc.tau) / (4 * scale))
+            want = 4 * scale / n * mp.log((task.m - loc.m_tau) + decay * loc.m_tau)
+        assert loc.split_consistent == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     def test_no_gibbs_family_pass(self, monkeypatch):
         # one closed form per temperature: the right-hand sides never scan a family
         def refuse(*args):
@@ -1001,6 +1014,15 @@ class TestRateExperiment:
         with pytest.raises(ValueError):
             validate_geometric_grid([100, 150, 400, 800, 1600])  # not geometric
         validate_geometric_grid([100, 200, 400, 800, 1600])
+
+    @pytest.mark.parametrize("last", [math.inf, math.nan])
+    def test_grid_refuses_non_finite_entries(self, last):
+        grid = [100, 200, 400, 800, last]
+        with pytest.raises(ValueError, match="n_grid must be finite"):
+            validate_geometric_grid(grid)
+        task = make_synthetic_task("risk_table", {"p": [0.1, 0.3, 0.5]}, 0)
+        with pytest.raises(ValueError, match="n_grid must be finite"):
+            rate_experiment(task, grid, 2, 0, rule="fast", K=1.0)
 
     def test_bit_reproducible(self):
         task = make_synthetic_task("risk_table", {"p": [0.1, 0.3, 0.5]}, 0)
