@@ -168,27 +168,39 @@ def kl_inverse_upper(q, b):
     and increasing on [q, 1), which makes bisection exact up to 1e-9;
     the result is never below the true inverse and at most 1e-9 above.
 
-    Two numbers give a float.  Arrays broadcast to one inverse per element,
+    Two numbers give a float, bisected with no array built (0-d arrays
+    cost about 10 us a call).  Arrays broadcast to one inverse per element,
     in the broadcast shape, each with the bits of its one-element call.  A q
     outside [0, 1], or else a b below 0 or NaN, raises ValueError naming the
     first such value.  Fewer than ``_KL_INVERSE_COLUMN_MIN`` elements bisect
     one by one, about 30 kl_bernoulli calls each; a longer column takes
     ``_kl_inverse_upper_columns``, one masked bisection with the same bits.
     """
+    if np.isscalar(q) and np.isscalar(b):  # q is checked first, as below
+        return _kl_inverse_one(_check_probability("q", q), _check_budget(float(b)))
     qa, ba = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(b, dtype=float))
     q_ok = (qa >= 0.0) & (qa <= 1.0)
     if not q_ok.all():
         _check_probability("q", qa[~q_ok][0])
     if not (ba >= 0.0).all():
-        raise ValueError(f"budget b must be nonnegative, got {float(ba[~(ba >= 0.0)][0])!r}")
+        _check_budget(float(ba[~(ba >= 0.0)][0]))
     if qa.size >= _KL_INVERSE_COLUMN_MIN:
-        out = _kl_inverse_upper_columns(qa, ba)
-    else:
-        pairs = zip(qa.ravel().tolist(), ba.ravel().tolist())
-        out = np.array([x if y == 0.0 or x == 1.0 else
-                        _bisect_upper(lambda p: kl_bernoulli(x, p) <= y, x, 1.0, 1e-9)
-                        for x, y in pairs]).reshape(qa.shape)
-    return float(out) if np.isscalar(q) and np.isscalar(b) else out
+        return _kl_inverse_upper_columns(qa, ba)
+    pairs = zip(qa.ravel().tolist(), ba.ravel().tolist())
+    return np.array([_kl_inverse_one(x, y) for x, y in pairs]).reshape(qa.shape)
+
+
+def _check_budget(b: float) -> float:
+    if not (b >= 0.0):
+        raise ValueError(f"budget b must be nonnegative, got {b!r}")
+    return b
+
+
+def _kl_inverse_one(q: float, b: float) -> float:
+    """kl_inverse_upper of one checked pair of floats, by scalar bisection."""
+    if b == 0.0 or q == 1.0:
+        return q
+    return _bisect_upper(lambda p: kl_bernoulli(q, p) <= b, q, 1.0, 1e-9)
 
 
 def _kl_bernoulli_at_most(p, one_minus_p, q, b) -> np.ndarray:

@@ -64,6 +64,12 @@ class SyntheticTask:
     (unique argmin index), ``C`` (loss range), samplers for loss matrices
     and for the empirical-risk sufficient statistic, and the exact second
     moments E[(loss(theta) - loss(theta*))^2] behind Bernstein's condition.
+
+    The experiments draw empirical risks a block at a time:
+    ``sample_emp_risks(n, rngs)`` gives one row per generator, row t with
+    the bits of ``sample_emp_risk(n, rngs[t])``.  The base class stacks
+    those one-trial calls; a subclass that overrides the block makes its
+    one-trial call the one-row block, so each task has one sampler.
     """
 
     kind: str = "abstract"
@@ -100,8 +106,21 @@ class SyntheticTask:
         """
         return self.sample_losses(n, rng).mean(axis=0)
 
+    def sample_emp_risks(self, n: int, rngs) -> np.ndarray:
+        """sample_emp_risk(n, rng) for each generator of the sequence rngs,
+        stacked in order into a C-contiguous (len(rngs) x M) block."""
+        return np.array([self.sample_emp_risk(n, rng) for rng in rngs], dtype=float)
+
     def second_moments_vs_star(self) -> np.ndarray:
         raise NotImplementedError
+
+    def sample_second_moments(self, samples: int, rng: np.random.Generator) -> np.ndarray:
+        """Column means of (loss(theta) - loss(theta*))^2 over a fresh
+        samples-example loss matrix, differenced and squared in place: no
+        (samples x M) temporary beside it, and the bits of the formula."""
+        losses = self.sample_losses(samples, rng)
+        losses -= losses[:, [self.theta_star]]
+        return np.square(losses, out=losses).mean(axis=0)
 
     def bernstein_constant_known(self) -> Optional[float]:
         """Closed-form Bernstein constant, when the construction pins one."""
@@ -208,16 +227,57 @@ class ThresholdMarginTask(SyntheticTask):
         return (pred != y[:, None]).astype(float)
 
     def sample_emp_risk(self, n, rng):
-        # Threshold j errs on the below_j inputs under it (x_i < theta_j) that
-        # carry label 1 and on the inputs at or above it that carry label 0.
-        # k_j = #{x_i < theta_j} and below_j come from searching the sorted x
-        # and the sorted label-1 inputs; the counts are integers, so the error
-        # rates are exact, and only the searched arrays need sorting.
-        x, y = self._sample_xy(n, rng)
-        ones = x[y]
-        k = np.sort(x).searchsorted(self.thresholds)
-        below = np.sort(ones).searchsorted(self.thresholds)
-        return ((n - k) - (ones.size - below) + below) / n
+        return self.sample_emp_risks(n, [rng])[0]
+
+    def sample_emp_risks(self, n, rngs):
+        """Threshold j errs on the below_j inputs under it (x_i < theta_j) that
+        carry label 1 and on the inputs at or above it that carry label 0, so
+        with k_j = #{x_i < theta_j} and `ones` label-1 inputs in all, its error
+        count is (n - k_j) - (ones - below_j) + below_j.  The counts are
+        integers, so each row has the bits of the loss-matrix column means.
+
+        Trials run in chunks of divergences._block_rows(n) on one workspace
+        reused by every chunk.  Trial t fills x[t], then the flip draws f[t],
+        from its generator: _sample_xy's stream order.  An x in [0, 1) has an
+        int64 bit pattern that orders as its value does and leaves the top
+        bit free, so bits << 1 | label sorts each row by x and carries the
+        labels along: the cumsum of bit 0 is the label-1 prefix count, bits
+        >> 1 is the sorted x, a search of it gives k, and below is the prefix
+        count at k.
+        """
+        out = np.empty((len(rngs), self.m))
+        rows = min(divergences._block_rows(n), len(rngs))
+        x, f = np.empty((2, rows, n))
+        label, flip = np.empty((2, rows, n), dtype=bool)
+        count = np.zeros((rows, n + 1), dtype=np.int64)  # count[:, 0] stays 0
+        star, cut = self.thresholds[self.star_index], 0.5 - self.tau
+        for s in range(0, len(rngs), rows):
+            chunk = rngs[s:s + rows]
+            for t, rng in enumerate(chunk):
+                rng.random(out=x[t])
+                rng.random(out=f[t])
+            c = len(chunk)
+            xs, bits, lab, prefix = x[:c], x[:c].view(np.int64), label[:c], count[:c, 1:]
+            np.not_equal(np.greater_equal(xs, star, out=lab), np.less(f[:c], cut, out=flip[:c]),
+                         out=lab)
+            bits <<= 1
+            bits |= lab
+            bits.sort(axis=1)
+            np.cumsum(np.bitwise_and(bits, 1, out=prefix), axis=1, out=prefix)
+            bits >>= 1
+            k = np.array([row.searchsorted(self.thresholds) for row in xs])
+            below = np.take_along_axis(count[:c], k, axis=1)
+            out[s:s + c] = ((n - k) - (count[:c, n:] - below) + below) / n
+        return out
+
+    def sample_second_moments(self, samples, rng):
+        # (loss(theta) - loss(theta*))^2 is 1{min(theta, theta*) <= x < max(theta, theta*)}:
+        # count each disagreement region on one sorted draw of x, with the bits of
+        # the 0/1 column mean
+        xs = np.sort(rng.random(samples))
+        star = self.thresholds[self.star_index]
+        lo, hi = np.minimum(self.thresholds, star), np.maximum(self.thresholds, star)
+        return (xs.searchsorted(hi) - xs.searchsorted(lo)) / samples
 
     def second_moments_vs_star(self):
         # losses differ exactly on the disagreement region of the two thresholds
@@ -356,16 +416,15 @@ def estimate_bernstein_constant(
     ``mode="exact"`` uses the task's closed-form second moments (available
     because the outcome spaces are enumerable), so the result is not
     statistical.  ``mode="statistical"`` replaces the second moments with
-    a seeded sample average; the risk gaps stay exact.
+    the seeded sample average ``task.sample_second_moments(samples,
+    child_rng(seed, 0))``; the risk gaps stay exact.  The threshold-margin
+    task counts that average on one sorted draw of inputs, the others
+    average a loss matrix.
     """
     if mode == "exact":
         second = task.second_moments_vs_star()
     elif mode == "statistical":
-        # the fresh draw is differenced and squared in place: no (samples x M)
-        # temporaries beside it, and the bits of (losses - losses*)**2
-        losses = task.sample_losses(samples, child_rng(seed, 0))
-        losses -= losses[:, [task.theta_star]]
-        second = np.square(losses, out=losses).mean(axis=0)
+        second = task.sample_second_moments(samples, child_rng(seed, 0))
     else:
         raise ValueError("mode must be 'exact' or 'statistical'")
     gaps = task.gaps
@@ -652,11 +711,11 @@ def _check_support_size(name: str, dist: Optional[DiscreteDistribution], m: int)
 
 def _stacked_draws(task: SyntheticTask, n: int, rngs):
     """task.sample_emp_risk(n, rng) for each generator of the iterator rngs,
-    stacked in order into C-contiguous (draws x M) blocks of
-    divergences._block_rows(M) draws at most."""
+    in order, as C-contiguous (draws x M) blocks of divergences._block_rows(M)
+    draws at most: one task.sample_emp_risks call per block."""
     rows = divergences._block_rows(task.m)
-    while block := [task.sample_emp_risk(n, rng) for rng in itertools.islice(rngs, rows)]:
-        yield np.array(block, dtype=float)
+    while block := list(itertools.islice(rngs, rows)):
+        yield task.sample_emp_risks(n, block)
 
 
 def violation_experiment(

@@ -589,6 +589,29 @@ def bernstein_ratios_loop(gaps, second, theta_star):
     return float(K), ratios
 
 
+def stacked_draws_loop(task, n, rngs) -> np.ndarray:
+    """The (trials x M) matrix of empirical-risk draws, one generator at a time.
+
+    The per-trial loop oracle_lab._stacked_draws ran before the block
+    sampler.  A threshold-margin trial keeps the two-sort count it replaced:
+    the sorted inputs and the sorted label-1 inputs are each searched for
+    every threshold.  Any other task takes its one-trial sample_emp_risk.
+    """
+    from pacbayes.oracle_lab import ThresholdMarginTask
+
+    rows = []
+    for rng in rngs:
+        if isinstance(task, ThresholdMarginTask):
+            x, y = task._sample_xy(n, rng)
+            ones = x[y]
+            k = np.sort(x).searchsorted(task.thresholds)
+            below = np.sort(ones).searchsorted(task.thresholds)
+            rows.append(((n - k) - (ones.size - below) + below) / n)
+        else:
+            rows.append(task.sample_emp_risk(n, rng))
+    return np.array(rows, dtype=float)
+
+
 def _build_posterior_loop(rule, pi, r, lam_value, fixed_rho):
     from pacbayes.divergences import DiscreteDistribution
     from pacbayes.posteriors import gibbs_posterior

@@ -254,6 +254,24 @@ class TestKlInverseEntry:
         assert type(kl_inverse_upper(0.3, 0.1)) is float
         assert type(kl_inverse_upper(np.float64(1.0), 0)) is float
 
+    def test_a_float_pair_has_the_bits_of_its_one_element_array(self):
+        # two numbers skip the arrays, and keep the bits of the array call
+        for q in TestKlInverseColumns.EDGE_Q:
+            for b in TestKlInverseColumns.EDGE_B:
+                got = kl_inverse_upper(q, b)
+                assert type(got) is float
+                assert same_bits(got, kl_inverse_upper(np.array([q]), np.array([b]))), (q, b)
+
+    @pytest.mark.parametrize("q, b", [(-0.1, 0.1), (math.nan, 0.1), (1.5, -1.0), (math.nan, math.nan),
+                                      (0.3, -1e-9), (0.3, math.nan), (0.3, -math.inf)])
+    def test_a_float_pair_refuses_with_the_array_message(self, q, b):
+        # a bad q is named before a bad b on both paths
+        with pytest.raises(ValueError) as one:
+            kl_inverse_upper(q, b)
+        with pytest.raises(ValueError) as arr:
+            kl_inverse_upper(np.array([q]), np.array([b]))
+        assert str(one.value) == str(arr.value)
+
     @pytest.mark.parametrize("q, b, shape", [
         (np.array(0.3), 0.1, ()),
         (0.3, np.array(0.0), ()),

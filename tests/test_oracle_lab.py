@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pacbayes import divergences, oracle_lab
 from pacbayes.bounds import BOUND_IDS
-from pacbayes._util import child_rng
+from pacbayes._util import child_rng, child_rngs
 from pacbayes.divergences import DiscreteDistribution, gibbs_reweight, kl_discrete
 from pacbayes.oracle_lab import (
     HeavyTailTask,
@@ -38,6 +38,7 @@ from oracles import (
     pi_dimension_loop,
     rate_experiment_loop,
     rho_family_inf_loop,
+    stacked_draws_loop,
     violation_experiment_loop,
 )
 
@@ -230,6 +231,56 @@ class TestThresholdSampler:
         assert same_bits_as_column_means(task, n, (seed, 0))
 
 
+class TestBlockSampler:
+    """Stacked draws have the bits of the per-trial loop for every task kind,
+    whatever the chunking."""
+
+    PERMUTED = np.random.default_rng(5).permutation(np.linspace(0.0, 1.0, 41))
+    TASKS = {
+        "risk_table": lambda: RiskTableTask([0.1, 0.2, 0.6, 0.35]),
+        "risk_table_shared": lambda: RiskTableTask([0.1, 0.2, 0.6, 0.35], shared_noise=True),
+        "heavy_tail": lambda: HeavyTailTask([0.2, 0.5, 0.9], [0.5, 1.0, 2.0]),
+        "margin": lambda: ThresholdMarginTask(0.2, np.linspace(0.0, 1.0, 41)),
+        "margin_permuted": lambda: ThresholdMarginTask(
+            0.2, TestBlockSampler.PERMUTED, star_index=int(np.argmax(TestBlockSampler.PERMUTED))),
+        "margin_outside_unit": lambda: ThresholdMarginTask(0.3, [2.0, -1.0, 0.5, -3.0, 1.0],
+                                                           star_index=2),
+        "margin_star_first": lambda: ThresholdMarginTask(0.2, np.linspace(0.0, 1.0, 41), 0),
+        "margin_star_last": lambda: ThresholdMarginTask(0.2, np.linspace(0.0, 1.0, 41), 40),
+    }
+
+    @pytest.mark.parametrize("n", [1, 7, 500, 5000])
+    @pytest.mark.parametrize("kind", list(TASKS))
+    def test_same_bits_as_the_trial_loop(self, kind, n, monkeypatch):
+        # chunks of the library's size, of one row, and of 7 rows, which
+        # divides neither 50 nor 131 trials
+        task = self.TASKS[kind]()
+        for trials in (1, 50, 131):
+            keys = [(9, t) for t in range(trials)]
+            want = stacked_draws_loop(task, n, child_rngs(9, keys))
+            for rows in (None, 1, 7):
+                if rows is not None:
+                    monkeypatch.setattr(divergences, "_FAMILY_BLOCK", rows * n)
+                blocks = list(oracle_lab._stacked_draws(task, n, child_rngs(9, keys)))
+                assert all(b.flags.c_contiguous and b.shape[1] == task.m for b in blocks)
+                assert max(len(b) for b in blocks) <= divergences._block_rows(task.m)
+                assert np.concatenate(blocks).tobytes() == want.tobytes(), (trials, rows)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind, per_trial", [("risk_table", True), ("heavy_tail", True),
+                                                 ("risk_table_shared", True), ("margin", False)])
+    def test_who_reaches_the_one_trial_sampler(self, kind, per_trial, monkeypatch):
+        # the stacked tasks still call sample_emp_risk once per trial, where a
+        # tracer can time them; the margin task's block never does
+        task, calls = self.TASKS[kind](), []
+        cls = type(task)
+        one = cls.sample_emp_risk
+        monkeypatch.setattr(cls, "sample_emp_risk",
+                            lambda self, n, rng: calls.append(n) or one(self, n, rng))
+        list(oracle_lab._stacked_draws(task, 20, child_rngs(1, [(t,) for t in range(30)])))
+        assert len(calls) == (30 if per_trial else 0)
+
+
 class TestRhoFamilyInf:
     """The Donsker-Varadhan closed form matches the candidate-at-a-time loop
     and the library's blocked Gibbs family pass."""
@@ -413,17 +464,33 @@ class TestBernsteinConstant:
         ("risk_table", {"p": [0.1, 0.2, 0.6, 0.35], "shared_noise": True}),
         ("threshold_margin", {"tau": 0.25, "grid_size": 11}),
         ("heavy_tail", {"means": [0.2, 0.5, 0.9], "sds": [0.5, 1.0, 2.0]}),
+        ("threshold_margin", {"tau": 0.25, "grid_size": 11, "star_index": 0}),
+        ("threshold_margin", {"tau": 0.25, "grid_size": 11, "star_index": 10}),
+        ("threshold_margin", {"tau": 0.1, "star_index": 3, "thresholds":
+                              np.random.default_rng(8).permutation(np.linspace(0, 1, 11)).tolist()}),
     ])
     def test_statistical_moments_keep_their_bits(self, kind, params):
-        # the in-place difference and square give the bits of the formula
-        # (losses - losses[:, [star]])**2 on the same seeded draw
+        # the in-place difference and square, and the margin task's counted
+        # disagreements, give the bits of the formula (losses - losses[:, [star]])**2
+        # on the same seeded draw
         task = make_synthetic_task(kind, params, 0)
-        est = estimate_bernstein_constant(task, "statistical", 5_000, seed=3)
-        losses = task.sample_losses(5_000, child_rng(3, 0))
+        for samples in (1, 2, 5_000):
+            est = estimate_bernstein_constant(task, "statistical", samples, seed=3)
+            losses = task.sample_losses(samples, child_rng(3, 0))
+            second = ((losses - losses[:, [task.theta_star]]) ** 2).mean(axis=0)
+            K, ratios = bernstein_ratios_loop(task.gaps, second, task.theta_star)
+            assert repr(est.K) == repr(K), samples
+            assert est.ratios.tobytes() == ratios.tobytes(), samples
+
+    @pytest.mark.parametrize("star", [0, 1, 2])
+    def test_counted_moments_at_a_tie_between_a_threshold_and_an_input(self, star):
+        # an input on theta or on theta* lies in [min, max) only at the lower end
+        x = child_rng(3, 0).random(50)  # x is the first draw of the sampler
+        task = ThresholdMarginTask(0.3, [x.min(), x[7], x.max()], star_index=star)
+        losses = task.sample_losses(50, child_rng(3, 0))
         second = ((losses - losses[:, [task.theta_star]]) ** 2).mean(axis=0)
-        K, ratios = bernstein_ratios_loop(task.gaps, second, task.theta_star)
-        assert repr(est.K) == repr(K)
-        assert est.ratios.tobytes() == ratios.tobytes()
+        got = task.sample_second_moments(50, child_rng(3, 0))
+        assert got.tobytes() == second.tobytes()
 
 
 class TestOracleBoundRhs:
