@@ -10,8 +10,9 @@ Conventions
 -----------
 * All logs are natural.
 * kl-form bounds (Seeger, Tolstikhin-Seldin, Thiemann, Catoni-Phi) are
-  stated for losses in [0, 1]; the catalog table evaluates them at risk/C
-  and rescales the certificate by C.
+  stated for losses in [0, 1]: their ``bound_*`` functions refuse C > 1,
+  and the catalog table evaluates them at risk/C and rescales the
+  certificate by C.
 * ``terms`` always sums exactly to ``value``; intermediate quantities that
   do not sum (budgets, Phi arguments) live in ``details``.
 * Bounds linear in 1/lambda (catoni_linear, subgaussian and the single-draw
@@ -427,9 +428,10 @@ def _seeger(q, kl, lam, s, W=None):
 def bound_seeger_maurer(inp: BoundInput) -> Certificate:
     """Seeger-Maurer bound: invert the binary kl at budget (KL + log(2 sqrt(n)/eps))/n.
 
-    Requires the 0-1 loss scale emp_risk in [0, 1]; range-C callers rescale.
+    Stated for losses in [0, 1], so C <= 1 is enforced; the catalog's seeger
+    row evaluates a [0, C] risk at risk/C and rescales by C.
     """
-    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk)
+    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk, inp.C, name="emp_risk and C")
     return _one("seeger", _seeger, inp)
 
 
@@ -447,9 +449,10 @@ def bound_tolstikhin_seldin(inp: BoundInput) -> Certificate:
     """Tolstikhin-Seldin relaxation kl^{-1}(q|b) <= q + sqrt(2qb) + 2b.
 
     The budget is (KL + log(2 sqrt(n)/eps)) / (2n), exactly as displayed;
-    at q = 0 the sqrt term vanishes and the bound is in 1/n.
+    at q = 0 the sqrt term vanishes and the bound is in 1/n.  C <= 1 is
+    enforced; the catalog row rescales a [0, C] risk.
     """
-    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk)
+    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk, inp.C, name="emp_risk and C")
     return _one("tolstikhin_seldin", _tolstikhin_seldin, inp)
 
 
@@ -465,9 +468,10 @@ def _thiemann(q, kl, lam, s, W=None):
 
 
 def bound_thiemann(inp: BoundInput, lam: float) -> Certificate:
-    """Thiemann et al. bound, valid for any fixed lambda in (0, 2)."""
+    """Thiemann et al. bound, valid for any fixed lambda in (0, 2).  C <= 1 is
+    enforced; the catalog row rescales a [0, C] risk."""
     _check_lambda(lam, THIEMANN_LAMBDA_UPPER)
-    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk)
+    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk, inp.C, name="emp_risk and C")
     return _one("thiemann", _thiemann, inp, lam)
 
 
@@ -490,9 +494,9 @@ def bound_catoni_phi(inp: BoundInput, lam: float) -> Certificate:
     """Catoni's Phi-form bound: Phi_{lam/n}^{-1}(emp + (KL + log(1/eps))/lam).
 
     The Phi^{-1} argument may exceed 1; the displayed formula then saturates
-    on its own.
+    on its own.  C <= 1 is enforced; the catalog row rescales a [0, C] risk.
     """
-    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk)
+    _check_inputs(inp.n, inp.eps, 1.0, inp.emp_risk, inp.C, name="emp_risk and C")
     return _lambda_certificate("catoni_phi", _catoni_phi, inp, lam)
 
 
@@ -792,6 +796,20 @@ class CatalogEntry:
                 raise ValueError("n/lambda < C needs the truncation tail term; supply a "
                                  "lambda with n/lambda >= C so the tail vanishes")
         return lam
+
+    def check_search(self, posterior_rule="gibbs", lam=None) -> None:
+        """Refuse what a grid row, searching Gibbs posteriors over its own lambdas, would ignore."""
+        if self.lam_kind == "grid" and posterior_rule != "gibbs":
+            raise ValueError(f"{self.bound_id} searches Gibbs posteriors only; posterior_rule must "
+                             f"be 'gibbs', got {posterior_rule!r}")
+        if self.lam_kind == "grid" and lam not in (None, "closed_form"):
+            raise ValueError(f"{self.bound_id} searches its own lambda grid; lam must be None or "
+                             f"'closed_form', got {lam!r}")
+
+    def run_lambda(self, lam, posterior_lam):
+        """A free row runs at its posterior's lambda, any other at the number lam or its default."""
+        return posterior_lam if self.lam_kind == "free" else (
+            None if lam in (None, "closed_form") else float(lam))
 
     def _scale(self, data: BoundData, emp):
         """(risk, C) on the row's scale, or None where the row takes no BoundInput."""

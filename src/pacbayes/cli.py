@@ -210,8 +210,7 @@ def _resolve_posterior(task: dict, spec: str, lam_flag: Optional[str]):
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise SchemaError("--posterior", "dirac index must be an integer")
-        _require(0 <= k < m, "--posterior", f"dirac index out of range [0, {m})")
-        rho = DiscreteDistribution.dirac(m, k)
+        rho = _checked("--posterior", DiscreteDistribution.dirac, m, k)
     elif spec.startswith("weights:"):
         path = spec.split(":", 1)[1]
         try:
@@ -300,9 +299,7 @@ def cmd_certify(args) -> int:
     if ("posterior" in entry.requires and task["emp_risk"] is not None
             and task["log_prior"] is not None):
         rho, lam = _resolve_posterior(task, args.posterior, args.lam)
-    if entry.lam_kind != "free":
-        lam = None if args.lam in (None, "closed_form") else float(args.lam)
-    cert = evaluate_bound(task, args.bound, rho, lam, xi=args.xi)
+    cert = evaluate_bound(task, args.bound, rho, entry.run_lambda(args.lam, lam), xi=args.xi)
     doc = certificate_json(cert)
     _emit_json(doc, args.out)
     return 0
@@ -596,12 +593,9 @@ def _check_flags(args) -> None:
     posterior = getattr(args, "posterior", "gibbs")
     if entry and posterior != "gibbs" and "posterior" not in entry.requires:
         raise SchemaError("--posterior", f"{entry.bound_id} takes no posterior, got {posterior!r}")
-    if entry and entry.lam_kind == "grid":
-        rule = getattr(args, "posterior_rule", "gibbs")
-        _require(rule == "gibbs", "--posterior-rule",
-                 f"{entry.bound_id} searches Gibbs posteriors only, got {rule!r}")
-        _require(not isinstance(args.lam, float), "--lambda",
-                 f"{entry.bound_id} searches its own lambda grid, got {args.lam!r}")
+    if entry:
+        _checked("--posterior-rule", entry.check_search, getattr(args, "posterior_rule", "gibbs"))
+        _checked("--lambda", entry.check_search, "gibbs", args.lam)
 
 
 def main(argv=None) -> int:

@@ -73,6 +73,8 @@ class DiscreteDistribution:
 
     @classmethod
     def dirac(cls, m: int, index: int) -> "DiscreteDistribution":
+        if not 0 <= index < m:
+            raise ValueError(f"index must lie in [0, {m}), got {index!r}")
         w = np.zeros(m)
         w[index] = 1.0
         return cls(w)

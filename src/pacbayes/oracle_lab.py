@@ -487,7 +487,9 @@ def oracle_bound_rhs(
     beta = lam (expectation), lam/2 (probability) or n/max(2K, C) (fast, with
     g = R - R*).
     Every variant needs losses in [0, C]: a task with C = inf raises ValueError.
+    n must be an integer >= 1 and eps, where given, lie in (0, 1).
     """
+    bounds._check_inputs(n, eps)
     _check_bounded(task, f"the {variant} oracle")
     R = task.true_risk
     C = task.C
@@ -501,7 +503,7 @@ def oracle_bound_rhs(
     if variant == "expectation":
         return lam * bounds._square(C) / (8.0 * n) + _dv_inf(pi, R, lam)
     if variant == "probability":
-        if eps is None or not (0 < eps < 1):
+        if eps is None:
             raise ValueError("the probability variant needs eps in (0, 1)")
         const = lam * bounds._square(C) / (4.0 * n)
         return const + _dv_inf(pi, R, lam / 2.0) + 2.0 * bounds._log_inv(eps, 2.0) / lam
@@ -634,7 +636,9 @@ def localized_oracle_rhs(
     generating function at the two temperatures lam/4 and lam.
     Both m_tau split conventions are reported as diagnostics because the
     source display pairs the decayed exponential with the wrong count.
+    n must be an integer >= 1.
     """
+    bounds._check_inputs(n, None)
     _check_bounded(task, "the localized oracle")
     R = task.true_risk
     C = task.C
@@ -779,21 +783,13 @@ def violation_experiment(
     kind = entry.lam_kind
     if posterior_rule not in ("gibbs", "erm_dirac", "fixed_rho"):
         raise ValueError(f"unknown posterior rule {posterior_rule!r}")
-    if kind == "grid" and posterior_rule != "gibbs":
-        raise ValueError(f"{bound_id} searches Gibbs posteriors only; posterior_rule must be "
-                         f"'gibbs', got {posterior_rule!r}")
-    if kind == "grid" and lam not in (None, "closed_form"):
-        raise ValueError(f"{bound_id} searches its own lambda grid; lam must be None or "
-                         f"'closed_form', got {lam!r}")
+    entry.check_search(posterior_rule, lam)
     lam_value = None
     if kind == "free" or (posterior_rule == "gibbs" and kind != "grid"):
         # a data-free pick (the closed form at the Dirac complexity log M
         # under a uniform prior) keeps the fixed-lambda theorems valid here
         lam_value = bounds.resolve_lambda(lam, math.log(task.m), n, eps, C)
-    # free-lambda bounds run at the posterior's lambda; a fixed-lambda bound
-    # runs at its catalog default unless a number is given
-    lam_bound = lam_value if kind == "free" else (
-        None if lam in (None, "closed_form") else float(lam))
+    lam_bound = entry.run_lambda(lam, lam_value)
     if kind == "grid":
         grid = bounds.lambda_grid_geometric(n)
     logpi = _safe_log(pi.weights)

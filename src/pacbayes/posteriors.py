@@ -210,7 +210,7 @@ def single_draw_certificate(
     if pi.weights[theta_idx] <= 0:
         raise ValueError("theta_idx lies outside the prior's support")
     bounds._check_lambda(lam)
-    log_ratio = math.log(rho.weights[theta_idx] / pi.weights[theta_idx])
+    log_ratio = bounds._log_inv(float(pi.weights[theta_idx]), float(rho.weights[theta_idx]))
     value, terms, _ = bounds._catoni_linear(emp_risk_theta, log_ratio, lam,
                                             bounds.BoundData(None, n, eps, C))
     return bounds._certificate("single_draw", C, lam, value, terms,
@@ -505,8 +505,9 @@ def optimize_gaussian_posterior(
     With split_fraction > 0 the prior mean is fit on the held-out split and
     the certificate uses only the remaining data.  The returned certificate
     is evaluated with a fresh MC estimate over 10x mc_samples draws, either
-    in the linear form (``certificate="linear"``) or via the kl inversion
-    (``certificate="seeger"``, 0-1 scale).
+    by the catalog's catoni_linear row (``certificate="linear"``) or its
+    seeger row (``certificate="seeger"``: the kl inversion at risk/C, the
+    certificate rescaled by C).
 
     objective_data is any object with
       dim, n               parameter dimension and number of examples
@@ -597,12 +598,8 @@ def optimize_gaussian_posterior(
     mc_risk = float(work.loss(m[None, :] + s * z).mean())
     kl = kl_term(m, s)
     extra = {"kl": kl, "mc_risk": mc_risk, "train_mc_risk": best_risk, "n_cert": n_cert}
-    if certificate == "linear":
-        inner = bounds.bound_catoni_linear(BoundInput(mc_risk, kl, n_cert, eps, C), lam)
-    else:
-        inner = bounds.bound_seeger_maurer(
-            BoundInput(emp_risk=min(mc_risk, 1.0), kl=kl, n=n_cert, eps=eps, C=1.0)
-        )
+    inner = bounds.BOUND_TABLE["catoni_linear" if certificate == "linear" else "seeger"].certify(
+        cert_data, gauss, mc_risk, kl, lam)
     return gauss, replace(inner, details={**inner.details, **extra})
 
 

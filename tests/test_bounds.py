@@ -285,6 +285,18 @@ class TestSeegerMaurer:
             bound_seeger_maurer(BoundInput(1.3, 0.0, 100, 0.05, C=2.0))
 
 
+@pytest.mark.parametrize("bound", [
+    bound_seeger_maurer, bound_tolstikhin_seldin,
+    lambda inp: bound_thiemann(inp, 1.0), lambda inp: bound_catoni_phi(inp, 10.0),
+], ids=["seeger", "tolstikhin_seldin", "thiemann", "catoni_phi"])
+def test_kl_form_refuses_a_range_above_one(bound):
+    # a risk of 0.9 on [0, 2] was read on the 0-1 scale: seeger gave 0.974, where
+    # the catalog row, at risk/C rescaled by C, gives 1.256
+    with pytest.raises(ValueError, match="emp_risk and C must lie in"):
+        bound(BoundInput(0.9, 0.5, 100, 0.05, C=2.0))
+    assert bound(BoundInput(0.45, 0.5, 100, 0.05, C=0.5)).value >= 0.45
+
+
 class TestTolstikhinSeldin:
     def test_zero_risk_fast_regime(self):
         cert = bound_tolstikhin_seldin(BoundInput(0.0, 0.0, 100, 0.05))

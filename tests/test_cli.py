@@ -407,6 +407,8 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
      ["violate", "--bound", "seeger", "--trials", "5"], "task.p"),
     # posteriors that name no distribution
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "dirac:x"], "--posterior"),
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "dirac:100"], "--posterior"),
+    ("small_instance", ["certify", "--bound", "seeger", "--posterior", "dirac:-1"], "--posterior"),
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{tmp}/none.json"],
      "--posterior"),
     ("small_instance", ["certify", "--bound", "seeger", "--posterior", "weights:{task}"],
@@ -442,7 +444,8 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
         "certify_lambda_grid_lambda_7", "lambda_abc", "lambda_inf", "missing_task_file",
         "task_file_not_an_object", "emp_risk_not_numbers", "losses_not_numbers",
         "unknown_task_kind", "star_index_out_of_range", "tau_a_string",
-        "grid_size_and_thresholds", "task_without_p", "dirac_not_an_index", "missing_weights_file",
+        "grid_size_and_thresholds", "task_without_p", "dirac_not_an_index", "dirac_past_the_end",
+        "dirac_negative", "missing_weights_file",
         "weights_not_an_array", "weights_a_directory", "unknown_posterior", "n_grid_not_integers",
         "n_0", "n_2.5", "eps_1", "C_0", "emp_risk_1.5", "log_M_negative", "losses_wrong_shape",
         "kappa_0", "kappa_negative", "weights_infinity", "weights_sum_overflows", "weights_2d"])
@@ -458,6 +461,23 @@ def test_out_of_range_flag_exit_2(task, argv, field, request, tmp_path, capsys):
     assert rc == 2
     assert f"field '{field}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, field, rule, lam", [
+    (["violate", "--bound", "lambda_grid", "--trials", "5", "--posterior-rule", "erm_dirac"],
+     "--posterior-rule", "erm_dirac", None),
+    (["violate", "--bound", "lambda_grid", "--trials", "5", "--lambda", "7"], "--lambda", "gibbs",
+     7.0),
+    (["certify", "--bound", "lambda_grid", "--lambda", "7"], "--lambda", "gibbs", 7.0),
+], ids=["violate_rule", "violate_lambda", "certify_lambda"])
+def test_lambda_grid_refusals_are_the_catalogs(argv, field, rule, lam, generative_instance,
+                                               capsys):
+    # the grid row's refusals have one home, CatalogEntry.check_search
+    with pytest.raises(ValueError) as refusal:
+        bounds.BOUND_TABLE["lambda_grid"].check_search(rule, lam)
+    command, *flags = argv
+    assert cli.main([command, generative_instance, *flags]) == 2
+    assert f"field '{field}': {refusal.value}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("task, argv, named", [

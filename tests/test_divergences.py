@@ -59,6 +59,12 @@ class TestDiscreteDistribution:
         d = DiscreteDistribution.dirac(4, 2)
         assert d.weights[2] == 1.0 and d.weights.sum() == 1.0
 
+    @pytest.mark.parametrize("index", [-1, -4, 4, 5])
+    def test_dirac_index_out_of_range(self, index):
+        # -1 once named the last hypothesis and 4 raised IndexError
+        with pytest.raises(ValueError, match=r"index must lie in \[0, 4\)"):
+            DiscreteDistribution.dirac(4, index)
+
 
 class TestKlBernoulli:
     def test_equal_arguments(self):

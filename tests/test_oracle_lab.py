@@ -5,13 +5,14 @@ violation / rate / exponential-moment harnesses."""
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacbayes import divergences, oracle_lab
+from pacbayes import bounds, divergences, oracle_lab
 from pacbayes.bounds import BOUND_IDS
 from pacbayes._util import child_rng, child_rngs
 from pacbayes.divergences import DiscreteDistribution, gibbs_reweight, kl_discrete
@@ -515,6 +516,36 @@ class TestOracleBoundRhs:
             oracle_bound_rhs(ht, DiscreteDistribution.uniform(2), lam, variant, n=500,
                              eps=0.05, K=1.0)
 
+    @pytest.mark.parametrize("n", [0, -5, 2.5, math.nan])
+    @pytest.mark.parametrize("variant", ["expectation", "probability", "fast", "localized"])
+    def test_sample_size_is_checked(self, variant, n):
+        # n = -5 read 0.025 below R* = 0.2, n = 0 divided by zero, n = 2.5 and NaN passed
+        task = RiskTableTask([0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            if variant == "localized":
+                localized_oracle_rhs(task, self.pi, 1.0, n)
+            else:
+                oracle_bound_rhs(task, self.pi, 10.0, variant, n=n, eps=0.05, K=1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan])
+    @pytest.mark.parametrize("variant", ["expectation", "probability", "fast"])
+    def test_eps_is_checked_where_given(self, variant, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            oracle_bound_rhs(self.task, self.pi, 10.0, variant, n=100, eps=eps, K=1.0)
+
+    def test_probability_variant_needs_eps(self):
+        with pytest.raises(ValueError, match="the probability variant needs eps"):
+            oracle_bound_rhs(self.task, self.pi, 10.0, "probability", n=100)
+
+    def test_checked_calls_keep_their_bits(self):
+        # values of the unchecked right-hand sides on valid input
+        task = RiskTableTask([0.2, 0.3, 0.5])
+        got = [oracle_bound_rhs(task, self.pi, 10.0, variant, n=100, eps=0.05, K=1.0)
+               for variant in ("expectation", "probability", "fast")]
+        assert got == [0.2874600071899924, 1.0616722274890635, 0.04367586545296304]
+        loc = localized_oracle_rhs(task, self.pi, 1.0, 100)
+        assert (loc.value, loc.closed_form) == (0.02106629543210177, 0.021603547619624467)
+
     def test_probability_variant_at_a_subnormal_eps(self):
         # 2/eps overflows at eps = 5e-324, but log(2/eps) = 745.1 does not
         val = oracle_bound_rhs(self.task, self.pi, 40.0, "probability", n=500, eps=5e-324)
@@ -796,8 +827,9 @@ class TestDonskerVaradhanClosedForm:
         got = oracle_bound_rhs(task, pi, 2.0 * beta, "probability", n=n, eps=eps)
         want = mp_oracle_rhs("probability", w, R, C, n, lam=2.0 * beta, eps=eps)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        # fast and localized run at lam = n/max(2K, C); 2K = C and n = beta C make it beta
-        K, n = C / 2.0, beta * C
+        # fast and localized run at lam = n/max(2K, C), n an integer >= 1: 2K = C and
+        # n = beta C make it beta, and below beta = 1 so do n = 1 and 2K = 1/beta
+        K, n = (C / 2.0, beta * C) if beta >= 1 else (0.5 / beta, 1)
         got = oracle_bound_rhs(task, pi, None, "fast", n=n, K=K)
         want = mp_oracle_rhs("fast", w, R, C, n, K=K)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -929,6 +961,13 @@ class TestViolationExperiment:
         # the grid row searches Gibbs posteriors over its own lambdas; another
         # rule or a lambda was ignored while the report named it
         with pytest.raises(ValueError, match=f"{name} must be"):
+            violation_experiment(self.task, "lambda_grid", rule, 500, 0.05, 5, 0, lam=lam)
+
+    @pytest.mark.parametrize("rule, lam", [("erm_dirac", None), ("gibbs", 7.0)])
+    def test_lambda_grid_refusal_is_the_catalogs(self, rule, lam):
+        with pytest.raises(ValueError) as refusal:
+            bounds.BOUND_TABLE["lambda_grid"].check_search(rule, lam)
+        with pytest.raises(ValueError, match=re.escape(str(refusal.value))):
             violation_experiment(self.task, "lambda_grid", rule, 500, 0.05, 5, 0, lam=lam)
 
     def test_localized_empirical_validated_range(self):

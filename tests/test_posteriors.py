@@ -427,6 +427,14 @@ class TestSingleDraw:
         with pytest.raises(ValueError):
             single_draw_certificate(pi, pi, 1, emp, n, 0.05, C, 10.0)
 
+    def test_subnormal_prior_mass_keeps_its_log_ratio(self):
+        # rho/pi = 1/5e-324 overflows; the certificate read +inf with a RuntimeWarning
+        pi = DiscreteDistribution(np.array([5e-324, 1.0 - 5e-324]))
+        cert = single_draw_certificate(pi, DiscreteDistribution.dirac(2, 0), 0, 0.1, 100, 0.05,
+                                       1.0, 10.0)
+        assert cert.details["log_density_ratio"] == math.log(1.0) - math.log(5e-324)
+        assert math.isfinite(cert.value)
+
     @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=6), st.data(),
            st.floats(0.0, 1.0), st.integers(1, 10**6), st.floats(1e-9, 0.999),
            st.floats(0.1, 10.0), st.floats(1e-3, 1e6))
@@ -507,6 +515,33 @@ class TestGaussianOptimizer:
             ConstantSurrogate(0.25, 100), 1.0, cfg, 20.0, 0.05, certificate="seeger")
         assert seeger.bound_id == "seeger"
         assert seeger.value == bound_seeger_maurer(BoundInput(0.25, 0.0, 100, 0.05)).value
+
+    @pytest.mark.parametrize("certificate", ["linear", "seeger"])
+    def test_range_c_certificate_errs_upward(self, certificate):
+        # the seeger certificate once clamped a risk of 1.5 on [0, 2] to 1.0 and read 1.0
+        cfg = VariationalConfig(mc_samples=8, max_iters=5, seed=0)
+        _, cert = optimize_gaussian_posterior(ConstantSurrogate(1.5, 100), 1.0, cfg, 20.0, 0.05,
+                                              C=2.0, certificate=certificate)
+        assert cert.value >= cert.details["mc_risk"] == 1.5
+        if certificate == "seeger":
+            assert cert.details["rescaled_by"] == 2.0
+            assert cert.value == 2.0 * bound_seeger_maurer(BoundInput(0.75, 0.0, 100, 0.05)).value
+            assert cert.vacuous == (cert.value >= 2.0)
+
+    @pytest.mark.parametrize("certificate", ["linear", "seeger"])
+    def test_unit_range_certificate_is_the_direct_call(self, certificate):
+        task = GaussianQuadraticTask(center=0.3, spread=0.5)
+        cfg = VariationalConfig(mc_samples=8, max_iters=20, seed=4)
+        _, cert = optimize_gaussian_posterior(
+            QuadraticSurrogate(task.sample(300, np.random.default_rng(5))), 1.0, cfg, 50.0, 0.05,
+            certificate=certificate)
+        inp = BoundInput(cert.details["mc_risk"], cert.details["kl"], 300, 0.05)
+        direct = (bound_catoni_linear(inp, 50.0) if certificate == "linear"
+                  else bound_seeger_maurer(inp))
+        assert cert.details["kl"] > 0.0
+        assert (cert.bound_id, cert.value, cert.terms, cert.lam, cert.vacuous) == (
+            direct.bound_id, direct.value, direct.terms, direct.lam, direct.vacuous)
+        assert direct.details.items() <= cert.details.items()
 
     def test_divergence_detected(self):
         task = GaussianQuadraticTask()
