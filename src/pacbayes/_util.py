@@ -1,6 +1,12 @@
-"""Shared helper: deterministic RNG derivation for seeded experiments.
+"""Shared helpers: the whole-number rules and deterministic RNG derivation.
 
-Two entry points give the same streams:
+Every count (a sample size, a number of trials, a seed) passes
+``_check_count(value, name, low)`` and every index into m hypotheses
+``_check_index(value, m, name)``: a whole number (an int, a numpy integer or
+an integral float such as JSON's ``1000.0``) >= low, or in [0, m), comes back
+as an int; a bool, NaN, +-inf, 2.5 or a string raises ValueError naming it.
+
+RNG derivation has two entry points, which give the same streams:
 
 - ``child_rng(seed, *key)`` is ``default_rng(SeedSequence(seed, spawn_key=key))``,
   one generator per call (about 12 us).  It is the definition.
@@ -10,7 +16,7 @@ Two entry points give the same streams:
   keys at once, about 90 us per call plus 2 us per key, so it pays only for
   a whole experiment's keys; single draws keep ``child_rng``.
 
-Domain: the seed is a non-negative int of any size; the keys of one
+Domain: the seed is a whole number >= 0 of any size; the keys of one
 ``child_rngs`` call have one length each, with entries in [0, 2**32), so
 every key is one uint32 word per entry.  Anything else is a ValueError.
 
@@ -24,7 +30,6 @@ pacbayes.cli`` stays free of ``numpy.random``.
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
@@ -36,12 +41,35 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+def _whole(value):
+    """value as an int if it is a whole number, else None."""
+    if isinstance(value, (float, np.floating)):
+        return int(value) if float(value).is_integer() else None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+
+
+def _check_count(value, name: str, low: int = 1) -> int:
+    """The one count rule: a whole number >= low, returned as an int."""
+    if (k := _whole(value)) is None or k < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return k
+
+
+def _check_index(value, m: int, name: str) -> int:
+    """The one index rule: a whole number in [0, m), returned as an int."""
+    if (k := _whole(value)) is None or not 0 <= k < m:
+        raise ValueError(f"{name} must be an integer in [0, {m}), got {value!r}")
+    return k
+
+
 def child_rng(seed: int, *key: int) -> np.random.Generator:
     """A generator derived deterministically from (seed, key).
 
     Streams with distinct keys are independent, so each trial's draws
     depend only on its own key, never on the trials run before it.
     """
+    seed = _check_count(seed, "seed", 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -61,9 +89,7 @@ def _mix(x, y):
 def _state_words(seed: int, keys) -> np.ndarray:
     """The (keys x 4) uint64 words SeedSequence(seed, spawn_key=key)
     .generate_state(4, uint64) gives for each row key of keys."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _check_count(seed, "seed", 0)
     try:
         keys = np.asarray(keys, dtype=np.int64)
     except OverflowError:

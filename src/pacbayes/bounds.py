@@ -37,13 +37,13 @@ Conventions
   which gives each element the bits of its one-posterior call.
 * Every bound is a theorem for n i.i.d. losses in [0, C], a confidence
   level eps, a fixed lambda > 0 and KL >= 0.  Three checks state these
-  hypotheses once each, NaN failing every test: ``_check_inputs`` (n an
-  integer >= 1, eps in (0, 1), C > 0, every risk in [0, C]), ``_check_kl``
-  (+inf allowed) and ``_check_lambda`` (lambda in (0, upper); +inf only
-  where every KL given is +inf).  :class:`BoundInput` runs the first two,
-  and every entry point taking any of these without one runs the checks it
-  needs; bad input raises ValueError.  chi_square's variance bound has one
-  check too, ``_check_kappa`` (kappa > 0).
+  hypotheses once each, NaN failing every test: ``_check_inputs`` (n a
+  count by ``_util._check_count``, eps in (0, 1), C > 0, every risk in
+  [0, C]), ``_check_kl`` (+inf allowed) and ``_check_lambda`` (lambda in
+  (0, upper); +inf only where every KL given is +inf).  :class:`BoundInput`
+  runs the first two, and every entry point taking any of these without one
+  runs the checks it needs; bad input raises ValueError.  chi_square's
+  variance bound has one check too, ``_check_kappa`` (kappa > 0).
 * log(1/eps) is ``_log_inv(eps)``, finite at a subnormal eps where 1/eps
   overflows, and log(a/eps) is ``_log_inv(eps, a)``, finite where a/eps
   overflows.
@@ -65,6 +65,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._util import _check_count
 from .divergences import (
     DiscreteDistribution,
     _bisect_upper,
@@ -115,8 +116,7 @@ def _check_inputs(n, eps, C=1.0, lo=0.0, hi=None, name="emp_risk") -> None:
     level enters), C be positive and the risks lie in [0, C]: lo is one risk,
     or with hi the smallest and largest of many.
     """
-    if not (n >= 1 and n % 1 == 0):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_count(n, "n")
     if eps is not None and not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     if hi is None:
@@ -288,9 +288,7 @@ def bound_union_finite(
     if (M is None) == (log_M is None):
         raise ValueError("supply exactly one of M and log_M")
     if log_M is None:
-        if not (M >= 1):
-            raise ValueError(f"M must be >= 1, got {M!r}")
-        log_M = math.log(M)
+        log_M = math.log(_check_count(M, "M"))
     return _one("union_finite", _union_finite, BoundInput(r_min, log_M, n, eps, C))
 
 
@@ -653,8 +651,8 @@ def bound_localized_empirical(
         / [(1-xi) lam + (1+xi) g(lam/n) lam^2 / n]
 
     with g the Bernstein function.  The displayed denominator grows
-    superlinearly in lambda, so the bound is only trustworthy on the lambda
-    range validated by the violation harness (see oracle_lab).
+    superlinearly in lambda, and the violation harness finds the row unsound
+    even inside LOCALIZED_LAMBDA_RANGE (see there; ROADMAP item 1).
     """
     _localized_checks(n, eps, xi)
     r = np.asarray(emp_risk_vector, dtype=float)
@@ -692,9 +690,10 @@ def _localized_columns(q, kl, lam, d, W):
 # Evaluators look the bound_* functions up as module globals at call time, so
 # a replaced module attribute (as a tracer installs) reaches every caller.
 
-#: lambda range of the localized empirical bound validated by the violation
-#: harness on the desk-scale reference tasks (see tests); compare only
-#: exposes the bound inside this range, at this localization strength.
+#: the lambda range compare exposes the localized empirical bound in, at
+#: LOCALIZED_XI_DEFAULT.  Not a safe range: on RiskTableTask([0.5, 0.55, 0.6])
+#: at n = 40, eps = 0.05, lam = 15, 200 trials (seed 1) violate at rate 1.0
+#: for xi = 0 and 0.865 for xi = 0.5 (seeger: 0.0); ROADMAP item 1 fixes it.
 LOCALIZED_LAMBDA_RANGE = (1.0, 15.0)
 LOCALIZED_XI_DEFAULT = 0.5
 

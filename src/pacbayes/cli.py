@@ -318,7 +318,8 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     KL are skipped.  Each bound is minimized over the candidates and over
     the lambdas its catalog policy searches, paying the log(card) union
     price over those lambdas by splitting eps; the localized empirical
-    bound only enters at its harness-validated lambda range.
+    bound enters only inside bounds.LOCALIZED_LAMBDA_RANGE, which the
+    violation harness does not validate (see there).
 
     The family is built once.  One pass over its row blocks takes each
     row's E_rho[r], its KL to the task's prior and its KL to pi itself,

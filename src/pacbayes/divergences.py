@@ -18,6 +18,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from ._util import _check_count, _check_index
+
 __all__ = [
     "DiscreteDistribution",
     "DiagonalGaussian",
@@ -69,14 +71,13 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, m: int) -> "DiscreteDistribution":
+        m = _check_count(m, "m")
         return cls(np.full(m, 1.0 / m))
 
     @classmethod
     def dirac(cls, m: int, index: int) -> "DiscreteDistribution":
-        if not 0 <= index < m:
-            raise ValueError(f"index must lie in [0, {m}), got {index!r}")
-        w = np.zeros(m)
-        w[index] = 1.0
+        w = np.zeros(_check_count(m, "m"))
+        w[_check_index(index, w.size, "index")] = 1.0
         return cls(w)
 
     @classmethod
@@ -524,8 +525,7 @@ def kl_uniform_ball(d: int, big_radius: float, small_radius: float) -> float:
     The small ball of radius ``small_radius`` must sit inside the big one;
     the divergence is the log volume ratio.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    d = _check_count(d, "d")
     if not (0 < small_radius <= big_radius):
         raise ValueError("radii must satisfy 0 < s <= B")
     return d * math.log(big_radius / small_radius)

@@ -31,7 +31,7 @@ from .divergences import (
     _row_dots,
     _safe_log,
 )
-from ._util import child_rng, child_rngs
+from ._util import _check_count, _check_index, child_rng, child_rngs
 
 __all__ = [
     "SyntheticTask",
@@ -122,10 +122,6 @@ class SyntheticTask:
         losses -= losses[:, [self.theta_star]]
         return np.square(losses, out=losses).mean(axis=0)
 
-    def bernstein_constant_known(self) -> Optional[float]:
-        """Closed-form Bernstein constant, when the construction pins one."""
-        return None
-
 
 def _check_unique_argmin(values: np.ndarray) -> int:
     star = int(np.argmin(values))
@@ -177,11 +173,6 @@ class RiskTableTask(SyntheticTask):
         out[self.theta_star] = 0.0  # same variable, not an independent copy
         return out
 
-    def bernstein_constant_known(self):
-        if self.p[self.theta_star] == 0.0:
-            return 1.0  # noiseless classification
-        return None
-
 
 class ThresholdMarginTask(SyntheticTask):
     """Threshold classifiers on uniform inputs under a margin condition.
@@ -203,13 +194,10 @@ class ThresholdMarginTask(SyntheticTask):
             raise ValueError("thresholds must be a nonempty vector")
         if np.unique(thr).size != thr.size:
             raise ValueError("thresholds must be distinct")
-        if star_index is None:
-            star_index = thr.size // 2
-        if not (star_index % 1 == 0 and 0 <= star_index < thr.size):
-            raise ValueError(f"star_index must be an integer in [0, {thr.size}), got {star_index!r}")
         self.tau = float(tau)
         self.thresholds = thr
-        self.star_index = int(star_index)
+        self.star_index = (thr.size // 2 if star_index is None
+                           else _check_index(star_index, thr.size, "star_index"))
         self.seed = seed
         dist = np.abs(thr - thr[self.star_index])
         self.true_risk = (0.5 - tau) + 2.0 * tau * dist
@@ -282,9 +270,6 @@ class ThresholdMarginTask(SyntheticTask):
     def second_moments_vs_star(self):
         # losses differ exactly on the disagreement region of the two thresholds
         return np.abs(self.thresholds - self.thresholds[self.star_index])
-
-    def bernstein_constant_known(self):
-        return 1.0 / (2.0 * self.tau)
 
 
 class HeavyTailTask(SyntheticTask):
@@ -371,13 +356,9 @@ def make_synthetic_task(kind: str, params: dict, seed: int = 0) -> SyntheticTask
     if kind == "threshold_margin":
         if ("thresholds" in params) == ("grid_size" in params):
             raise ValueError("a threshold_margin task takes exactly one of grid_size and thresholds")
-        if "thresholds" in params:
-            thr = params["thresholds"]
-        else:
-            thr = np.linspace(0.0, 1.0, int(params["grid_size"]))
-        return ThresholdMarginTask(
-            params["tau"], thr, star_index=params.get("star_index"), seed=seed
-        )
+        thr = (params["thresholds"] if "thresholds" in params
+               else np.linspace(0.0, 1.0, _check_count(params["grid_size"], "grid_size")))
+        return ThresholdMarginTask(params["tau"], thr, star_index=params.get("star_index"), seed=seed)
     if kind == "heavy_tail":
         return HeavyTailTask(
             params["means"],
@@ -424,7 +405,7 @@ def estimate_bernstein_constant(
     if mode == "exact":
         second = task.second_moments_vs_star()
     elif mode == "statistical":
-        second = task.sample_second_moments(samples, child_rng(seed, 0))
+        second = task.sample_second_moments(_check_count(samples, "samples"), child_rng(seed, 0))
     else:
         raise ValueError("mode must be 'exact' or 'statistical'")
     gaps = task.gaps
@@ -760,8 +741,7 @@ def violation_experiment(
     lambda_grid searches its own Gibbs posteriors and lambdas, so it takes
     only the "gibbs" rule and no numeric lam.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _check_count(trials, "trials")
     if not (0 < corruption < math.inf):
         raise ValueError(f"corruption must lie in (0, inf), got {corruption!r}")
     _check_support_size("pi", pi, task.m)
@@ -868,14 +848,12 @@ def rate_experiment(
     and each block's log Gibbs weights and log excess risks are one matrix
     pass each, every row with the bits of the rep-by-rep loop.
     """
-    validate_geometric_grid(n_grid)  # as given, before int() meets an inf or NaN
-    n_grid = [int(v) for v in n_grid]
-    validate_geometric_grid(n_grid)  # as the sample sizes it runs at
+    validate_geometric_grid(n_grid)  # first, so an inf or NaN reads "n_grid must be finite"
+    n_grid = [_check_count(v, "n_grid entry") for v in n_grid]
     if rule not in ("fast", "slow"):
         raise ValueError("rule must be 'fast' or 'slow'")
     _check_bounded(task, f"the {rule} rate")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    reps = _check_count(reps, "reps")
     _check_support_size("pi", pi, task.m)
     pi = pi or DiscreteDistribution.uniform(task.m)
     C = task.C
@@ -1008,11 +986,8 @@ def verify_exponential_moment(
     e^{g((b-a) t) n t^2 Var}, each inflated by five relative standard
     errors of the Monte Carlo estimate.
     """
-    n = int(dist_spec["n"])
-    if n < 1:
-        raise ValueError("dist_spec must set n >= 1")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    n = _check_count(dist_spec["n"], "dist_spec n")
+    samples = _check_count(samples, "samples", 2)
     low, high, mean, var, draw, mgf = _summand(dist_spec)
     span = high - low
     rng = child_rng(seed, 0)

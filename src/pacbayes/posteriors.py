@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds, divergences
 from .bounds import BoundInput, Certificate
-from ._util import child_rng, child_rngs
+from ._util import _check_count, _check_index, child_rng, child_rngs
 from .divergences import (
     DiagonalGaussian,
     DiscreteDistribution,
@@ -168,8 +168,6 @@ def model_select(
         score = emp + (kl + penalty) / lam
         if best is None or score < best[0]:
             best = (score, j, rho_j, emp, kl, penalty)
-    if best is None:
-        raise ValueError("p assigns zero mass to every model")
     score, j, rho_j, emp, kl, penalty = best
     cert = bounds.bound_catoni_linear(BoundInput(emp, kl + penalty, n, eps, C), lam)
     return j, rho_j, replace(cert, bound_id="model_select", details={
@@ -205,6 +203,7 @@ def single_draw_certificate(
     than the prior, and the certificate preserves that.
     """
     bounds._check_inputs(n, eps, C, emp_risk_theta, name="emp_risk_theta")
+    theta_idx = _check_index(theta_idx, rho.size, "theta_idx")
     if rho.weights[theta_idx] <= 0:
         raise ValueError("theta_idx lies outside the posterior's support")
     if pi.weights[theta_idx] <= 0:
@@ -238,14 +237,12 @@ class VariationalConfig:
     patience: int = 200
 
     def __post_init__(self):
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+        for name, low in (("mc_samples", 1), ("max_iters", 0), ("patience", 0)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, low))
         if not (0 <= self.split_fraction < 1):
             raise ValueError("split_fraction must lie in [0, 1)")
         if not (self.step_size > 0):
             raise ValueError("step_size must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
 
 
 class OptimizationDiverged(RuntimeError):
@@ -627,8 +624,9 @@ class OnlineState:
 
 def ewa_eta_theorem(m: int, horizon: int, C: float = 1.0) -> float:
     """The horizon-tuned learning rate eta = (2/C) sqrt(2 log(M) / T)."""
-    if m < 1 or horizon < 1:
-        raise ValueError("need m >= 1 and horizon >= 1")
+    m, horizon = _check_count(m, "m"), _check_count(horizon, "horizon")
+    if not (0 < C < math.inf):
+        raise ValueError(f"C must lie in (0, inf), got {C!r}")
     return (2.0 / C) * math.sqrt(2.0 * math.log(m) / horizon)
 
 

@@ -454,8 +454,14 @@ def optimize_gaussian_posterior_loop(objective_data, prior_std, cfg, lam, eps, C
     if certificate == "linear":
         inner = bounds.bound_catoni_linear(BoundInput(mc_risk, kl, n_cert, eps, C), lam)
     else:
-        inner = bounds.bound_seeger_maurer(
-            BoundInput(emp_risk=min(mc_risk, 1.0), kl=kl, n=n_cert, eps=eps, C=1.0))
+        # the seeger row's rule for [0, C] losses: invert at mc_risk / C, then
+        # scale the value and terms by C and judge vacuity against C
+        inner = bounds.bound_seeger_maurer(BoundInput(mc_risk / C, kl, n_cert, eps, 1.0))
+        if C != 1.0:
+            inner = replace(inner, value=inner.value * C,
+                            terms={k: v * C for k, v in inner.terms.items()},
+                            vacuous=inner.value * C >= C,
+                            details={**inner.details, "rescaled_by": C})
     return gauss, replace(inner, details={**inner.details, **extra})
 
 

@@ -436,6 +436,13 @@ class TestGermainGeneric:
         with pytest.raises(ValueError):
             bound_germain_generic(0.5, 0.0, 100, 0.5, 0.0, lambda p, q: 10.0 - q)
 
+    def test_budget_past_the_whole_range_saturates_at_one(self):
+        # D(p, 1) = 0.5 lies within the budget (10 + log 20)/10, so no bisection runs
+        cert = bound_germain_generic(0.5, 10.0, 10, 0.05, 0.0, lambda p, q: 2.0 * (q - p) ** 2)
+        assert (cert.value, cert.vacuous) == (1.0, True)
+        assert cert.terms == {"empirical": 0.5, "complexity": 0.5, "slack": 0.0}
+        assert cert.details["budget"] == (10.0 + math.log(1 / 0.05)) / 10
+
     @pytest.mark.parametrize("kl, log_moment", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_budget_is_rejected(self, kl, log_moment):
         # a NaN budget fails every comparison, so bisection would return p itself
@@ -805,6 +812,16 @@ class TestLambdaGate:
         W = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
         with pytest.raises(ValueError, match="lambda"):
             entry.values(data, W, W @ data.emp_risk, np.array([math.inf, 0.5]), lam)
+
+    @pytest.mark.parametrize("bound_id", [b for b in BOUND_IDS if BOUND_TABLE[b].lam_kind == "free"
+                                          and BOUND_TABLE[b].lam_default is None])
+    def test_free_rows_refuse_a_missing_lambda(self, bound_id):
+        n = 40
+        losses = (np.arange(n)[:, None] % np.array([5, 3, 4]) == 0).astype(float)
+        prior = DiscreteDistribution.uniform(3)
+        data = BoundData(losses.mean(axis=0), n, 0.05, prior=prior, kappa=0.25, losses=losses)
+        with pytest.raises(ValueError, match=f"^{bound_id} needs a lambda$"):
+            BOUND_TABLE[bound_id].certify(data, prior, 0.2, 0.5, None)
 
     def test_infinite_lambda_at_infinite_kl_is_vacuous(self):
         inp = make_input(emp=0.0, kl=math.inf)

@@ -400,6 +400,12 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
      "task"),
     ({**SCALARS, "task": {"kind": "threshold_margin", "tau": "0.2", "grid_size": 11}},
      ["violate", "--bound", "seeger", "--trials", "5"], "task"),
+    # a grid size that is no whole number once ran at its floor, its number or 1
+    *[({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": size}},
+       ["violate", "--bound", "seeger", "--trials", "5"], "task") for size in (2.5, "5", True)],
+    ({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 11,
+                          "star_index": True}}, ["violate", "--bound", "seeger", "--trials", "5"],
+     "task"),
     ({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 11,
                           "thresholds": [0.1, 0.9]}},
      ["violate", "--bound", "seeger", "--trials", "5"], "task"),
@@ -443,7 +449,8 @@ SCALARS = {"schema": 1, "n": 100, "eps": 0.05, "C": 1.0}
         "union_finite_dirac", "violate_lambda_grid_erm_dirac", "violate_lambda_grid_lambda_7",
         "certify_lambda_grid_lambda_7", "lambda_abc", "lambda_inf", "missing_task_file",
         "task_file_not_an_object", "emp_risk_not_numbers", "losses_not_numbers",
-        "unknown_task_kind", "star_index_out_of_range", "tau_a_string",
+        "unknown_task_kind", "star_index_out_of_range", "tau_a_string", "grid_size_2.5",
+        "grid_size_a_string", "grid_size_true", "star_index_true",
         "grid_size_and_thresholds", "task_without_p", "dirac_not_an_index", "dirac_past_the_end",
         "dirac_negative", "missing_weights_file",
         "weights_not_an_array", "weights_a_directory", "unknown_posterior", "n_grid_not_integers",

@@ -62,7 +62,7 @@ class TestDiscreteDistribution:
     @pytest.mark.parametrize("index", [-1, -4, 4, 5])
     def test_dirac_index_out_of_range(self, index):
         # -1 once named the last hypothesis and 4 raised IndexError
-        with pytest.raises(ValueError, match=r"index must lie in \[0, 4\)"):
+        with pytest.raises(ValueError, match=r"index must be an integer in \[0, 4\)"):
             DiscreteDistribution.dirac(4, index)
 
 

@@ -60,7 +60,6 @@ class TestMakeSyntheticTask:
         assert task.risk_star == pytest.approx(0.25)
         dist = np.abs(task.thresholds - 0.5)
         assert np.allclose(task.gaps, 2 * 0.25 * dist, atol=1e-12)
-        assert task.bernstein_constant_known() == pytest.approx(2.0)
 
     def test_threshold_margin_enumeration_oracle(self):
         # exhaustive enumeration over a discretized input space: X on a fine

@@ -336,6 +336,15 @@ class TestModelSelect:
         assert scores[1] < scores[0]
         assert cert.details["score"] == pytest.approx(scores[1], abs=1e-12)
 
+    def test_zero_mass_model_is_skipped(self):
+        # model 0 fits perfectly but p gives it no mass: its penalty log(1/0),
+        # which would raise ZeroDivisionError, is never formed; model 1 is selected
+        pi = DiscreteDistribution.uniform(3)
+        perfect = RiskTable(emp_risk=np.zeros(3), n=100, C=1.0)
+        models = [(pi, perfect), (pi, RiskTable(emp_risk=RISKS3, n=100, C=1.0))]
+        j, _, cert = model_select(models, DiscreteDistribution.dirac(2, 1), 10.0, 0.05)
+        assert j == 1 and cert.details["model_penalty"] == 0.0
+
     def test_shape_mismatch(self):
         pi = DiscreteDistribution.uniform(3)
         rt_a = RiskTable(emp_risk=RISKS3, n=100, C=1.0)
@@ -552,6 +561,31 @@ class TestGaussianOptimizer:
         with pytest.raises(OptimizationDiverged):
             optimize_gaussian_posterior(QuadraticSurrogate(x), 1.0, cfg, 50.0, 0.05)
 
+    class _FixedGradient:
+        """One parameter; every draw loses 0.5 and the data gradient in m is fixed."""
+
+        dim, n = 1, 100
+
+        def __init__(self, grad_m):
+            self.grad_m = np.array([grad_m])
+
+        def reparam_pass(self, m, s, z):
+            return np.full(len(z), 0.5), self.grad_m, 0.0
+
+    def test_non_finite_gradient_is_detected(self):
+        cfg = VariationalConfig(mc_samples=4, max_iters=10)
+        with pytest.raises(OptimizationDiverged, match="non-finite objective or gradient at "
+                                                       "iteration 0"):
+            optimize_gaussian_posterior(self._FixedGradient(math.nan), 1.0, cfg, 50.0, 0.05)
+
+    def test_objective_stuck_high_exhausts_patience(self):
+        # one step of 100 puts the mean at 100, where the data gradient and the
+        # KL's cancel: the objective stays near KL/lam = 5000, far above its
+        # initial 3.5, for iterations 1, 2, ...; the fourth such one exceeds patience 3
+        cfg = VariationalConfig(mc_samples=4, step_size=1.0, max_iters=50, patience=3)
+        with pytest.raises(OptimizationDiverged, match="stuck above its initial value for 3 "):
+            optimize_gaussian_posterior(self._FixedGradient(-100.0), 1.0, cfg, 1.0, 0.05)
+
     def test_split_mode_uses_heldout_prior_mean(self):
         # optimum far from the zero-mean prior: the data-built prior mean
         # must shrink the KL mean term relative to the no-split run
@@ -720,16 +754,17 @@ class TestLogisticSurrogate:
         # a mean far from zero, so the relative comparison says something
         assert np.max(np.abs(g_new.mean)) > 0.1
 
-    @pytest.mark.parametrize("make, split", [
-        (lambda: QuadraticSurrogate(np.random.default_rng(1).normal(0.3, 0.5, 300)), 0.0),
-        (lambda: QuadraticSurrogate(np.random.default_rng(1).normal(2.0, 0.5, 300)), 0.5),
-        (lambda: ConstantSurrogate(0.25, 100), 0.0),
-        (lambda: ConstantSurrogate(0.25, 100), 0.5),
-    ], ids=["quadratic", "quadratic-split", "constant", "constant-split"])
+    @pytest.mark.parametrize("make, split, C", [
+        (lambda: QuadraticSurrogate(np.random.default_rng(1).normal(0.3, 0.5, 300)), 0.0, 1.0),
+        (lambda: QuadraticSurrogate(np.random.default_rng(1).normal(2.0, 0.5, 300)), 0.5, 1.0),
+        (lambda: ConstantSurrogate(0.25, 100), 0.0, 1.0),
+        (lambda: ConstantSurrogate(0.25, 100), 0.5, 1.0),
+        (lambda: ConstantSurrogate(1.5, 100), 0.0, 2.0),
+    ], ids=["quadratic", "quadratic-split", "constant", "constant-split", "constant-C2"])
     @pytest.mark.parametrize("certificate", ["linear", "seeger"])
-    def test_per_draw_surrogates_keep_the_old_loops_bytes(self, make, split, certificate):
+    def test_per_draw_surrogates_keep_the_old_loops_bytes(self, make, split, C, certificate):
         cfg = VariationalConfig(mc_samples=16, max_iters=150, seed=4, split_fraction=split)
-        runs = [run(make(), 1.0, cfg, 50.0, 0.05, certificate=certificate)
+        runs = [run(make(), 1.0, cfg, 50.0, 0.05, C, certificate=certificate)
                 for run in (optimize_gaussian_posterior, optimize_gaussian_posterior_loop)]
         (g_new, c_new), (g_old, c_old) = runs
         assert g_new.mean.tobytes() == g_old.mean.tobytes()
@@ -773,6 +808,15 @@ class TestEwa:
         state, regret = ewa_run(losses, 0.7, DiscreteDistribution.uniform(3))
         assert np.allclose(state.weights.weights, 1 / 3)
         assert regret == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan, math.inf])
+    def test_eta_theorem_refuses_a_bad_loss_range(self, C):
+        # C = 0 raised ZeroDivisionError, C = -1 gave a negative eta, NaN gave NaN
+        with pytest.raises(ValueError, match=r"^C must lie in \(0, inf\)"):
+            ewa_eta_theorem(4, 10, C)
+
+    def test_eta_theorem_scales_as_one_over_C(self):
+        assert ewa_eta_theorem(4, 10, 2.0) == ewa_eta_theorem(4, 10) / 2
 
     def test_exhaustive_enumeration_m2_t8(self):
         eta = ewa_eta_theorem(2, 8)
