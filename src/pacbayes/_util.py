@@ -13,8 +13,9 @@ RNG derivation has two entry points, which give the same streams:
 - ``child_rngs(seed, keys)`` yields, in order, the generator ``child_rng(seed,
   *key)`` returns for each key, with the same ``bit_generator.state``.  It
   runs numpy's published SeedSequence hash as uint32 array passes over all
-  keys at once, about 90 us per call plus 2 us per key, so it pays only for
-  a whole experiment's keys; single draws keep ``child_rng``.
+  keys at once (45 us a call plus 0.05 us a key), or reads one of its last 8
+  (seed, keys) sets back (4 us; the lab's common random numbers repeat them),
+  then builds each generator (1.2 us, 2-CPU host); single draws keep child_rng.
 
 Domain: the seed is a whole number >= 0 of any size; the keys of one
 ``child_rngs`` call have one length each, with entries in [0, 2**32), so
@@ -30,6 +31,7 @@ pacbayes.cli`` stays free of ``numpy.random``.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -73,12 +75,16 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix of value (an int or a uint32 array) and the next
-    const; generate_state hashes each output word the same way with mult B."""
-    nxt = const * mult & _MASK
+def _consts(const: int, mult: int):
+    """The endless (XOR, multiplier) const pairs of successive hashmix calls."""
+    chain = itertools.accumulate(itertools.repeat(mult), lambda c, m: c * m & _MASK, initial=const)
+    return itertools.pairwise(chain)
+
+
+def _hashmix(value, const, nxt):
+    """SeedSequence's hashmix, on ints or elementwise on uint32 arrays."""
     value = (value ^ const) * nxt & _MASK
-    return value ^ value >> 16, nxt
+    return value ^ value >> 16
 
 
 def _mix(x, y):
@@ -88,7 +94,7 @@ def _mix(x, y):
 
 def _state_words(seed: int, keys) -> np.ndarray:
     """The (keys x 4) uint64 words SeedSequence(seed, spawn_key=key)
-    .generate_state(4, uint64) gives for each row key of keys."""
+    .generate_state(4, uint64) gives for each row key of keys, read-only."""
     seed = _check_count(seed, "seed", 0)
     try:
         keys = np.asarray(keys, dtype=np.int64)
@@ -98,30 +104,34 @@ def _state_words(seed: int, keys) -> np.ndarray:
         raise ValueError("keys must be a sequence of equal-length keys")
     if keys.size and not (0 <= keys.min() and keys.max() <= _MASK):
         raise ValueError("key entries must be in [0, 2**32)")
+    keys = keys.astype(np.uint32) if keys.ndim == 2 else np.empty((0, 0), np.uint32)
+    hashed = _hashed_words if len(keys) <= 2**14 else _hashed_words.__wrapped__  # 512 KiB a set
+    return hashed(seed, keys.shape, keys.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _hashed_words(seed: int, shape: tuple, data: bytes) -> np.ndarray:
+    """_state_words of checked uint32 keys, given by shape and bytes."""
     # the seed's words, zero-padded to the pool size since a spawn key follows
     words = [seed >> 32 * i & _MASK for i in range(max(_POOL, -(-seed.bit_length() // 32)))]
-    const, pool = _INIT_A, []
-    for word in words[:_POOL]:
-        h, const = _hashmix(word, const)
-        pool.append(h)
+    consts = _consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, *next(consts)) for word in words[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    # everything so far is the same for every key; each later word, the
-    # seed's past the pool size and then each key column, is one uint32
-    # pass per pool word over all keys
-    pool = [np.full(len(keys), h, dtype=np.uint32) for h in pool]
-    for word in [*words[_POOL:], *keys.astype(np.uint32).T]:
-        for dst in range(_POOL):
-            h, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], h)
-    state = np.empty((len(keys), 2 * _POOL), dtype=np.uint32)
-    const = _INIT_B
-    for i in range(2 * _POOL):
-        state[:, i], const = _hashmix(pool[i % _POOL], const, _MULT_B)
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    # each later word, the seed's past the pool size and then each key
+    # column, mixes into the four pool words at once: a (keys x 4) pass
+    pool = np.array(pool, dtype=np.uint32)
+    for word in [*words[_POOL:], *np.frombuffer(data, dtype=np.uint32).reshape(shape).T]:
+        c = np.array(list(itertools.islice(consts, _POOL)), dtype=np.uint32).T
+        pool = _mix(pool, _hashmix(np.reshape(word, (-1, 1)).astype(np.uint32), *c))
+    # state word i hashes pool word i % 4: a (keys x 8) pass
+    c = np.array(list(itertools.islice(_consts(_INIT_B, _MULT_B), 2 * _POOL)), dtype=np.uint32).T
+    pool = np.broadcast_to(pool, (shape[0], _POOL)).take(np.arange(2 * _POOL) % _POOL, axis=1)
+    words = _hashmix(pool, *c).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    words.flags.writeable = False
+    return words
 
 
 @functools.cache
@@ -147,8 +157,8 @@ def child_rngs(seed: int, keys):
 
     keys is a sequence of equal-length keys (or a 2-D integer array) with
     entries in [0, 2**32); an empty one gives no generators.  The state words
-    of every key are made here, in one array pass; each generator is built
-    when the iterator reaches it.
+    of every key are made here, in one array pass, or read back for one of
+    the last 8 sets; each generator is built when the iterator reaches it.
     """
     words = _state_words(seed, keys)
     Generator, PCG64, StateWords = _seeding()

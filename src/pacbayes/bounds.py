@@ -855,9 +855,9 @@ class CatalogEntry:
             (q, scale_C), kl = scaled, np.asarray(kl, dtype=float)
             _check_inputs(data.n, data.eps, scale_C, q.min(), q.max())
             _check_kl(kl)
-        with np.errstate(over="ignore"):  # lambda C^2 past the float range is +inf
+        with np.errstate(over="ignore"):  # lambda C^2 or value * C past the float range: +inf
             value = np.asarray(self.columns(q, kl, lam, data, W)[0], dtype=float)
-        return value * data.C if self.scale == "kl" else value
+            return value * data.C if self.scale == "kl" else value
 
 
 def _union_inputs(d: BoundData):

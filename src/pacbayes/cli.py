@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
+from ._util import _check_count
 from .bounds import Certificate
 from .divergences import DiscreteDistribution, _gibbs_family, _kl_log_prior, _logsumexp, _safe_log
 from .posteriors import RiskTable, gibbs_posterior
@@ -569,8 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
 #: Numeric flags with the range each must lie in: attribute -> (flag, test, range).
 _FLAG_RANGES = {
     "xi": ("--xi", lambda v: 0 <= v < 1, "[0, 1)"),
-    "trials": ("--trials", lambda v: v >= 1, "[1, inf)"),
-    "reps": ("--reps", lambda v: v >= 1, "[1, inf)"),
     "corruption": ("--corruption", lambda v: 0 < v < math.inf, "(0, inf)"),
 }
 
@@ -587,6 +586,8 @@ def _check_flags(args) -> None:
             raise SchemaError("--lambda", f"must be 'closed_form' or a number in (0, {upper:g}), "
                                           f"got {lam!r}")
     _checked("--eps", bounds._check_inputs, 1, getattr(args, "eps", None))  # None: not given
+    for attr in {"trials", "reps"} & vars(args).keys():  # the library's count rule
+        _checked(f"--{attr}", _check_count, getattr(args, attr), attr)
     for attr, (flag, ok, interval) in _FLAG_RANGES.items():
         value = getattr(args, attr, None)
         _require(not isinstance(value, (int, float)) or ok(value), flag,

@@ -153,14 +153,14 @@ def kl_bernoulli(p: float, q: float) -> float:
     return max(out, 0.0)
 
 
-#: kl_inverse_upper bisects a column of at least this many elements in one
-#: masked array pass and a shorter one element by element.  The masked pass
-#: costs 1.3-1.5 ms up to a few hundred elements, the loop about 0.05 ms an
-#: element, so they cross near 30 (medians of 7 on a 2-CPU host: 16 elements
-#: 0.86 / 1.45 ms).  Both stay: the masked pass alone would make a
-#: one-element certificate about 18x slower, the loop alone a 100-trial
-#: column 3-5x slower.
-_KL_INVERSE_COLUMN_MIN = 32
+#: kl_inverse_upper replays the bisection of a column of at least this many
+#: elements in one array pass and bisects a shorter one element by element.
+#: The pass costs about 0.35 ms up to a hundred elements, the loop about
+#: 0.03 ms an element, so they cross near 12 (best of 7 on a 2-CPU host:
+#: 12 elements 0.36 / 0.36 ms, 16 elements 0.47 / 0.38 ms).  Both stay: the
+#: pass alone would make a one-element certificate about 12x slower, the
+#: loop alone a 100-trial column about 7x slower.
+_KL_INVERSE_COLUMN_MIN = 16
 
 
 def kl_inverse_upper(q, b):
@@ -177,7 +177,7 @@ def kl_inverse_upper(q, b):
     outside [0, 1], or else a b below 0 or NaN, raises ValueError naming the
     first such value.  Fewer than ``_KL_INVERSE_COLUMN_MIN`` elements bisect
     one by one, about 30 kl_bernoulli calls each; a longer column takes
-    ``_kl_inverse_upper_columns``, one masked bisection with the same bits.
+    ``_kl_inverse_upper_columns``, one replayed bisection with the same bits.
     """
     if np.isscalar(q) and np.isscalar(b):  # q is checked first, as below
         return _kl_inverse_one(_check_probability("q", q), _check_budget(float(b)))
@@ -233,28 +233,62 @@ def _kl_bernoulli_at_most(p, one_minus_p, q, b) -> np.ndarray:
     return ok
 
 
+def _kl_root_bracket(p, one_minus_p, b):
+    """The ends a < c of ``_kl_inverse_upper_columns``: kl_bernoulli(p, x) <= b
+    for every x in [p, a] and > b for every x in [c, 1), else p and 1."""
+    with np.errstate(all="ignore"):
+        # Pinsker (kl >= 2 (x - p)^2) starts x above the root, and Newton in
+        # u = -log(1 - x), where kl is convex too, keeps it there
+        x = np.minimum(p + np.sqrt(0.5 * b), 1.0 - 2.0**-53)
+        for _ in range(5):
+            one_minus_x = 1.0 - x
+            kl = np.where(p > 0.0, p * np.log(p / x), 0.0) + one_minus_p * np.log(
+                one_minus_p / one_minus_x)
+            slope = one_minus_p / one_minus_x - p / x
+            x, last = 1.0 - one_minus_x * np.exp((kl - b) / (slope * one_minus_x)), x
+        m = 2.0**-42 * (b + 1.0)
+        h = 2.0 * (np.abs(x - last) + m / slope)
+        a, c = np.maximum(x - h, p), x + h
+        a_ok = _kl_bernoulli_at_most(p, one_minus_p, a, b - m)
+        c_ok = (c <= 1.0) & ~_kl_bernoulli_at_most(p, one_minus_p, c, b + m)
+    return np.where(a_ok, a, p), np.where(c_ok, c, 1.0)
+
+
 def _kl_inverse_upper_columns(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     """kl_inverse_upper(q[i], b[i]) for every element of two float arrays of
-    one shape, q in [0, 1] and b >= 0, bit for bit, as one masked bisection.
+    one shape, q in [0, 1] and b >= 0: the scalar bisection, replayed bit for bit.
 
     Each element starts from the bracket [q, 1], halves it at
-    mid = 0.5 * (lo + hi) on the test of ``_kl_bernoulli_at_most``, stops
-    once its own hi - lo <= 1e-9 and returns hi; b = 0 and q = 1 return q.
-    Its cost is about 30 steps of whole-array passes whatever the size, so
-    the element loop wins on short columns.
+    mid = 0.5 * (lo + hi), stops once its own hi - lo <= 1e-9 and returns
+    hi; b = 0 and q = 1 return q.  The test kl_bernoulli(q, mid) <= b holds
+    at mid <= a and fails at mid >= c, for ``_kl_root_bracket``'s ends;
+    only a midpoint between them takes the exact test of
+    ``_kl_bernoulli_at_most``.  Why: on [q, 1) the true kl(q|x) increases
+    with x, and kl_bernoulli rounds each term t1 <= 0 <= t2 by a few ulps of
+    itself plus a few ulps absolute (the log of a rounded ratio); as
+    |t1| <= x - q <= 1, it lies within E = 2^-48 (kl + 3) of the true kl.
+    The ends passed exact tests at the margin m = 2^-42 (b + 1), far above
+    2 E there: kl_bernoulli(q, a) <= b - m and kl_bernoulli(q, c) > b + m.
+    So at mid <= a it reads at most kl(a) + 2 E < b, and at mid >= c, where
+    kl - E increases too, at least kl(c) - 2 E > b.  On columns like
+    mc_lab's 100 seeger trials, about one midpoint in four columns (of
+    some 3000 a column) falls between the ends.
     """
     out = q.copy()
     todo = (b != 0.0) & (q != 1.0)
     p, budget = q[todo], b[todo]
     one_minus_p = 1.0 - p
+    a, c = _kl_root_bracket(p, one_minus_p, budget)
     lo, hi = p, np.ones_like(p)
-    live = hi - lo > 1e-9
-    while live.any():
+    while np.count_nonzero(live := hi - lo > 1e-9):
         mid = 0.5 * (lo + hi)
-        lower = live & _kl_bernoulli_at_most(p, one_minus_p, mid, budget)
+        lower = mid <= a
+        if np.count_nonzero(unsure := live & ((mid < c) ^ lower)):  # a < c
+            i = np.flatnonzero(unsure)
+            lower[i] = _kl_bernoulli_at_most(p[i], one_minus_p[i], mid[i], budget[i])
+        lower &= live
         lo = np.where(lower, mid, lo)
         hi = np.where(live ^ lower, mid, hi)
-        live = hi - lo > 1e-9
     out[todo] = hi
     return out
 

@@ -774,7 +774,7 @@ def violation_experiment(
         grid = bounds.lambda_grid_geometric(n)
     logpi = _safe_log(pi.weights)
 
-    true, values = [], []
+    blocks = []  # (bound values, E_rho[R]) of each draws block
     for risks in _stacked_draws(task, n, child_rngs(seed, np.arange(trials)[:, None])):
         if kind == "grid":
             bounds._check_inputs(n, None, C, risks.min(), risks.max())
@@ -782,8 +782,7 @@ def violation_experiment(
                 (e, k, _row_dots(w, R)) for w, e, k in _gibbs_family(logpi, risks, grid, logpi))))
             scores = bounds._lambda_grid_values(grid, emp, kl, n, eps, C)
             best = np.arange(len(risks)), scores.argmin(axis=1)
-            values += scores[best].tolist()
-            true += risk[best].tolist()
+            blocks.append((scores[best], risk[best]))
             continue
         if posterior_rule == "gibbs":  # at one lambda, a draws block is one family block
             (w, emp, kl), = _gibbs_family(logpi, risks, [lam_value], logpi)
@@ -794,27 +793,22 @@ def violation_experiment(
             emp, kl = _row_dots(w, risks), _kl_log_prior(w, logpi)
         data = bounds.BoundData(risks, n, eps, C, prior=pi, xi=xi,
                                 kappa=getattr(task, "kappa", None))
-        values += entry.values(data, w, emp, kl, lam_bound).tolist()
-        true += _row_dots(w, R).tolist()
-    rows = []
-    for true_t, value in zip(true, values):
-        corrupted = corruption * value
-        rows.append({
-            "n": n,
-            "seed": seed,
-            "excess_risk": true_t - task.risk_star,
-            "bound_value": corrupted,
-            "violated": bool(true_t > corrupted),
-        })
-    violations = sum(row["violated"] for row in rows)
+        blocks.append((entry.values(data, w, emp, kl, lam_bound), _row_dots(w, R)))
+    values, true = map(np.concatenate, zip(*blocks))
+    risk_star, bound = task.risk_star, corruption * values  # the trial loop's float operations
+    excess = true - risk_star
+    violated = true > bound
+    rows = [{"n": n, "seed": seed, "excess_risk": e, "bound_value": v, "violated": x}
+            for e, v, x in zip(excess.tolist(), bound.tolist(), violated.tolist())]
+    violations = int(np.count_nonzero(violated))
     rate = violations / trials
     return ExperimentReport(
         trials=trials,
         violations=violations,
         violation_rate=rate,
         se=math.sqrt(rate * (1.0 - rate) / trials),
-        mean_bound=float(np.mean([row["bound_value"] for row in rows])),
-        mean_true_risk=float(np.mean([row["excess_risk"] + task.risk_star for row in rows])),
+        mean_bound=float(np.mean(bound)),
+        mean_true_risk=float(np.mean(excess + risk_star)),
         rows=rows,
         details={"bound_id": bound_id, "posterior_rule": posterior_rule, "eps": eps,
                  "lambda": lam_value, "corruption": corruption},
@@ -865,7 +859,7 @@ def rate_experiment(
     log_gaps = _safe_log(gaps[others])
 
     # every n's reps come from one seeding pass, rep k of grid point i at key (i, k)
-    draws = child_rngs(seed, [(i, rep) for i in range(len(n_grid)) for rep in range(reps)])
+    draws = child_rngs(seed, np.indices((len(n_grid), reps)).reshape(2, -1).T)
     rows = []
     log_means = []
     for i, n in enumerate(n_grid):

@@ -203,6 +203,7 @@ def single_draw_certificate(
     than the prior, and the certificate preserves that.
     """
     bounds._check_inputs(n, eps, C, emp_risk_theta, name="emp_risk_theta")
+    divergences._check_same_support(rho, pi)
     theta_idx = _check_index(theta_idx, rho.size, "theta_idx")
     if rho.weights[theta_idx] <= 0:
         raise ValueError("theta_idx lies outside the posterior's support")

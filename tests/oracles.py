@@ -324,6 +324,32 @@ def mp_kl_inverse_upper(q: float, b: float, digits: int = 40):
         return (lo + hi) / 2
 
 
+def kl_inverse_upper_masked_loop(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """divergences._kl_inverse_upper_columns as one masked bisection.
+
+    The array pass the library ran before its replay: each element starts
+    from the bracket [q, 1], halves it at mid = 0.5 * (lo + hi) on the exact
+    test of ``_kl_bernoulli_at_most`` at every step, stops once its own
+    hi - lo <= 1e-9 and returns hi; b = 0 and q = 1 return q.
+    """
+    from pacbayes.divergences import _kl_bernoulli_at_most
+
+    out = q.copy()
+    todo = (b != 0.0) & (q != 1.0)
+    p, budget = q[todo], b[todo]
+    one_minus_p = 1.0 - p
+    lo, hi = p, np.ones_like(p)
+    live = hi - lo > 1e-9
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        lower = live & _kl_bernoulli_at_most(p, one_minus_p, mid, budget)
+        lo = np.where(lower, mid, lo)
+        hi = np.where(live ^ lower, mid, hi)
+        live = hi - lo > 1e-9
+    out[todo] = hi
+    return out
+
+
 class TwoPassLogisticSurrogate:
     """The logistic surrogate as the optimizer saw it before its fused pass.
 

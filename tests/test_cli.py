@@ -2,6 +2,7 @@
 the library (17 significant digits), deterministic CSV output, and the
 behavior of certify/compare/violate/rates on reference instances."""
 
+import hashlib
 import json
 import math
 import os
@@ -554,6 +555,32 @@ def test_extreme_valid_input_exits_cleanly(field, value, argv, tmp_path, capsys)
             assert cert["value"] is not None and not cert["vacuous"]
         else:
             assert cert["vacuous"] is True, err
+
+
+def test_kl_rescale_past_the_float_range_warns_nothing(tmp_path, capsys):
+    # compare rescales each kl-row candidate by C; at C = 1e308 some overflow
+    # to +inf, which only makes them vacuous.  The digest is the stdout that
+    # came with a RuntimeWarning before the rescale ran under errstate
+    doc = {"schema": 1, "n": 1000, "eps": 0.05, "C": 1e308, "prior": [0.5, 0.5],
+           "emp_risk": [0.2, 0.3]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["compare", write_json(tmp_path / "t.json", doc)])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e2ca3def944d53242b865cd865e3463426322327bffb8db1364d5dfc88685f81")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["violate", "--bound", "seeger", "--trials", "0"], "trials"),
+    (["rates", "--n-grid", "100,200,400,800,1600", "--reps", "0"], "reps"),
+])
+def test_count_flags_take_the_library_count_rule(argv, name, generative_instance, capsys):
+    command, *flags = argv
+    assert cli.main([command, generative_instance, *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"schema error: field '--{name}': {name} must be an integer >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("doc, argv, named", [

@@ -32,6 +32,7 @@ from scipy.special import logsumexp
 from oracles import (
     grid_kl_inverse,
     kl_gaussian_quadrature,
+    kl_inverse_upper_masked_loop,
     kl_log_prior_loop,
     mp_kl_inverse_upper,
 )
@@ -250,6 +251,51 @@ class TestKlInverseColumns:
         for p, x, y in zip(_kl_inverse_upper_columns(q, b), q, b):
             exact = mp_kl_inverse_upper(float(x), float(y))
             assert exact <= p <= exact + 1e-9
+
+
+replay_qs = st.one_of(st.sampled_from([0.0, 5e-324, 1 - 2**-53, 1.0]),
+                     st.floats(min_value=0.0, max_value=1.0))
+replay_budgets = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e3]),
+                           st.floats(min_value=0.0, max_value=1e-12),
+                           st.floats(min_value=0.0, max_value=10.0))
+
+
+class TestKlInverseReplay:
+    """The column inverse replays the masked bisection it replaced, bit for
+    bit, deciding a midpoint from its checked bracket wherever it can."""
+
+    @given(st.lists(st.tuples(replay_qs, replay_budgets), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    @example([(q, b) for q in (0.0, 5e-324, 1 - 2**-53, 1.0) for b in (0.0, 5e-324, 1e-300, 1e3)])
+    def test_same_bits_as_the_masked_bisection(self, pairs):
+        q, b = np.array(pairs, dtype=float).T
+        assert same_bits(_kl_inverse_upper_columns(q, b), kl_inverse_upper_masked_loop(q, b))
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1 - 1e-6), st.floats(1e-9, 10.0)), min_size=1,
+                    max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_bracket_ends_pass_and_fail_the_exact_test(self, pairs):
+        # every x in [q, a] passes kl_bernoulli(q, x) <= b and every x in [c, 1)
+        # fails it; probe each end and its neighbouring floats
+        q, b = np.array(pairs, dtype=float).T
+        a, c = divergences._kl_root_bracket(q, 1.0 - q, b)
+        for x, y, lo, hi in zip(q, b, a, c):
+            assert x <= lo < hi <= 1.0
+            if lo > x:
+                for z in (lo, np.nextafter(lo, 0.0), 0.5 * (x + lo)):
+                    assert kl_bernoulli(x, max(z, x)) <= y, (x, y, z)
+            if hi < 1.0:
+                for z in (hi, np.nextafter(hi, 1.0), 0.5 * (hi + 1.0)):
+                    assert kl_bernoulli(x, min(z, np.nextafter(1.0, 0.0))) > y, (x, y, z)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_typical_column_brackets_every_root_tightly(self, seed):
+        # columns like mc_lab's seeger ones: the masked bisection tested about
+        # 30 midpoints an element, the replay only those between the ends
+        q, b = np.random.default_rng(seed).uniform([[0.05], [0.005]], [[0.6], [0.1]], (2, 100))
+        a, c = divergences._kl_root_bracket(q, 1.0 - q, b)
+        assert (q < a).all() and (c < 1.0).all() and (c - a < 1e-11).all()
+        assert same_bits(_kl_inverse_upper_columns(q, b), kl_inverse_upper_masked_loop(q, b))
 
 
 class TestKlInverseEntry:

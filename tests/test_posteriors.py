@@ -428,6 +428,15 @@ class TestSingleDraw:
         with pytest.raises(ValueError):
             single_draw_certificate(pi, rho, 1, 0.2, 100, 0.05, 1.0, 10.0)
 
+    @pytest.mark.parametrize("m_pi, m_rho, theta_idx", [(3, 2, 1), (2, 3, 2)],
+                             ids=["prior_larger", "posterior_larger"])
+    def test_support_sizes_must_agree(self, m_pi, m_rho, theta_idx):
+        # pi on 3 with rho on 2 certified 0.5526 from masses on different
+        # supports; pi on 2 with rho on 3 raised IndexError
+        pi, rho = DiscreteDistribution.uniform(m_pi), DiscreteDistribution.uniform(m_rho)
+        with pytest.raises(ValueError, match=f"^support sizes differ: {m_rho} vs {m_pi}$"):
+            single_draw_certificate(pi, rho, theta_idx, 0.2, 100, 0.05, 1.0, 10.0)
+
     @pytest.mark.parametrize("emp, n, C", [
         (0.2, 0, 1.0), (0.2, -10, 1.0), (0.2, 100, -1.0), (-3.0, 100, 1.0), (math.nan, 100, 1.0)])
     def test_bad_input_is_rejected(self, emp, n, C):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pacbayes import bounds, divergences, oracle_lab, posteriors
+from pacbayes import _util, bounds, divergences, oracle_lab, posteriors
 from pacbayes._util import _check_count, _check_index, child_rng, child_rngs
 from pacbayes.divergences import DiscreteDistribution
 
@@ -64,6 +64,42 @@ class TestChildRngs:
     def test_domain_errors(self, seed, keys):
         with pytest.raises(ValueError):
             list(child_rngs(seed, keys))
+
+    @pytest.mark.parametrize("seed", [2**128, 2**128 + 3, 2**200 - 1])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_cached_words_are_read_only_seed_sequence_words(self, seed, arity):
+        keys = [tuple(range(k, k + arity)) for k in (0, 5, 2**32 - arity)]
+        first = _util._state_words(seed, keys)
+        again = _util._state_words(seed, np.array(keys))  # the same set, read back
+        assert again is first
+        uncached = np.array(keys, dtype=np.uint32)
+        uncached = _util._hashed_words.__wrapped__(seed, uncached.shape, uncached.tobytes())
+        for words in (first, uncached):
+            assert not words.flags.writeable
+            with pytest.raises(ValueError):
+                words[0, 0] = 0
+            want = [np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+                    for key in keys]
+            assert words.tolist() == np.array(want).tolist()
+
+    def test_sets_with_the_same_entries_in_another_shape_are_apart(self):
+        assert_same_streams(4, [(0, 1)])
+        assert_same_streams(4, [(0,), (1,)])
+        assert_same_streams(4, [(0, 1)])
+
+    def test_only_sets_of_at_most_2_14_keys_are_kept(self):
+        small, big = np.arange(2**14)[:, None], np.arange(2**14 + 1)[:, None]
+        assert _util._state_words(3, small) is _util._state_words(3, small)
+        assert _util._state_words(3, big) is not _util._state_words(3, big)
+
+    def test_a_repeated_set_gives_the_same_generators(self):
+        keys = np.arange(40)[:, None]
+        first = [g.bit_generator.state for g in child_rngs(7, keys)]
+        again = list(child_rngs(7, keys))
+        assert [g.bit_generator.state for g in again] == first
+        assert [g.random() for g in again] == [child_rng(7, k).random() for k in range(40)]
+        # a generator's draws leave the cached words, and so the next call, as they were
+        assert [g.bit_generator.state for g in child_rngs(7, keys)] == first
 
     def test_negative_seed_matches_child_rng(self):
         with pytest.raises(ValueError):
