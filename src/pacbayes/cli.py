@@ -412,7 +412,7 @@ def cmd_compare(args) -> int:
 
 
 def _build_task(task: dict):
-    from .oracle_lab import make_synthetic_task
+    from .oracle_lab import _DrawLimitError, make_synthetic_task
 
     spec = task["task"]
     if spec is None:
@@ -422,6 +422,8 @@ def _build_task(task: dict):
         return make_synthetic_task(spec["kind"], params, seed=0)
     except KeyError as exc:
         raise SchemaError(f"task.{exc.args[0]}", "required parameter is missing")
+    except _DrawLimitError:
+        raise  # a size the lab cannot simulate: exit 3
     except (TypeError, ValueError) as exc:
         raise SchemaError("task", str(exc))
 

@@ -70,11 +70,18 @@ class SyntheticTask:
     the bits of ``sample_emp_risk(n, rngs[t])``.  The base class stacks
     those one-trial calls; a subclass that overrides the block makes its
     one-trial call the one-row block, so each task has one sampler.
+
+    ``_draw_params`` names the attributes the samplers read; the lab keeps
+    the draws of a class that names them in its own body (see
+    ``_stacked_draws``).  ``_draw_words(n)`` is about what one trial's draw
+    allocates, in 8-byte words; the base class averages an n x M loss
+    matrix.
     """
 
     kind: str = "abstract"
     C: float = 1.0
     seed: int = 0
+    _draw_params: tuple = ()
 
     true_risk: np.ndarray
     theta_star: int
@@ -111,6 +118,9 @@ class SyntheticTask:
         stacked in order into a C-contiguous (len(rngs) x M) block."""
         return np.array([self.sample_emp_risk(n, rng) for rng in rngs], dtype=float)
 
+    def _draw_words(self, n) -> int:
+        return n * self.m
+
     def second_moments_vs_star(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -141,6 +151,7 @@ class RiskTableTask(SyntheticTask):
 
     kind = "risk_table"
     C = 1.0
+    _draw_params = ("p", "shared_noise")
 
     def __init__(self, p, shared_noise: bool = False, seed: int = 0):
         p = np.asarray(p, dtype=float)
@@ -165,6 +176,9 @@ class RiskTableTask(SyntheticTask):
             return super().sample_emp_risk(n, rng)
         return rng.binomial(n, self.p) / n
 
+    def _draw_words(self, n):
+        return super()._draw_words(n) if self.shared_noise else self.m
+
     def second_moments_vs_star(self):
         ps = self.p[self.theta_star]
         if self.shared_noise:
@@ -185,6 +199,7 @@ class ThresholdMarginTask(SyntheticTask):
 
     kind = "threshold_margin"
     C = 1.0
+    _draw_params = ("tau", "thresholds", "star_index")
 
     def __init__(self, tau: float, thresholds, star_index: Optional[int] = None, seed: int = 0):
         if not (0 < tau <= 0.5):
@@ -258,6 +273,9 @@ class ThresholdMarginTask(SyntheticTask):
             out[s:s + c] = ((n - k) - (count[:c, n:] - below) + below) / n
         return out
 
+    def _draw_words(self, n):
+        return 4 * n + self.m  # x, f, the prefix counts and the packed bools, then a row
+
     def sample_second_moments(self, samples, rng):
         # (loss(theta) - loss(theta*))^2 is 1{min(theta, theta*) <= x < max(theta, theta*)}:
         # count each disagreement region on one sorted draw of x, with the bits of
@@ -284,6 +302,7 @@ class HeavyTailTask(SyntheticTask):
 
     kind = "heavy_tail"
     C = math.inf
+    _draw_params = ("means", "sds", "alpha")
 
     def __init__(self, means, sds, tail_shape: float = 2.5, seed: int = 0):
         means = np.asarray(means, dtype=float)
@@ -300,16 +319,16 @@ class HeavyTailTask(SyntheticTask):
         self.seed = seed
         self.true_risk = means.copy()
         self.theta_star = _check_unique_argmin(means)
-        a = self.alpha
-        self._w_mean = a / (a - 1.0)
-        self._w_sd = math.sqrt(a / ((a - 1.0) ** 2 * (a - 2.0)))
 
     @property
     def kappa(self) -> float:
         return float(np.max(self.sds) ** 2)
 
     def _shocks(self, n, rng):
-        return (1.0 + rng.pareto(self.alpha, size=n) - self._w_mean) / self._w_sd
+        # W standardized by its exact mean and sd, both read off alpha alone
+        a = self.alpha
+        w_mean, w_sd = a / (a - 1.0), math.sqrt(a / ((a - 1.0) ** 2 * (a - 2.0)))
+        return (1.0 + rng.pareto(a, size=n) - w_mean) / w_sd
 
     def sample_losses(self, n, rng):
         z = self._shocks(n, rng)
@@ -317,6 +336,9 @@ class HeavyTailTask(SyntheticTask):
 
     def sample_emp_risk(self, n, rng):
         return self.means + self._shocks(n, rng).mean() * self.sds
+
+    def _draw_words(self, n):
+        return 2 * n + self.m  # the shocks and one temporary, then a row
 
     def second_moments_vs_star(self):
         dm = self.means - self.means[self.theta_star]
@@ -332,6 +354,27 @@ _TASK_PARAMS = {
 }
 
 
+#: What the lab simulates: one trial's draw allocates at most _DRAW_WORDS
+#: 8-byte words (1 GiB), so a task has at most that many hypotheses, and a
+#: sample size n lies in the int64 range numpy's samplers take.
+_DRAW_WORDS, _N_MAX = 1 << 27, 2**63 - 1
+
+
+class _DrawLimitError(ValueError):
+    """A task or sample size past what one trial's draw may allocate."""
+
+
+def _check_draw(task: SyntheticTask, n, name: str = "n") -> None:
+    """Refuse a sample size whose one-trial draw the lab cannot simulate."""
+    if _check_count(n, name) > _N_MAX:
+        raise _DrawLimitError(f"{name} must be at most 2**63 - 1, the int64 range of a "
+                              f"sample size, got {n!r}")
+    if (words := task._draw_words(n)) > _DRAW_WORDS:
+        raise _DrawLimitError(f"{name} = {n!r} asks one trial's draw of the {task.kind} task "
+                              f"for {words} 8-byte words; the lab allocates at most 2**27 "
+                              "(1 GiB) a trial")
+
+
 def make_synthetic_task(kind: str, params: dict, seed: int = 0) -> SyntheticTask:
     """Build a synthetic task from a JSON-friendly parameter dict.
 
@@ -342,7 +385,10 @@ def make_synthetic_task(kind: str, params: dict, seed: int = 0) -> SyntheticTask
       heavy_tail       {"means": [...], "sds": [...] or float, "tail_shape": float?}
 
     A parameter the kind does not take raises ValueError naming it, so a
-    misspelt key cannot silently leave its default in place.
+    misspelt key cannot silently leave its default in place.  A grid_size
+    past the 2**27 entries one trial's draw may hold raises _DrawLimitError.
+    The task stores ``seed``, but no sampler reads it: every draw's stream
+    comes from the generator it is given (the experiments' child_rng(seed, ...)).
     """
     params = dict(params)
     if kind not in _TASK_PARAMS:
@@ -356,8 +402,12 @@ def make_synthetic_task(kind: str, params: dict, seed: int = 0) -> SyntheticTask
     if kind == "threshold_margin":
         if ("thresholds" in params) == ("grid_size" in params):
             raise ValueError("a threshold_margin task takes exactly one of grid_size and thresholds")
-        thr = (params["thresholds"] if "thresholds" in params
-               else np.linspace(0.0, 1.0, _check_count(params["grid_size"], "grid_size")))
+        if "grid_size" in params:
+            size = _check_count(params["grid_size"], "grid_size")
+            if size > _DRAW_WORDS:
+                raise _DrawLimitError(f"grid_size must be at most 2**27, the entries one "
+                                      f"trial's draw may hold, got {params['grid_size']!r}")
+        thr = params["thresholds"] if "thresholds" in params else np.linspace(0.0, 1.0, size)
         return ThresholdMarginTask(params["tau"], thr, star_index=params.get("star_index"), seed=seed)
     if kind == "heavy_tail":
         return HeavyTailTask(
@@ -694,13 +744,59 @@ def _check_support_size(name: str, dist: Optional[DiscreteDistribution], m: int)
         raise ValueError(f"{name} has {dist.size} masses but the task has {m} hypotheses")
 
 
-def _stacked_draws(task: SyntheticTask, n: int, rngs):
-    """task.sample_emp_risk(n, rng) for each generator of the iterator rngs,
+#: The draw cache: the last _DRAW_SETS drawn sets of at most _DRAW_SET_ENTRIES
+#: entries each (8 x 2**16 float64 entries, 4 MiB in all), by value key
+_DRAW_SETS, _DRAW_SET_ENTRIES = 8, 1 << 16
+_drawn: dict = {}
+
+#: The task methods a draw runs through; a patched one gives another key
+_SAMPLERS = ("sample_emp_risks", "sample_emp_risk", "sample_losses", "_sample_xy", "_shocks")
+
+
+def _draw_key(task: SyntheticTask, n, seed, keys: np.ndarray):
+    """The value key of a draw set: the task's class, sampler functions and
+    the bytes of each parameter its class declares, n, seed and the keys.
+    None for a class that declares no parameters or a set too large to keep."""
+    params = type(task).__dict__.get("_draw_params")
+    if not params or len(keys) * task.m > _DRAW_SET_ENTRIES:
+        return None
+    samplers = [getattr(task, name, None) for name in _SAMPLERS]
+    values = [np.asarray(getattr(task, name)) for name in params]
+    return (type(task), *(getattr(f, "__func__", f) for f in samplers),
+            *((v.dtype.str, v.shape, v.tobytes()) for v in values),
+            n, seed, keys.dtype.str, keys.shape, keys.tobytes())
+
+
+def _stacked_draws(task: SyntheticTask, n: int, seed: int, keys):
+    """task.sample_emp_risk(n, child_rng(seed, *key)) for each key of keys,
     in order, as C-contiguous (draws x M) blocks of divergences._block_rows(M)
-    draws at most: one task.sample_emp_risks call per block."""
+    draws at most.
+
+    Experiments that share (task, n, seed, keys) draw once.  A miss seeds the
+    keys' generators in one child_rngs pass and makes one
+    task.sample_emp_risks call per block; a set of at most _DRAW_SET_ENTRIES
+    entries is then kept whole, read-only, among the last _DRAW_SETS used,
+    and a hit reads its blocks back with the bits of the miss.  A larger
+    set, or a task whose class declares no _draw_params, is drawn afresh.
+    """
+    keys = np.asarray(keys)
+    key = _draw_key(task, n, seed, keys)
+    drawn = _drawn.pop(key, None) if key else None
     rows = divergences._block_rows(task.m)
-    while block := list(itertools.islice(rngs, rows)):
-        yield task.sample_emp_risks(n, block)
+    if drawn is None:
+        rngs = child_rngs(seed, keys)
+        draws = (task.sample_emp_risks(n, block)
+                 for block in iter(lambda: list(itertools.islice(rngs, rows)), []))
+        if key is None:
+            yield from draws
+            return
+        drawn = np.concatenate(list(draws))
+        drawn.flags.writeable = False
+    _drawn[key] = drawn  # the set used last goes last; the first one is dropped
+    if len(_drawn) > _DRAW_SETS:
+        del _drawn[next(iter(_drawn))]
+    for s in range(0, len(drawn), rows):
+        yield drawn[s:s + rows]
 
 
 def violation_experiment(
@@ -730,8 +826,12 @@ def violation_experiment(
 
     The draws stay one per trial, their generators seeded in one
     child_rngs pass, and are stacked into (trials x M) blocks of
-    divergences._block_rows(M) trials at most.  Gibbs rows, E_rho[r] and
-    KL(rho || pi) come from divergences._gibbs_family, E_rho[R] is one product
+    divergences._block_rows(M) trials at most.  The trials draw common
+    random numbers: every experiment on one (task, n, seed, trials) sees the
+    same draws, which _stacked_draws makes once and keeps (the last 8 sets
+    of at most 2**16 entries).  An n whose one-trial draw is past the lab's
+    limit (see _check_draw) raises _DrawLimitError, a ValueError.
+    Gibbs rows, E_rho[r] and KL(rho || pi) come from divergences._gibbs_family, E_rho[R] is one product
     per block it yields, and the certificates one ``CatalogEntry.values``
     call per block.  lambda_grid scores each (trial, lambda) pair of its pass
     and keeps each trial's first minimum with its E_rho[R], so no winner is
@@ -742,6 +842,7 @@ def violation_experiment(
     only the "gibbs" rule and no numeric lam.
     """
     trials = _check_count(trials, "trials")
+    _check_draw(task, n)
     if not (0 < corruption < math.inf):
         raise ValueError(f"corruption must lie in (0, inf), got {corruption!r}")
     _check_support_size("pi", pi, task.m)
@@ -775,7 +876,7 @@ def violation_experiment(
     logpi = _safe_log(pi.weights)
 
     blocks = []  # (bound values, E_rho[R]) of each draws block
-    for risks in _stacked_draws(task, n, child_rngs(seed, np.arange(trials)[:, None])):
+    for risks in _stacked_draws(task, n, seed, np.arange(trials)[:, None]):
         if kind == "grid":
             bounds._check_inputs(n, None, C, risks.min(), risks.max())
             emp, kl, risk = (np.concatenate(c).reshape(-1, grid.size) for c in zip(*(
@@ -838,8 +939,10 @@ def rate_experiment(
     with no excess risk anywhere yields the NaN sentinel slope.  A task with
     C = inf, whose lam would be 0, raises ValueError.
 
-    The draws of one n are stacked into blocks as in violation_experiment,
-    and each block's log Gibbs weights and log excess risks are one matrix
+    The draws of one n are stacked into blocks, and kept, as in
+    violation_experiment: every rate experiment on one (task, n, seed, reps)
+    shares them, so the fast and slow rules on one task draw once.  Each
+    block's log Gibbs weights and log excess risks are one matrix
     pass each, every row with the bits of the rep-by-rep loop.
     """
     validate_geometric_grid(n_grid)  # first, so an inf or NaN reads "n_grid must be finite"
@@ -848,6 +951,7 @@ def rate_experiment(
         raise ValueError("rule must be 'fast' or 'slow'")
     _check_bounded(task, f"the {rule} rate")
     reps = _check_count(reps, "reps")
+    _check_draw(task, n_grid[-1], "n_grid entry")  # the grid increases
     _check_support_size("pi", pi, task.m)
     pi = pi or DiscreteDistribution.uniform(task.m)
     C = task.C
@@ -858,8 +962,7 @@ def rate_experiment(
     others = np.flatnonzero(np.arange(task.m) != task.theta_star)
     log_gaps = _safe_log(gaps[others])
 
-    # every n's reps come from one seeding pass, rep k of grid point i at key (i, k)
-    draws = child_rngs(seed, np.indices((len(n_grid), reps)).reshape(2, -1).T)
+    keys = np.indices((len(n_grid), reps)).transpose(1, 2, 0)  # rep k of point i at (i, k)
     rows = []
     log_means = []
     for i, n in enumerate(n_grid):
@@ -872,7 +975,7 @@ def rate_experiment(
         if others.size:
             log_excess = np.concatenate([
                 _logsumexp(_log_gibbs(logpi, -lam * risks)[:, others] + log_gaps)
-                for risks in _stacked_draws(task, n, itertools.islice(draws, reps))])
+                for risks in _stacked_draws(task, n, seed, keys[i])])
         else:
             log_excess = np.full(reps, -math.inf)
         if np.isinf(log_excess).all():

@@ -506,9 +506,23 @@ def test_lambda_grid_refusals_are_the_catalogs(argv, field, rule, lam, generativ
     # eps / 19 underflows to 0 where thiemann prices its lambda search
     ({**SCALARS, "eps": 5e-324, "prior": [0.3, 0.3, 0.4], "emp_risk": [0.1, 0.2, 0.3]},
      ["compare"], "eps = 5e-324 split over the 19 lambdas that thiemann searches underflows to 0"),
+    # past what one trial's draw may allocate, or past the int64 range of n
+    ({**SCALARS, "n": 1e308, "task": {"kind": "risk_table", "p": [0.2, 0.4]}},
+     ["violate", "--bound", "seeger", "--trials", "5"], "n must be at most 2**63 - 1"),
+    ({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 2**53}},
+     ["violate", "--bound", "seeger", "--trials", "5"],
+     "grid_size must be at most 2**27, the entries one trial's draw may hold, got "
+     "9007199254740992"),
+    ({**SCALARS, "n": 2**53, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 11}},
+     ["violate", "--bound", "seeger", "--trials", "5"],
+     "n = 9007199254740992 asks one trial's draw of the threshold_margin task"),
+    ({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 11}},
+     ["rates", "--n-grid", "10000000,20000000,40000000,80000000,160000000", "--reps", "2"],
+     "n_grid entry = 160000000 asks one trial's draw"),
 ], ids=["certify_localized_lambda_1e6", "violate_localized_lambda_1e6", "compare_no_emp_risk",
         "rates_seed_negative", "certify_gibbs_lambda_inf", "certify_localized_lambda_squared_inf",
-        "compare_eps_split_underflows"])
+        "compare_eps_split_underflows", "violate_risk_table_n_1e308",
+        "violate_margin_grid_size_2_53", "violate_margin_n_2_53", "rates_margin_n_1.6e8"])
 def test_semantic_error_exit_3(task, argv, named, request, tmp_path, capsys):
     command, *flags = argv
     rc = cli.main([command, task_path(task, request, tmp_path), *flags])

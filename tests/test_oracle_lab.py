@@ -253,7 +253,7 @@ class TestBlockSampler:
     @pytest.mark.parametrize("kind", list(TASKS))
     def test_same_bits_as_the_trial_loop(self, kind, n, monkeypatch):
         # chunks of the library's size, of one row, and of 7 rows, which
-        # divides neither 50 nor 131 trials
+        # divides neither 50 nor 131 trials; every call draws (a miss)
         task = self.TASKS[kind]()
         for trials in (1, 50, 131):
             keys = [(9, t) for t in range(trials)]
@@ -261,7 +261,8 @@ class TestBlockSampler:
             for rows in (None, 1, 7):
                 if rows is not None:
                     monkeypatch.setattr(divergences, "_FAMILY_BLOCK", rows * n)
-                blocks = list(oracle_lab._stacked_draws(task, n, child_rngs(9, keys)))
+                oracle_lab._drawn.clear()
+                blocks = list(oracle_lab._stacked_draws(task, n, 9, keys))
                 assert all(b.flags.c_contiguous and b.shape[1] == task.m for b in blocks)
                 assert max(len(b) for b in blocks) <= divergences._block_rows(task.m)
                 assert np.concatenate(blocks).tobytes() == want.tobytes(), (trials, rows)
@@ -277,8 +278,174 @@ class TestBlockSampler:
         one = cls.sample_emp_risk
         monkeypatch.setattr(cls, "sample_emp_risk",
                             lambda self, n, rng: calls.append(n) or one(self, n, rng))
-        list(oracle_lab._stacked_draws(task, 20, child_rngs(1, [(t,) for t in range(30)])))
+        for _ in range(2):  # the second call reads the set the first one drew
+            list(oracle_lab._stacked_draws(task, 20, 1, [(t,) for t in range(30)]))
         assert len(calls) == (30 if per_trial else 0)
+
+
+class TestDrawCache:
+    """Experiments that share (task, n, seed, keys) draw once: a hit reads the
+    bits of the miss, in any row blocks, and anything a draw reads is in the
+    key."""
+
+    KEYS = [(t,) for t in range(30)]
+
+    @pytest.fixture(autouse=True)
+    def seedings(self, monkeypatch):
+        """An empty cache, and a log of the child_rngs calls (one a miss)."""
+        monkeypatch.setattr(oracle_lab, "_drawn", {})
+        calls, real = [], oracle_lab.child_rngs
+        monkeypatch.setattr(oracle_lab, "child_rngs",
+                            lambda seed, keys: calls.append(seed) or real(seed, keys))
+        return calls
+
+    @staticmethod
+    def drawn(task, n=20, seed=1, keys=KEYS):
+        return list(oracle_lab._stacked_draws(task, n, seed, keys))
+
+    @pytest.mark.parametrize("kind", list(TestBlockSampler.TASKS))
+    def test_a_hit_has_the_bits_of_a_miss_in_any_blocks(self, kind, seedings, monkeypatch):
+        # drawn under one block size and read back under others: the set is
+        # kept whole and cut when it is read
+        task = TestBlockSampler.TASKS[kind]()
+        want = stacked_draws_loop(task, 20, child_rngs(1, self.KEYS)).tobytes()
+        default = divergences._FAMILY_BLOCK
+        for block in (default, task.m, 7 * task.m, default):  # the library's, 1 and 7 rows
+            monkeypatch.setattr(divergences, "_FAMILY_BLOCK", block)
+            blocks = self.drawn(task)
+            assert all(b.flags.c_contiguous and b.shape[1] == task.m for b in blocks)
+            assert max(len(b) for b in blocks) <= divergences._block_rows(task.m)
+            assert np.concatenate(blocks).tobytes() == want, block
+        assert len(seedings) == 1
+
+    def test_kept_sets_are_read_only(self):
+        for block in self.drawn(RiskTableTask([0.1, 0.2, 0.6])):
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+        assert not any(a.flags.writeable for a in oracle_lab._drawn.values())
+
+    def test_a_parameter_changed_in_place_draws_afresh(self, seedings):
+        task = RiskTableTask([0.1, 0.2, 0.6])
+        first = np.concatenate(self.drawn(task))
+        task.p[2] = 0.9
+        again = np.concatenate(self.drawn(task))
+        assert len(seedings) == 2
+        assert again.tobytes() == stacked_draws_loop(task, 20, child_rngs(1, self.KEYS)).tobytes()
+        assert again.tobytes() != first.tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_synthetic_task("risk_table", {"p": [0.1, 0.2, 0.6], "shared_noise": True}),
+        lambda: make_synthetic_task("threshold_margin", {"tau": 0.2, "grid_size": 41}, 5),
+        lambda: make_synthetic_task("heavy_tail", {"means": [0.2, 0.5], "sds": [0.5, 1.0]}, 7),
+    ], ids=["risk_table_shared", "margin", "heavy_tail"])
+    def test_equal_tasks_built_apart_share_one_set(self, build, seedings):
+        # the task's own seed is read by no sampler, so it is not in the key
+        first, other = build(), build()
+        other.seed = first.seed + 1
+        a, b = self.drawn(first), self.drawn(other)
+        assert len(seedings) == 1 and len(oracle_lab._drawn) == 1
+        assert all(x is not y and np.shares_memory(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("change", [
+        lambda t: setattr(t, "tau", 0.3), lambda t: setattr(t, "star_index", 3),
+        lambda t: t.thresholds.__setitem__(0, -0.5),
+    ], ids=["tau", "star_index", "thresholds"])
+    def test_each_declared_parameter_is_in_the_key(self, change, seedings):
+        task = ThresholdMarginTask(0.2, np.linspace(0.0, 1.0, 11))
+        self.drawn(task)
+        change(task)
+        got = np.concatenate(self.drawn(task))
+        assert len(seedings) == 2
+        assert got.tobytes() == stacked_draws_loop(task, 20, child_rngs(1, self.KEYS)).tobytes()
+
+    def test_n_seed_and_keys_are_in_the_key(self, seedings):
+        task = RiskTableTask([0.1, 0.2, 0.6])
+        for n, seed, keys in [(20, 1, self.KEYS), (21, 1, self.KEYS), (20, 2, self.KEYS),
+                              (20, 1, self.KEYS[:-1]), (20, 1, [(0, t) for t in range(30)]),
+                              (20, 1, self.KEYS)]:
+            self.drawn(task, n, seed, keys)
+        assert len(seedings) == 5
+
+    @pytest.mark.parametrize("owner", ["class", "instance"])
+    def test_a_patched_sampler_misses(self, owner, seedings, monkeypatch):
+        task, calls = HeavyTailTask([0.2, 0.5], [0.5, 1.0]), []
+        want = np.concatenate(self.drawn(task)).tobytes()
+        real = HeavyTailTask._shocks
+        shim = lambda self, n, rng: calls.append(n) or real(self, n, rng)  # noqa: E731
+        if owner == "class":
+            monkeypatch.setattr(HeavyTailTask, "_shocks", shim)
+        else:
+            monkeypatch.setattr(task, "_shocks", lambda n, rng: shim(task, n, rng))
+        assert np.concatenate(self.drawn(task)).tobytes() == want
+        assert len(calls) == 30 and len(seedings) == 2
+        self.drawn(task)  # the shimmed set is kept too
+        assert len(calls) == 30 and len(seedings) == 2
+
+    def test_a_class_that_declares_no_parameters_is_never_kept(self, seedings):
+        class Coins(SyntheticTask):
+            true_risk, theta_star = np.array([0.2, 0.5]), 0
+
+            def sample_emp_risk(self, n, rng):
+                return rng.binomial(n, self.true_risk) / n
+
+        class Tilted(RiskTableTask):  # inherits RiskTableTask's declaration, declares none
+            pass
+
+        for task in (Coins(), Tilted([0.2, 0.5])):
+            first, again = self.drawn(task), self.drawn(task)
+            assert np.concatenate(first).tobytes() == np.concatenate(again).tobytes()
+        assert len(seedings) == 4 and not oracle_lab._drawn
+
+    @pytest.mark.parametrize("trials, kept", [(64, True), (65, False)])
+    def test_only_sets_of_at_most_2_16_entries_are_kept(self, trials, kept, seedings):
+        task = RiskTableTask(np.linspace(0.05, 0.95, 1024))
+        keys = [(t,) for t in range(trials)]
+        first, again = self.drawn(task, 20, 3, keys), self.drawn(task, 20, 3, keys)
+        assert np.concatenate(first).tobytes() == np.concatenate(again).tobytes()
+        assert len(oracle_lab._drawn) == kept and len(seedings) == 2 - kept
+
+    def test_the_last_8_sets_are_kept(self, seedings):
+        task = RiskTableTask([0.1, 0.2, 0.6])
+        for seed in range(8):
+            self.drawn(task, seed=seed)
+        self.drawn(task, seed=0)  # used again, so seed 1's set is the oldest
+        self.drawn(task, seed=8)
+        assert len(oracle_lab._drawn) == 8 and len(seedings) == 9
+        self.drawn(task, seed=0)
+        assert len(seedings) == 9
+        self.drawn(task, seed=1)
+        assert len(seedings) == 10
+
+    def test_a_draw_that_raises_keeps_nothing(self, seedings, monkeypatch):
+        task = RiskTableTask([0.1, 0.2, 0.6])
+        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", 10 * task.m)  # three blocks
+        blocks, real = [], RiskTableTask.sample_emp_risks
+
+        def sampler(self, n, rngs):
+            if blocks:
+                raise RuntimeError("the second block fails")
+            blocks.append(real(self, n, rngs))
+            return blocks[-1]
+
+        monkeypatch.setattr(RiskTableTask, "sample_emp_risks", sampler)
+        with pytest.raises(RuntimeError):
+            self.drawn(task)
+        assert not oracle_lab._drawn
+        with pytest.raises(ValueError):  # a bad seed is refused before any draw
+            self.drawn(task, seed=-1)
+        assert not oracle_lab._drawn
+
+    def test_experiments_on_one_draw_set_draw_once(self, seedings):
+        task = make_synthetic_task("risk_table", {"p": [0.1, 0.2, 0.6, 0.35]})
+        reports = [violation_experiment(task, bound_id, "gibbs", 300, 0.1, 20, 4)
+                   for bound_id in ("seeger", "catoni_linear", "seeger")]
+        assert len(seedings) == 1
+        assert repr(reports[0]) == repr(reports[2])
+        margin = make_synthetic_task("threshold_margin", {"tau": 0.2, "grid_size": 11})
+        for rule in ("fast", "slow", "fast"):
+            rate_experiment(margin, N_GRID, 6, 4, rule=rule)
+        assert len(seedings) == 1 + len(N_GRID)
 
 
 class TestRhoFamilyInf:
