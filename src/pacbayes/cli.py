@@ -332,6 +332,10 @@ def compare_bounds(task: dict, eps: Optional[float] = None) -> list[Certificate]
     whole search list with one ``CatalogEntry.values`` call; the first
     minimum in (lambda, candidate) order wins, and only it is certified, for
     its terms.
+
+    Each certificate holds at eps on its own.  The results come sorted by
+    value, and cmd_compare's "tightest" names the first, the minimum over
+    the k rows returned, which holds only at k * eps (a union bound).
     """
     if eps is not None:
         task = {**task, "eps": eps}

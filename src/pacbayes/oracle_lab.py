@@ -360,8 +360,21 @@ _TASK_PARAMS = {
 _DRAW_WORDS, _N_MAX = 1 << 27, 2**63 - 1
 
 
+#: An experiment runs at most _TRIALS trials: each keeps a report row and a
+#: few per-trial columns (0.3-0.6 KB measured for violation_experiment), so
+#: 2**22 of them stay within about 2.5 GB.
+_TRIALS = 1 << 22
+
+
 class _DrawLimitError(ValueError):
-    """A task or sample size past what one trial's draw may allocate."""
+    """A task, sample size or trial count past what the lab may allocate."""
+
+
+def _check_trials(name: str, count: int, points: int = 1) -> None:
+    """Refuse an experiment of more than _TRIALS trials, count at each of points."""
+    if count * points > _TRIALS:
+        raise _DrawLimitError(f"{name} = {count!r} asks for {count * points} trials; an "
+                              "experiment runs at most 2**22 (4194304)")
 
 
 def _check_draw(task: SyntheticTask, n, name: str = "n") -> None:
@@ -744,9 +757,10 @@ def _check_support_size(name: str, dist: Optional[DiscreteDistribution], m: int)
         raise ValueError(f"{name} has {dist.size} masses but the task has {m} hypotheses")
 
 
-#: The draw cache: the last _DRAW_SETS drawn sets of at most _DRAW_SET_ENTRIES
-#: entries each (8 x 2**16 float64 entries, 4 MiB in all), by value key
-_DRAW_SETS, _DRAW_SET_ENTRIES = 8, 1 << 16
+#: The draw cache, by value key: each kept set is charged the 8-byte words
+#: it holds with its key, and the least recently used sets are dropped until
+#: the charges total at most _DRAW_CACHE (2**19 words, 4 MiB)
+_DRAW_CACHE = 1 << 19
 _drawn: dict = {}
 
 #: The task methods a draw runs through; a patched one gives another key
@@ -755,16 +769,22 @@ _SAMPLERS = ("sample_emp_risks", "sample_emp_risk", "sample_losses", "_sample_xy
 
 def _draw_key(task: SyntheticTask, n, seed, keys: np.ndarray):
     """The value key of a draw set: the task's class, sampler functions and
-    the bytes of each parameter its class declares, n, seed and the keys.
-    None for a class that declares no parameters or a set too large to keep."""
+    the bytes of each parameter its class declares, n, seed, the keys, and
+    last the set's charge in words: its entries, the words of the key's
+    arrays and 2**7 (1 KiB) for the key's objects, which hold about 0.9 KB.
+    None for a class that declares no parameters or a set charged more than
+    _DRAW_CACHE."""
     params = type(task).__dict__.get("_draw_params")
-    if not params or len(keys) * task.m > _DRAW_SET_ENTRIES:
+    if not params:
+        return None
+    values = [np.asarray(getattr(task, name)) for name in params]
+    words = len(keys) * task.m + (keys.nbytes + sum(v.nbytes for v in values)) // 8 + 2**7
+    if words > _DRAW_CACHE:
         return None
     samplers = [getattr(task, name, None) for name in _SAMPLERS]
-    values = [np.asarray(getattr(task, name)) for name in params]
     return (type(task), *(getattr(f, "__func__", f) for f in samplers),
             *((v.dtype.str, v.shape, v.tobytes()) for v in values),
-            n, seed, keys.dtype.str, keys.shape, keys.tobytes())
+            n, seed, keys.dtype.str, keys.shape, keys.tobytes(), words)
 
 
 def _stacked_draws(task: SyntheticTask, n: int, seed: int, keys):
@@ -774,10 +794,13 @@ def _stacked_draws(task: SyntheticTask, n: int, seed: int, keys):
 
     Experiments that share (task, n, seed, keys) draw once.  A miss seeds the
     keys' generators in one child_rngs pass and makes one
-    task.sample_emp_risks call per block; a set of at most _DRAW_SET_ENTRIES
-    entries is then kept whole, read-only, among the last _DRAW_SETS used,
-    and a hit reads its blocks back with the bits of the miss.  A larger
-    set, or a task whose class declares no _draw_params, is drawn afresh.
+    task.sample_emp_risks call per block.  A set that _draw_key charges at
+    most _DRAW_CACHE words (2**19 entries less its key's share) is then kept
+    whole and read-only: the least recently used sets are dropped to make
+    room, the blocks are written into one (draws x M) array, so a miss holds
+    the set and one block, and a hit reads its blocks back with the bits of
+    the miss.  A larger set, or a task whose class declares no _draw_params,
+    streams its blocks afresh on every call.
     """
     keys = np.asarray(keys)
     key = _draw_key(task, n, seed, keys)
@@ -785,16 +808,19 @@ def _stacked_draws(task: SyntheticTask, n: int, seed: int, keys):
     rows = divergences._block_rows(task.m)
     if drawn is None:
         rngs = child_rngs(seed, keys)
-        draws = (task.sample_emp_risks(n, block)
-                 for block in iter(lambda: list(itertools.islice(rngs, rows)), []))
         if key is None:
-            yield from draws
+            for block in iter(lambda: list(itertools.islice(rngs, rows)), []):
+                yield task.sample_emp_risks(n, block)
             return
-        drawn = np.concatenate(list(draws))
+        kept = key[-1] + sum(k[-1] for k in _drawn)
+        while kept > _DRAW_CACHE:  # the set used first goes first
+            kept -= (old := next(iter(_drawn)))[-1]
+            del _drawn[old]
+        drawn = np.empty((len(keys), task.m))
+        for s in range(0, len(drawn), rows):
+            drawn[s:s + rows] = task.sample_emp_risks(n, list(itertools.islice(rngs, rows)))
         drawn.flags.writeable = False
-    _drawn[key] = drawn  # the set used last goes last; the first one is dropped
-    if len(_drawn) > _DRAW_SETS:
-        del _drawn[next(iter(_drawn))]
+    _drawn[key] = drawn  # the set used last goes last
     for s in range(0, len(drawn), rows):
         yield drawn[s:s + rows]
 
@@ -828,9 +854,10 @@ def violation_experiment(
     child_rngs pass, and are stacked into (trials x M) blocks of
     divergences._block_rows(M) trials at most.  The trials draw common
     random numbers: every experiment on one (task, n, seed, trials) sees the
-    same draws, which _stacked_draws makes once and keeps (the last 8 sets
-    of at most 2**16 entries).  An n whose one-trial draw is past the lab's
-    limit (see _check_draw) raises _DrawLimitError, a ValueError.
+    same draws, which _stacked_draws makes once and keeps (the least recently
+    used sets dropped first, 2**19 words in all).  An n whose one-trial draw
+    is past the lab's limit (see _check_draw), or more than 2**22 trials,
+    raises _DrawLimitError, a ValueError, before any trial is drawn.
     Gibbs rows, E_rho[r] and KL(rho || pi) come from divergences._gibbs_family, E_rho[R] is one product
     per block it yields, and the certificates one ``CatalogEntry.values``
     call per block.  lambda_grid scores each (trial, lambda) pair of its pass
@@ -842,6 +869,7 @@ def violation_experiment(
     only the "gibbs" rule and no numeric lam.
     """
     trials = _check_count(trials, "trials")
+    _check_trials("trials", trials)
     _check_draw(task, n)
     if not (0 < corruption < math.inf):
         raise ValueError(f"corruption must lie in (0, inf), got {corruption!r}")
@@ -937,13 +965,15 @@ def rate_experiment(
     of log(mean excess) against log(n); excess risks are accumulated in the
     log domain, so exponentially small values do not underflow.  A task
     with no excess risk anywhere yields the NaN sentinel slope.  A task with
-    C = inf, whose lam would be 0, raises ValueError.
+    C = inf, whose lam would be 0, raises ValueError, and more than 2**22
+    trials in all (len(n_grid) * reps) raise _DrawLimitError.
 
     The draws of one n are stacked into blocks, and kept, as in
     violation_experiment: every rate experiment on one (task, n, seed, reps)
-    shares them, so the fast and slow rules on one task draw once.  Each
-    block's log Gibbs weights and log excess risks are one matrix
-    pass each, every row with the bits of the rep-by-rep loop.
+    shares them while their sets fit the cache's 2**19 words, so the fast
+    and slow rules on one task draw once.  Each block's log Gibbs weights
+    and log excess risks are one matrix pass each, every row with the bits
+    of the rep-by-rep loop.
     """
     validate_geometric_grid(n_grid)  # first, so an inf or NaN reads "n_grid must be finite"
     n_grid = [_check_count(v, "n_grid entry") for v in n_grid]
@@ -951,6 +981,7 @@ def rate_experiment(
         raise ValueError("rule must be 'fast' or 'slow'")
     _check_bounded(task, f"the {rule} rate")
     reps = _check_count(reps, "reps")
+    _check_trials("reps", reps, len(n_grid))
     _check_draw(task, n_grid[-1], "n_grid entry")  # the grid increases
     _check_support_size("pi", pi, task.m)
     pi = pi or DiscreteDistribution.uniform(task.m)

@@ -6,6 +6,7 @@ violation / rate / exponential-moment harnesses."""
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,25 +398,93 @@ class TestDrawCache:
             assert np.concatenate(first).tobytes() == np.concatenate(again).tobytes()
         assert len(seedings) == 4 and not oracle_lab._drawn
 
-    @pytest.mark.parametrize("trials, kept", [(64, True), (65, False)])
-    def test_only_sets_of_at_most_2_16_entries_are_kept(self, trials, kept, seedings):
-        task = RiskTableTask(np.linspace(0.05, 0.95, 1024))
-        keys = [(t,) for t in range(trials)]
+    @staticmethod
+    def wide(trials=None):
+        """A 1024-threshold margin task, and the keys of trials trials: a set
+        is charged 1024 words a trial, one for its key, and 1026 for the
+        task's parameters and 128 for the key's objects."""
+        return (ThresholdMarginTask(0.2, np.linspace(0.0, 1.0, 1024)),
+                [(t,) for t in range(trials or 0)])
+
+    @staticmethod
+    def charges():
+        return sum(key[-1] for key in oracle_lab._drawn)
+
+    @pytest.mark.parametrize("trials, kept", [(510, True), (511, False)])
+    def test_only_sets_charged_at_most_2_19_words_are_kept(self, trials, kept, seedings):
+        # 510 trials are charged 523,904 words, 511 trials 524,929
+        task, keys = self.wide(trials)
         first, again = self.drawn(task, 20, 3, keys), self.drawn(task, 20, 3, keys)
         assert np.concatenate(first).tobytes() == np.concatenate(again).tobytes()
         assert len(oracle_lab._drawn) == kept and len(seedings) == 2 - kept
+        assert self.charges() == kept * (1025 * trials + 1154)
 
-    def test_the_last_8_sets_are_kept(self, seedings):
-        task = RiskTableTask([0.1, 0.2, 0.6])
-        for seed in range(8):
-            self.drawn(task, seed=seed)
-        self.drawn(task, seed=0)  # used again, so seed 1's set is the oldest
-        self.drawn(task, seed=8)
-        assert len(oracle_lab._drawn) == 8 and len(seedings) == 9
-        self.drawn(task, seed=0)
-        assert len(seedings) == 9
-        self.drawn(task, seed=1)
-        assert len(seedings) == 10
+    def test_a_set_past_2_19_entries_streams_with_the_bits_of_a_miss(self, seedings):
+        task, keys = self.wide(513)  # 2**19 + 1024 entries
+        want = stacked_draws_loop(task, 20, child_rngs(3, keys)).tobytes()
+        for _ in range(2):
+            blocks = self.drawn(task, 20, 3, keys)
+            assert all(b.flags.c_contiguous and b.flags.writeable for b in blocks)
+            assert max(len(b) for b in blocks) <= divergences._block_rows(task.m)
+            assert np.concatenate(blocks).tobytes() == want
+        assert len(seedings) == 2 and not oracle_lab._drawn
+
+    def test_a_set_past_2_16_entries_is_drawn_once_across_experiments(self, seedings):
+        # 2000 trials on a 41-threshold margin task: 82,000 entries
+        task = make_synthetic_task("threshold_margin", {"tau": 0.2, "grid_size": 41})
+        reports = [repr(violation_experiment(task, bound_id, "gibbs", 200, 0.1, 2000, 4))
+                   for bound_id in ("seeger", "catoni_linear", "seeger")]
+        assert len(seedings) == 1 and reports[0] == reports[2] != reports[1]
+        oracle_lab._drawn.clear()
+        assert repr(violation_experiment(task, "seeger", "gibbs", 200, 0.1, 2000, 4)) == reports[0]
+        assert len(seedings) == 2
+
+    def test_the_kept_charges_never_total_more_than_2_19_words(self, seedings):
+        task = self.wide()[0]
+        for seed, trials in enumerate([300, 50, 200, 400, 10, 250, 300]):
+            self.drawn(task, 20, seed, self.wide(trials)[1])
+            assert self.charges() <= 2**19
+            assert sum(a.size for a in oracle_lab._drawn.values()) <= 2**19
+        # 200 trials drop the first set, 400 the next two, 250 the 400 and
+        # the last 300 the 10 and the 250: only the last set is left
+        assert len(seedings) == 7 and self.charges() == 1025 * 300 + 1154
+
+    def test_the_least_recently_used_sets_go_first(self, seedings):
+        # sets of 200, 150 and 100 trials fit together, and any three of the
+        # four do; seed 0's set is used again, so seed 3's drops seed 1's
+        task, trials = self.wide()[0], {0: 200, 1: 150, 2: 100, 3: 120}
+        runs = [len(seedings)]
+        for seeds in [(0, 1, 2, 0, 3), (0, 2, 3), (1,), (2, 3, 1), (0,), (3, 1, 0), (2,)]:
+            for seed in seeds:
+                self.drawn(task, 20, seed, self.wide(trials[seed])[1])
+            runs.append(len(seedings))
+        # seed 1 misses and drops seed 0; seed 0 misses and drops seed 2, the
+        # least recently used; seed 2 misses and drops seed 3
+        assert runs == [0, 4, 4, 5, 5, 6, 6, 7]
+
+    def test_a_miss_holds_the_set_and_one_block(self, seedings, monkeypatch):
+        # with a sampler that writes its rows into its block, a miss's peak is
+        # the kept set and one block; listing the blocks and concatenating
+        # them held two sets
+        task, keys = RiskTableTask(np.linspace(0.05, 0.95, 1024)), self.wide(400)[1]
+        monkeypatch.setattr(divergences, "_FAMILY_BLOCK", 16 * task.m)  # 25 blocks
+
+        def sampler(self, n, rngs):
+            block = np.empty((len(rngs), self.m))
+            for row, rng in zip(block, rngs):
+                row[:] = self.sample_emp_risk(n, rng)
+            return block
+
+        monkeypatch.setattr(RiskTableTask, "sample_emp_risks", sampler)
+        tracemalloc.start()
+        try:
+            self.drawn(task, 20, 3, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        set_bytes, block_bytes = 400 * 1024 * 8, 16 * 1024 * 8
+        assert len(seedings) == 1 and len(oracle_lab._drawn) == 1
+        assert set_bytes + block_bytes <= peak < set_bytes + 2 * block_bytes
 
     def test_a_draw_that_raises_keeps_nothing(self, seedings, monkeypatch):
         task = RiskTableTask([0.1, 0.2, 0.6])
@@ -446,6 +515,27 @@ class TestDrawCache:
         for rule in ("fast", "slow", "fast"):
             rate_experiment(margin, N_GRID, 6, 4, rule=rule)
         assert len(seedings) == 1 + len(N_GRID)
+
+
+    @pytest.mark.parametrize("run, name, count", [
+        (lambda task, k: violation_experiment(task, "seeger", "gibbs", 300, 0.1, k, 4),
+         "trials", 2**22),
+        (lambda task, k: rate_experiment(task, N_GRID, k, 4), "reps", 2**22 // len(N_GRID)),
+    ], ids=["violation", "rate"])
+    def test_more_than_2_22_trials_are_refused_before_any_draw(self, run, name, count, seedings):
+        # the refusal allocates no trial's keys, generators or rows
+        task = make_synthetic_task("risk_table", {"p": [0.1, 0.2, 0.6]})
+        oracle_lab._check_trials(name, count, 1 if name == "trials" else len(N_GRID))
+        for k in (count + 1, 10**12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(oracle_lab._DrawLimitError, match=f"^{name} = {k} asks for"):
+                    run(task, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16
+        assert not seedings
 
 
 class TestRhoFamilyInf:
