@@ -238,31 +238,19 @@ def _kl_root_bracket(p, one_minus_p, b):
     for every x in [p, a] and > b for every x in [c, 1), else p and 1."""
     with np.errstate(all="ignore"):
         # Pinsker (kl >= 2 (x - p)^2) starts x above the root, and Newton in
-        # u = -log(1 - x), where kl is convex too, keeps it there; x stops at
-        # the largest float below 1, where a root past it leaves every x < 1
-        top = 1.0 - 2.0**-53
-        x = np.minimum(p + np.sqrt(0.5 * b), top)
+        # u = -log(1 - x), where kl is convex too, keeps it there
+        x = np.minimum(p + np.sqrt(0.5 * b), 1.0 - 2.0**-53)
         for _ in range(5):
-            # log1p holds each term, about x - p, to a few ulps of itself, so
-            # their sum keeps its digits at a tiny b
-            one_minus_x, d = 1.0 - x, x - p
-            kl = np.where(p > 0.0, p * np.log1p(-d / x), 0.0) + one_minus_p * np.log1p(
-                d / one_minus_x)
+            one_minus_x = 1.0 - x
+            kl = np.where(p > 0.0, p * np.log(p / x), 0.0) + one_minus_p * np.log(
+                one_minus_p / one_minus_x)
             slope = one_minus_p / one_minus_x - p / x
-            x, last = np.minimum(1.0 - one_minus_x * np.exp((kl - b) / (slope * one_minus_x)),
-                                 top), x
-        s = np.minimum(p, one_minus_p)
-
-        def margin(y):  # 2^-42 (b + g(y)), g as in _kl_inverse_upper_columns
-            return 2.0**-42 * (b + np.fmin(1.0, 4.0 * (y - p) / s))
-
-        h = 2.0 * (np.abs(x - last) + margin(x) / slope) + np.spacing(x)
+            x, last = 1.0 - one_minus_x * np.exp((kl - b) / (slope * one_minus_x)), x
+        m = 2.0**-42 * (b + 1.0)
+        h = 2.0 * (np.abs(x - last) + m / slope)
         a, c = np.maximum(x - h, p), x + h
-        m = margin(c)
         a_ok = _kl_bernoulli_at_most(p, one_minus_p, a, b - m)
-        # where g(c) < 1, kl'(c) = (c - p) / (c (1 - c)) must outgrow 2^-42 / s
-        steep = (4.0 * (c - p) >= s) | ((c - p) * s >= 2.0**-42 * c * (1.0 - c))
-        c_ok = (c <= 1.0) & steep & ~_kl_bernoulli_at_most(p, one_minus_p, c, b + m)
+        c_ok = (c <= 1.0) & ~_kl_bernoulli_at_most(p, one_minus_p, c, b + m)
     return np.where(a_ok, a, p), np.where(c_ok, c, 1.0)
 
 
@@ -275,21 +263,14 @@ def _kl_inverse_upper_columns(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     hi; b = 0 and q = 1 return q.  The test kl_bernoulli(q, mid) <= b holds
     at mid <= a and fails at mid >= c, for ``_kl_root_bracket``'s ends;
     only a midpoint between them takes the exact test of
-    ``_kl_bernoulli_at_most``.  Why: on [q, 1) the true kl(q|x) is convex
-    and increasing, and kl_bernoulli lies within E(x) = 2^-48 (kl + 3 g(x))
-    of it, g(x) = min(1, 4 (x - q) / s) with s = min(q, 1 - q).  Where
-    |x - q| > 0.5 min(x, 1 - x) it takes the logs of rounded ratios, off by
-    a few ulps of each term t1 <= 0 <= t2 plus a few ulps absolute, with
-    |t1| <= x - q <= 1; there 4 (x - q) > s, so g = 1.  Closer in it takes
-    log1p of an exact difference, off by a few ulps of each term alone, and
-    |t1| + |t2| <= 3 (x - q).  The ends passed exact tests at the margin
-    m = 2^-42 (b + g(c)), far above 2 E there: kl_bernoulli(q, a) <= b - m
-    and kl_bernoulli(q, c) > b + m.  So at mid <= a, as E grows with x, it
-    reads at most kl(a) + 2 E(a) < b, and at mid >= c at least
-    kl(c) - 2 E(c) > b, as kl - E increases past c: g(c) is 1, or
-    kl'(c) s >= 2^-42 outgrows g's slope 4 / s.  A root within 1e-9 of 1 or
-    past the largest float below 1, and a budget under 1e-13, get ends as
-    tight as any.  On columns like
+    ``_kl_bernoulli_at_most``.  Why: on [q, 1) the true kl(q|x) increases
+    with x, and kl_bernoulli rounds each term t1 <= 0 <= t2 by a few ulps of
+    itself plus a few ulps absolute (the log of a rounded ratio); as
+    |t1| <= x - q <= 1, it lies within E = 2^-48 (kl + 3) of the true kl.
+    The ends passed exact tests at the margin m = 2^-42 (b + 1), far above
+    2 E there: kl_bernoulli(q, a) <= b - m and kl_bernoulli(q, c) > b + m.
+    So at mid <= a it reads at most kl(a) + 2 E < b, and at mid >= c, where
+    kl - E increases too, at least kl(c) - 2 E > b.  On columns like
     mc_lab's 100 seeger trials, about one midpoint in four columns (of
     some 3000 a column) falls between the ends.
     """

@@ -360,21 +360,24 @@ _TASK_PARAMS = {
 _DRAW_WORDS, _N_MAX = 1 << 27, 2**63 - 1
 
 
-#: An experiment runs at most _TRIALS trials: each keeps a report row and a
-#: few per-trial columns (0.3-0.6 KB measured for violation_experiment), so
-#: 2**22 of them stay within about 2.5 GB.
-_TRIALS = 1 << 22
+#: What one experiment runs, about 2.5 GB at each limit: at most _TRIALS
+#: violation trials, each keeping a report row and a few per-trial columns
+#: (0.3-0.6 KB measured), and at most _REPS rate reps in all, len(n_grid) x
+#: reps, each keeping a 16-byte key while its grid point's reps also hold
+#: their seeding words and log excess risks (36 B a rep in all on the
+#: shortest, 5-point grid; tracemalloc peaks on a 20-arm risk table).
+_TRIALS, _REPS = 1 << 22, 1 << 26
 
 
 class _DrawLimitError(ValueError):
     """A task, sample size or trial count past what the lab may allocate."""
 
 
-def _check_trials(name: str, count: int, points: int = 1) -> None:
-    """Refuse an experiment of more than _TRIALS trials, count at each of points."""
-    if count * points > _TRIALS:
-        raise _DrawLimitError(f"{name} = {count!r} asks for {count * points} trials; an "
-                              "experiment runs at most 2**22 (4194304)")
+def _check_trials(name: str, count: int, limit: int, points: int = 1) -> None:
+    """Refuse an experiment of more than limit runs in all, count at each of points."""
+    if count * points > limit:
+        raise _DrawLimitError(f"{name} = {count!r} asks for {count * points} {name}; an "
+                              f"experiment runs at most 2**{limit.bit_length() - 1} ({limit})")
 
 
 def _check_draw(task: SyntheticTask, n, name: str = "n") -> None:
@@ -869,7 +872,7 @@ def violation_experiment(
     only the "gibbs" rule and no numeric lam.
     """
     trials = _check_count(trials, "trials")
-    _check_trials("trials", trials)
+    _check_trials("trials", trials, _TRIALS)
     _check_draw(task, n)
     if not (0 < corruption < math.inf):
         raise ValueError(f"corruption must lie in (0, inf), got {corruption!r}")
@@ -965,8 +968,8 @@ def rate_experiment(
     of log(mean excess) against log(n); excess risks are accumulated in the
     log domain, so exponentially small values do not underflow.  A task
     with no excess risk anywhere yields the NaN sentinel slope.  A task with
-    C = inf, whose lam would be 0, raises ValueError, and more than 2**22
-    trials in all (len(n_grid) * reps) raise _DrawLimitError.
+    C = inf, whose lam would be 0, raises ValueError, and more than 2**26
+    reps in all (len(n_grid) * reps) raise _DrawLimitError.
 
     The draws of one n are stacked into blocks, and kept, as in
     violation_experiment: every rate experiment on one (task, n, seed, reps)
@@ -981,7 +984,7 @@ def rate_experiment(
         raise ValueError("rule must be 'fast' or 'slow'")
     _check_bounded(task, f"the {rule} rate")
     reps = _check_count(reps, "reps")
-    _check_trials("reps", reps, len(n_grid))
+    _check_trials("reps", reps, _REPS, len(n_grid))
     _check_draw(task, n_grid[-1], "n_grid entry")  # the grid increases
     _check_support_size("pi", pi, task.m)
     pi = pi or DiscreteDistribution.uniform(task.m)

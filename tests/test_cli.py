@@ -519,21 +519,22 @@ def test_lambda_grid_refusals_are_the_catalogs(argv, field, rule, lam, generativ
     ({**SCALARS, "task": {"kind": "threshold_margin", "tau": 0.2, "grid_size": 11}},
      ["rates", "--n-grid", "10000000,20000000,40000000,80000000,160000000", "--reps", "2"],
      "n_grid entry = 160000000 asks one trial's draw"),
-    # past the 2**22 trials an experiment runs: 10**12, and the first count past
+    # past the 2**22 trials or 2**26 reps an experiment runs: 10**12, and the
+    # first count past
     ("generative_instance", ["violate", "--bound", "seeger", "--trials", "1000000000000"],
      "trials = 1000000000000 asks for 1000000000000 trials; an experiment runs at most 2**22"),
     ("generative_instance", ["violate", "--bound", "seeger", "--trials", str(2**22 + 1)],
      "trials = 4194305 asks for 4194305 trials"),
     ("generative_instance", ["rates", "--n-grid", "100,200,400,800,1600", "--reps",
-                             "1000000000000"], "reps = 1000000000000 asks for 5000000000000 trials"),
+                             "1000000000000"], "reps = 1000000000000 asks for 5000000000000 reps"),
     ("generative_instance", ["rates", "--n-grid", "100,200,400,800,1600", "--reps",
-                             str(2**22 // 5 + 1)], "reps = 838861 asks for 4194305 trials"),
+                             str(2**26 // 5 + 1)], "reps = 13421773 asks for 67108865 reps"),
 ], ids=["certify_localized_lambda_1e6", "violate_localized_lambda_1e6", "compare_no_emp_risk",
         "rates_seed_negative", "certify_gibbs_lambda_inf", "certify_localized_lambda_squared_inf",
         "compare_eps_split_underflows", "violate_risk_table_n_1e308",
         "violate_margin_grid_size_2_53", "violate_margin_n_2_53", "rates_margin_n_1.6e8",
         "violate_trials_1e12", "violate_trials_2_22_plus_1", "rates_reps_1e12",
-        "rates_reps_past_2_22_trials"])
+        "rates_reps_past_2_26"])
 def test_semantic_error_exit_3(task, argv, named, request, tmp_path, capsys):
     command, *flags = argv
     rc = cli.main([command, task_path(task, request, tmp_path), *flags])

@@ -271,9 +271,8 @@ class TestKlInverseReplay:
         q, b = np.array(pairs, dtype=float).T
         assert same_bits(_kl_inverse_upper_columns(q, b), kl_inverse_upper_masked_loop(q, b))
 
-    @given(st.lists(st.tuples(st.floats(0.0, 1 - 1e-6),
-                              st.one_of(st.floats(1e-9, 10.0), st.floats(1e-18, 1e-12))),
-                    min_size=1, max_size=20))
+    @given(st.lists(st.tuples(st.floats(0.0, 1 - 1e-6), st.floats(1e-9, 10.0)), min_size=1,
+                    max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_bracket_ends_pass_and_fail_the_exact_test(self, pairs):
         # every x in [q, a] passes kl_bernoulli(q, x) <= b and every x in [c, 1)
@@ -297,26 +296,6 @@ class TestKlInverseReplay:
         a, c = divergences._kl_root_bracket(q, 1.0 - q, b)
         assert (q < a).all() and (c < 1.0).all() and (c - a < 1e-11).all()
         assert same_bits(_kl_inverse_upper_columns(q, b), kl_inverse_upper_masked_loop(q, b))
-
-
-    @pytest.mark.parametrize("column", ["root_near_1", "tiny_budget"])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_a_root_near_1_or_a_tiny_budget_is_bracketed(self, column, seed, monkeypatch):
-        # roots within 1e-9 of 1 or past the largest float below it, and
-        # budgets under 1e-13, once left the ends q and 1, so that every
-        # midpoint took the exact test (some 1400-2200 a column); now the
-        # two end tests run, and a midpoint between the ends now and then
-        rng = np.random.default_rng(seed)
-        if column == "root_near_1":
-            q, b = rng.uniform(0.9, 0.999, 100), rng.uniform(0.5, 3.0, 100)
-        else:
-            q, b = rng.uniform(0.05, 0.95, 100), 10.0 ** rng.uniform(-16, -13, 100)
-        tested, real = [], divergences._kl_bernoulli_at_most
-        monkeypatch.setattr(divergences, "_kl_bernoulli_at_most",
-                            lambda p, *rest: tested.append(len(p)) or real(p, *rest))
-        got = _kl_inverse_upper_columns(q, b)
-        assert tested[:2] == [100, 100] and sum(tested[2:]) <= 4
-        assert same_bits(got, scalar_inverses(q, b))
 
 
 class TestKlInverseEntry:

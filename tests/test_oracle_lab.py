@@ -517,15 +517,17 @@ class TestDrawCache:
         assert len(seedings) == 1 + len(N_GRID)
 
 
-    @pytest.mark.parametrize("run, name, count", [
+    @pytest.mark.parametrize("run, name, limit, points", [
         (lambda task, k: violation_experiment(task, "seeger", "gibbs", 300, 0.1, k, 4),
-         "trials", 2**22),
-        (lambda task, k: rate_experiment(task, N_GRID, k, 4), "reps", 2**22 // len(N_GRID)),
+         "trials", 2**22, 1),
+        (lambda task, k: rate_experiment(task, N_GRID, k, 4), "reps", 2**26, len(N_GRID)),
     ], ids=["violation", "rate"])
-    def test_more_than_2_22_trials_are_refused_before_any_draw(self, run, name, count, seedings):
+    def test_runs_past_the_limit_are_refused_before_any_draw(self, run, name, limit, points,
+                                                             seedings):
         # the refusal allocates no trial's keys, generators or rows
         task = make_synthetic_task("risk_table", {"p": [0.1, 0.2, 0.6]})
-        oracle_lab._check_trials(name, count, 1 if name == "trials" else len(N_GRID))
+        count = limit // points
+        oracle_lab._check_trials(name, count, limit, points)
         for k in (count + 1, 10**12):
             tracemalloc.start()
             try:
